@@ -49,13 +49,20 @@ class TrainingSet:
 
 @dataclass
 class TrainedModel:
-    """Standardizing logistic model; `fallback` means fitting was skipped."""
+    """Standardizing logistic model; `fallback` means fitting was skipped.
+
+    `iterations` counts accepted descent steps. `converged` is False when
+    `fit` stopped before the gradient fell below `grad_tol`: at `max_iter`,
+    or because no step along the gradient lowered the loss.
+    """
 
     weights: np.ndarray | None
     bias: float
     mean: np.ndarray | None
     scale: np.ndarray | None
     fallback: bool
+    iterations: int = 0
+    converged: bool = True
 
 
 def build_training_set(state: ObserverState) -> TrainingSet:
@@ -67,9 +74,10 @@ def build_training_set(state: ObserverState) -> TrainingSet:
     """
     if not state.monitored:
         raise ValueError("cannot build a training set with no monitored nodes")
+    X = state.features_matrix(list(state.monitored), allow_monitored=True)
     rows = [
-        (state.features(m, allow_monitored=True), color)
-        for m, color in state.monitored.items()
+        (FeatureVector.from_row(x), color)
+        for x, color in zip(X.tolist(), state.monitored.values())
     ]
     return TrainingSet(rows=rows, snapshot_step=len(state.monitored))
 
@@ -131,9 +139,12 @@ def fit(data: TrainingSet, params: ClassifierParams = DEFAULT_PARAMS) -> Trained
     b = 0.0
     cur = loss(Xs, y, w, b, params.l2)
     step = 1.0
+    iterations = 0
+    converged = False
     for _ in range(params.max_iter):
         gw, gb = gradient(Xs, y, w, b, params.l2)
         if max(np.max(np.abs(gw)), abs(gb)) < params.grad_tol:
+            converged = True
             break
         gsq = float(gw @ gw) + gb * gb
         t = step * 2.0
@@ -149,21 +160,19 @@ def fit(data: TrainingSet, params: ClassifierParams = DEFAULT_PARAMS) -> Trained
         if not accepted:
             break
         w, b, cur, step = nw, nb, nl, t
-    return TrainedModel(weights=w, bias=b, mean=mu, scale=scale, fallback=False)
+        iterations += 1
+    return TrainedModel(weights=w, bias=b, mean=mu, scale=scale, fallback=False,
+                        iterations=iterations, converged=converged)
+
+
+def predict_many(model: TrainedModel, X) -> np.ndarray:
+    """Predicted red probability for each row of the (k, 9) feature matrix `X`."""
+    if model.fallback:
+        raise ValueError("fallback model cannot predict; rank by red neighbors instead")
+    Xs = (np.asarray(X, dtype=float) - model.mean) * model.scale
+    return _sigmoid(Xs @ model.weights + model.bias)
 
 
 def predict(model: TrainedModel, x: FeatureVector) -> float:
     """Predicted probability that the node behind `x` is red."""
-    if model.fallback:
-        raise ValueError("fallback model cannot predict; rank by red neighbors instead")
-    xs = (np.asarray(x.as_tuple()) - model.mean) * model.scale
-    return float(_sigmoid(xs @ model.weights + model.bias))
-
-
-def predict_many(model: TrainedModel, xs: list[FeatureVector]) -> np.ndarray:
-    """Vectorized `predict` over a batch of feature vectors."""
-    if model.fallback:
-        raise ValueError("fallback model cannot predict; rank by red neighbors instead")
-    X = np.array([x.as_tuple() for x in xs], dtype=float)
-    Xs = (X - model.mean) * model.scale
-    return _sigmoid(Xs @ model.weights + model.bias)
+    return float(predict_many(model, [x.as_tuple()])[0])

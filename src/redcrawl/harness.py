@@ -240,7 +240,10 @@ def run_single(
             break
         if step_callback is not None:
             step_callback(state, decision)
-        assert decision.chosen not in state.monitored
+        if decision.chosen in state.monitored:
+            raise ValueError(
+                f"strategy {strategy!r} picked node {decision.chosen}, which is already monitored"
+            )
         report = oracle.place_monitor(decision.chosen)
         state.ingest(report)
         placed_since_fit += 1

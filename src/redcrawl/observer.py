@@ -10,15 +10,20 @@ for any candidate node, the nine-entry feature vector the learning
 strategy consumes and the trust-weighted probability that the candidate
 is red.
 
-Per-candidate counts are maintained incrementally during ingest so that
-scoring every candidate at every step stays cheap; the test suite checks
-them against a from-scratch recomputation of the report log.
+Per-candidate counts are maintained incrementally during ingest, and the
+read side turns them into features in one pass per pick (and per
+training set): `features_matrix` returns one row per node, reading the
+trust table once. `features` and `inferred_red_probability` are that
+same row code for a single node. The test suite checks the rows against
+a from-scratch recomputation of the report log.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graph import Color
 from .oracle import MonitorReport
@@ -71,6 +76,12 @@ class FeatureVector:
             float(self.inferred_red),
         )
 
+    @classmethod
+    def from_row(cls, row) -> "FeatureVector":
+        """Inverse of `as_tuple`, e.g. for a row of `ObserverState.features_matrix`."""
+        *counts, inferred_red = row
+        return cls(*map(int, counts), float(inferred_red))
+
 
 class ObserverState:
     """Mutable crawl knowledge for one run, keyed by dense node ids.
@@ -98,7 +109,7 @@ class ObserverState:
             (sp, said, sub): 0 for sp in Color for said in Color for sub in Color
         }
         self.report_log: list[MonitorReport] = []
-        # Incremental per-node counters backing features().
+        # Incremental per-node counters backing the feature rows.
         self._red_mon_nbrs: dict[int, set[int]] = {}
         self._blue_mon_count: dict[int, int] = {}
         self._red_tri: dict[int, int] = {}
@@ -183,26 +194,7 @@ class ObserverState:
         0.5 is returned. Only candidates have a meaningful inferred
         probability, so monitored nodes are rejected.
         """
-        if v in self.monitored:
-            raise ValueError(f"node {v} is monitored; its color is known, not inferred")
-        if v not in self.observed_nodes:
-            raise ValueError(f"node {v} has not been observed")
-        return self._inferred_red(v)
-
-    def _inferred_red(self, v: int) -> float:
-        counts = self._say.get(v)
-        if not counts:
-            return 0.5
-        total = counts[_RSR] + counts[_RSB] + counts[_BSR] + counts[_BSB]
-        if total == 0:
-            return 0.5
-        acc = (
-            counts[_RSR] * self.conditional_trust(Color.RED, Color.RED)
-            + counts[_RSB] * self.conditional_trust(Color.RED, Color.BLUE)
-            + counts[_BSR] * self.conditional_trust(Color.BLUE, Color.RED)
-            + counts[_BSB] * self.conditional_trust(Color.BLUE, Color.BLUE)
-        )
-        return acc / total
+        return self.features(v).inferred_red
 
     def features(self, v: int, allow_monitored: bool = False) -> FeatureVector:
         """Feature vector for node `v` from current knowledge.
@@ -213,22 +205,41 @@ class ObserverState:
         counts, so the vector matches what a candidate in its position
         would show.
         """
-        if v not in self.observed_nodes:
-            raise ValueError(f"node {v} has not been observed")
-        if not allow_monitored and v in self.monitored:
-            raise ValueError(f"node {v} is monitored; features are for candidates")
-        say = self._say.get(v, (0, 0, 0, 0))
-        return FeatureVector(
-            red_neighbors=len(self._red_mon_nbrs.get(v, ())),
-            blue_neighbors=self._blue_mon_count.get(v, 0),
-            red_triangles=self._red_tri.get(v, 0),
-            red_score=say[_RSR] + say[_BSR],
-            red_say_red=say[_RSR],
-            red_say_blue=say[_RSB],
-            blue_say_red=say[_BSR],
-            blue_say_blue=say[_BSB],
-            inferred_red=self._inferred_red(v),
+        return FeatureVector.from_row(self.features_matrix([v], allow_monitored).tolist()[0])
+
+    def features_matrix(self, nodes, allow_monitored: bool = False) -> np.ndarray:
+        """Feature rows of `nodes` as a (len(nodes), 9) float array, in one pass.
+
+        Columns follow FEATURE_NAMES and row i equals
+        `features(nodes[i], allow_monitored).as_tuple()`; the trust table
+        is read once per call.
+        """
+        for v in nodes:
+            if v not in self.observed_nodes:
+                raise ValueError(f"node {v} has not been observed")
+            if not allow_monitored and v in self.monitored:
+                raise ValueError(f"node {v} is monitored; features are for candidates")
+        red_nbrs, blue, tri, say = self._red_mon_nbrs, self._blue_mon_count, self._red_tri, self._say
+        none = (0, 0, 0, 0)
+        # red_score (column 3) and inferred_red (column 8) are filled in below
+        X = np.array(
+            [(len(red_nbrs.get(v, ())), blue.get(v, 0), tri.get(v, 0), 0, *say.get(v, none), 0.5)
+             for v in nodes],
+            dtype=float,
+        ).reshape(-1, len(FEATURE_NAMES))
+        rsr, rsb, bsr, bsb = X[:, 4], X[:, 5], X[:, 6], X[:, 7]
+        X[:, 3] = rsr + bsr
+        total = rsr + rsb + bsr + bsb
+        # Elementwise, in this order, so every row rounds exactly as the
+        # scalar sum would; a BLAS dot could reorder the additions.
+        acc = (
+            rsr * self.conditional_trust(Color.RED, Color.RED)
+            + rsb * self.conditional_trust(Color.RED, Color.BLUE)
+            + bsr * self.conditional_trust(Color.BLUE, Color.RED)
+            + bsb * self.conditional_trust(Color.BLUE, Color.BLUE)
         )
+        np.divide(acc, total, out=X[:, 8], where=total > 0)
+        return X
 
     # Cheap single-count accessors for the non-learning strategies.
 

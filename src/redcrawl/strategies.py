@@ -86,8 +86,8 @@ def pick_redlearn(state: ObserverState, model: TrainedModel, rng: random.Random)
     if model.fallback:
         return pick_mrn(state, rng)
     cands = _candidates(state)
-    probs = predict_many(model, [state.features(v) for v in cands])
-    return _argmax({v: float(p) for v, p in zip(cands, probs)}, rng)
+    probs = predict_many(model, state.features_matrix(cands))
+    return _argmax(dict(zip(cands, probs.tolist())), rng)
 
 
 def pick(strategy: str, state: ObserverState, rng: random.Random,

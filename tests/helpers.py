@@ -136,3 +136,21 @@ def brute_features(v, edges, monitored, statements, verified):
         float(bsb),
         inferred,
     )
+
+
+def ordered_inferred_red(rsr, rsb, bsr, bsb, verified):
+    """inferred_red from a candidate's four claim counts, as scalar floats.
+
+    The same arithmetic as the package in the same order, so the result
+    must match its feature rows bit for bit (brute_features averages
+    per-claim trust values instead and only matches approximately).
+    """
+    total = rsr + rsb + bsr + bsb
+    if total == 0:
+        return 0.5
+    return (
+        rsr * brute_trust(verified, Color.RED, Color.RED)
+        + rsb * brute_trust(verified, Color.RED, Color.BLUE)
+        + bsr * brute_trust(verified, Color.BLUE, Color.RED)
+        + bsb * brute_trust(verified, Color.BLUE, Color.BLUE)
+    ) / total

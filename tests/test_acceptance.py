@@ -38,6 +38,7 @@ from helpers import (
     have_noordin,
     identity_model,
     noordin_paths,
+    ordered_inferred_red,
 )
 
 
@@ -140,10 +141,14 @@ def test_criterion_3_observer_oracle_equivalence():
             assert state.statements == statements
             assert state.verified_counts == brute_verified(monitored, statements)
             verified = state.verified_counts
-            for v in state.candidates():
+            cands = state.candidates()
+            for v, row in zip(cands, state.features_matrix(cands).tolist()):
                 got = state.features(v).as_tuple()
                 want = brute_features(v, edges, monitored, statements, verified)
                 assert got == pytest.approx(want), f"case {case}, node {v}"
+                assert tuple(row) == pytest.approx(want), f"case {case}, node {v}"
+                assert tuple(row) == got, f"case {case}, node {v}"
+                assert row[8] == ordered_inferred_red(*want[4:8], verified), f"case {case}, node {v}"
         elapsed = time.perf_counter() - t0
         print(f"  100 worlds x 20 monitors in {elapsed:.1f}s", end="")
         assert elapsed < 60.0

@@ -53,6 +53,15 @@ def crawl_state(world, scenario, n_monitors, seed):
     return state
 
 
+def separable_toy_set():
+    rng = random.Random(0)
+    rows = []
+    for _ in range(10):
+        rows.append((fv(rng.uniform(2, 3), rng.uniform(0, 1), 0, 0, 0, 0, 0, 0, 0.9), Color.RED))
+        rows.append((fv(rng.uniform(0, 1), rng.uniform(2, 3), 0, 0, 0, 0, 0, 0, 0.1), Color.BLUE))
+    return TrainingSet(rows=rows, snapshot_step=20)
+
+
 class TestBuildTrainingSet:
     def test_first_monitor_has_empty_knowledge_row(self):
         state = ObserverState(0)
@@ -139,16 +148,14 @@ class TestLossAndGradient:
         Xs = (np.array([r[0].as_tuple() for r in rows]) - model.mean) * model.scale
         gw, gb = gradient(Xs, y, model.weights, model.bias, 1e-2)
         assert max(np.max(np.abs(gw)), abs(gb)) < 1e-6
+        assert model.converged
+        assert 0 < model.iterations < 5000
 
 
 class TestFit:
     def test_linearly_separable_toy_set(self):
-        rng = random.Random(0)
-        rows = []
-        for _ in range(10):
-            rows.append((fv(rng.uniform(2, 3), rng.uniform(0, 1), 0, 0, 0, 0, 0, 0, 0.9), Color.RED))
-            rows.append((fv(rng.uniform(0, 1), rng.uniform(2, 3), 0, 0, 0, 0, 0, 0, 0.1), Color.BLUE))
-        data = TrainingSet(rows=rows, snapshot_step=20)
+        data = separable_toy_set()
+        rows = data.rows
         model = fit(data)
         assert not model.fallback
         correct = sum(
@@ -160,6 +167,12 @@ class TestFit:
         y = np.array([1.0 if c is Color.RED else 0.0 for _, c in rows])
         Xs = (X - model.mean) * model.scale
         assert loss(Xs, y, model.weights, model.bias, 1e-3) < 0.1
+
+    def test_stopping_at_max_iter_is_reported(self):
+        # without regularization separable data has no finite optimum
+        model = fit(separable_toy_set(), ClassifierParams(l2=0.0, max_iter=5))
+        assert not model.converged
+        assert model.iterations == 5
 
     def test_single_class_routes_to_fallback(self):
         rows = [(fv(1, 0, 0, 0, 0, 0, 0, 0, 0.5), Color.RED) for _ in range(5)]
@@ -247,6 +260,6 @@ class TestPredict:
         data = random_training_set(random.Random(4), 30)
         model = fit(data)
         features = [f for f, _ in data.rows]
-        batch = predict_many(model, features)
+        batch = predict_many(model, np.array([f.as_tuple() for f in features]))
         for x, p in zip(features, batch):
             assert predict(model, x) == pytest.approx(float(p))

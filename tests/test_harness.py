@@ -3,10 +3,12 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 
 from redcrawl import (
     Color,
+    Decision,
     ExperimentConfig,
     LyingScenario,
     RunTrace,
@@ -14,8 +16,10 @@ from redcrawl import (
     count_colors,
     derive_seed,
     generate_synthetic,
+    harness,
     load_graph,
     parse_config,
+    predict_many,
     run_experiment,
     run_single,
     summarize,
@@ -101,6 +105,43 @@ class TestRunSingle:
             world, "redlearn", LyingScenario.LS1, start, 21, budget=20, step_callback=audit,
         )
         assert seen == [s.node for s in trace.steps[1:]]
+
+    @pytest.mark.parametrize("scenario", [LyingScenario.LS1, LyingScenario.LS2])
+    def test_redlearn_scores_match_per_candidate_rows(self, monkeypatch, scenario):
+        # the one-matrix scoring path must give exactly the scores of
+        # predict_many over rows stacked from per-candidate features(v)
+        models = []
+        real_fit = harness.fit
+
+        def recording_fit(*args, **kwargs):
+            models.append(real_fit(*args, **kwargs))
+            return models[-1]
+
+        learned = []
+
+        def audit(state, decision):
+            cands = state.candidates()
+            model = models[-1]
+            if model.fallback:
+                want = [float(state.red_neighbor_count(v)) for v in cands]
+            else:
+                rows = np.array([state.features(v).as_tuple() for v in cands])
+                want = predict_many(model, rows).tolist()
+                learned.append(decision.chosen)
+            assert list(decision.scores) == cands
+            assert list(decision.scores.values()) == want
+
+        monkeypatch.setattr(harness, "fit", recording_fit)
+        world = generate_synthetic(80, 0.15, "homophily", 4)
+        run_single(world, "redlearn", scenario, world.red_ids()[0], 17, budget=40,
+                   retrain_every=3, step_callback=audit)
+        assert len(learned) > 20
+
+    def test_pick_of_monitored_node_raises(self, monkeypatch):
+        world = star_world()
+        monkeypatch.setattr(harness, "pick", lambda strategy, state, rng, model=None: Decision(0, {0: 0.0}))
+        with pytest.raises(ValueError, match="'mrn' picked node 0, which is already monitored"):
+            run_single(world, "mrn", LyingScenario.LS1, 0, seed=3, budget=5)
 
     def test_start_must_be_red(self):
         world = make_world(3, [(0, 1), (1, 2)], red={0})

@@ -18,6 +18,7 @@ from helpers import (
     brute_knowledge,
     brute_trust,
     brute_verified,
+    ordered_inferred_red,
 )
 
 
@@ -236,10 +237,14 @@ class TestBruteForceEquivalence:
                     assert state.conditional_trust(speaker_color, said) == pytest.approx(
                         brute_trust(verified, speaker_color, said)
                     )
-            for v in state.candidates():
-                assert state.features(v).as_tuple() == pytest.approx(
-                    brute_features(v, edges, monitored, statements, verified)
-                )
+            cands = state.candidates()
+            for v, row in zip(cands, state.features_matrix(cands).tolist()):
+                want = brute_features(v, edges, monitored, statements, verified)
+                got = state.features(v).as_tuple()
+                assert got == pytest.approx(want)
+                assert tuple(row) == pytest.approx(want)
+                assert tuple(row) == got
+                assert row[8] == ordered_inferred_red(*want[4:8], verified)
 
     def test_replay_reproduces_state(self):
         world = generate_synthetic(40, 0.2, "homophily", 4)
