@@ -43,7 +43,6 @@ from .oracle import (
     LyingScenario,
     MonitorReport,
     Oracle,
-    Statement,
     assign_honesty,
     lie_probability,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "Oracle",
     "RunTrace",
     "STRATEGY_NAMES",
-    "Statement",
     "SummaryRow",
     "TraceStep",
     "TrainedModel",

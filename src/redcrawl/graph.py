@@ -1,11 +1,12 @@
 """Ground-truth colored graph: data model, file loading, transforms, generators.
 
 The world graph is the hidden network a crawl explores. Every node has a
-true color (red = node of interest, blue = everything else), a strictly
-positive rank score used by the lying model, and, once a run starts, a
-per-run honesty value in [0, 1]. Node ids are dense integers in [0, n);
-external string labels from input files are remapped at load time and the
-label table is kept for reporting.
+true color (red = node of interest, blue = everything else) and a
+strictly positive rank score used by the lying model. How each node lies
+varies from run to run, so per-run honesty lives with the run's Oracle,
+not here. Node ids are dense integers in [0, n); external string labels
+from input files are remapped at load time and the label table is kept
+for reporting.
 """
 
 from __future__ import annotations
@@ -48,19 +49,18 @@ class Color(enum.Enum):
 
 @dataclass
 class WorldGraph:
-    """Undirected simple graph with per-node color, rank score, and honesty.
+    """Undirected simple graph with per-node color and rank score.
 
     `adjacency[u]` is the set of neighbors of `u`; symmetry is an invariant
     (`u in adjacency[v]` iff `v in adjacency[u]`), and there are no
-    self-loops. `honesty` is None until a run assigns it. Treat instances
-    as immutable after construction; transforms return copies, so a loaded
-    graph can be shared read-only across concurrent runs.
+    self-loops. Treat instances as immutable after construction;
+    transforms return copies, so a loaded graph can be shared read-only
+    across concurrent runs.
     """
 
     adjacency: list[set[int]]
     colors: list[Color]
     hierarchy: list[float]
-    honesty: list[float] | None = None
     name: str = "world"
     labels: list[str] = field(default_factory=list)
 
@@ -93,7 +93,6 @@ class WorldGraph:
             adjacency=[set(nbrs) for nbrs in self.adjacency],
             colors=list(self.colors),
             hierarchy=list(self.hierarchy),
-            honesty=None if self.honesty is None else list(self.honesty),
             name=self.name,
             labels=list(self.labels),
         )
@@ -103,8 +102,6 @@ class WorldGraph:
         n = self.n
         if not (len(self.colors) == len(self.hierarchy) == len(self.labels) == n):
             raise ValueError("per-node arrays disagree on node count")
-        if self.honesty is not None and len(self.honesty) != n:
-            raise ValueError("honesty array disagrees on node count")
         for u in range(n):
             if u in self.adjacency[u]:
                 raise ValueError(f"self-loop at node {u}")
@@ -115,8 +112,6 @@ class WorldGraph:
                     raise ValueError(f"asymmetric edge ({u}, {v})")
             if self.hierarchy[u] <= 0:
                 raise ValueError(f"non-positive hierarchy score at node {u}")
-            if self.honesty is not None and not 0.0 <= self.honesty[u] <= 1.0:
-                raise ValueError(f"honesty out of [0, 1] at node {u}")
 
 
 def load_graph(edge_file, node_file) -> WorldGraph:
@@ -211,10 +206,7 @@ def load_graph(edge_file, node_file) -> WorldGraph:
 
 
 def save_graph(g: WorldGraph, edge_file, node_file) -> None:
-    """Write a graph back to the two-file format accepted by load_graph.
-
-    Honesty is a per-run quantity and is not persisted.
-    """
+    """Write a graph back to the two-file format accepted by load_graph."""
     with open(edge_file, "w", encoding="utf-8") as fh:
         for u, v in g.edges():
             fh.write(f"{g.labels[u]} {g.labels[v]}\n")
@@ -273,8 +265,8 @@ def generate_synthetic(
                          identifies reds.
 
     Hierarchy scores are set to node degree (floored at 1 so isolated
-    nodes keep a valid positive score); honesty is left unassigned. The
-    same arguments always produce the identical graph.
+    nodes keep a valid positive score). The same arguments always produce
+    the identical graph.
     """
     if n < 10:
         raise ValueError(f"n must be at least 10, got {n}")

@@ -220,7 +220,7 @@ def run_single(
     lies_rng = random.Random(derive_seed(seed, "lies"))
     tiebreak_rng = random.Random(derive_seed(seed, "tiebreak"))
 
-    oracle = Oracle(assign_honesty(world, honesty_rng), scenario, lies_rng)
+    oracle = Oracle(world, assign_honesty(world, honesty_rng), scenario, lies_rng)
     state = ObserverState(start)
     state.ingest(oracle.place_monitor(start))
     cum_red = 1

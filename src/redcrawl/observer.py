@@ -3,19 +3,18 @@
 Only what reports reveal is known: a node is observed once any monitor
 names it as a neighbor, an edge is known only when one of its endpoints
 has been monitored, and a color is known only for monitored nodes. The
-state also keeps every recorded claim and a 2x2x2 table of verified
-claims (speaker color x said color x subject's true color), filled in
-whenever a claim's subject later gets monitored. From this it derives,
-for any candidate node, the nine-entry feature vector the learning
-strategy consumes and the trust-weighted probability that the candidate
-is red.
+state keeps a 2x2x2 table of verified claims (speaker color x said color
+x subject's true color), filled in whenever a claim's subject gets
+monitored. From this it derives, for any candidate node, the nine-entry
+feature vector the learning strategy consumes and the trust-weighted
+probability that the candidate is red.
 
-Per-candidate counts are maintained incrementally during ingest, and the
-read side turns them into features in one pass per pick (and per
-training set): `features_matrix` returns one row per node, reading the
-trust table once. `features` and `inferred_red_probability` are that
-same row code for a single node. The test suite checks the rows against
-a from-scratch recomputation of the report log.
+The report log is the one record of claims and edges; ingest keeps only
+per-node counters on top of it, and the read side turns them into
+features in one pass per pick (and per training set): `features_matrix`
+returns one row per node, reading the trust table once. `features` and
+`inferred_red_probability` are that same row code for a single node. The
+test suite checks the rows against a from-scratch recount of the log.
 """
 
 from __future__ import annotations
@@ -40,8 +39,9 @@ FEATURE_NAMES = (
     "inferred_red",
 )
 
-# Index layout of the per-node statement counters.
+# Index layout of the per-node statement counters: (speaker color, said color).
 _RSR, _RSB, _BSR, _BSB = 0, 1, 2, 3
+_SAY_CELLS = tuple((speaker, said) for speaker in Color for said in Color)
 
 
 @dataclass(frozen=True)
@@ -89,22 +89,22 @@ class ObserverState:
     Public fields:
       observed_nodes   set of node ids ever seen (monitored or named as a
                        neighbor); the start node is observed from step 0.
-      observed_edges   set of (u, v) pairs with u < v, only edges incident
-                       to a monitored node.
       monitored        node id -> true Color, in monitor order.
-      statements       (speaker, subject) -> said Color.
       verified_counts  (speaker color, said color, subject true color) ->
                        count of claims whose subject is now monitored.
       start            the initially known node.
       report_log       ingested reports, in order.
+
+    Derived from `report_log` on each read (nothing on the run path reads them):
+      observed_edges   set of (u, v) pairs with u < v, only edges incident
+                       to a monitored node.
+      statements       (speaker, subject) -> said Color.
     """
 
     def __init__(self, start: int):
         self.start = start
         self.observed_nodes: set[int] = {start}
-        self.observed_edges: set[tuple[int, int]] = set()
         self.monitored: dict[int, Color] = {}
-        self.statements: dict[tuple[int, int], Color] = {}
         self.verified_counts: dict[tuple[Color, Color, Color], int] = {
             (sp, said, sub): 0 for sp in Color for said in Color for sub in Color
         }
@@ -114,7 +114,6 @@ class ObserverState:
         self._blue_mon_count: dict[int, int] = {}
         self._red_tri: dict[int, int] = {}
         self._say: dict[int, list[int]] = {}
-        self._stmts_about: dict[int, list[tuple[int, Color]]] = {}
 
     @classmethod
     def replay(cls, start: int, reports) -> "ObserverState":
@@ -124,6 +123,20 @@ class ObserverState:
             state.ingest(report)
         return state
 
+    @property
+    def observed_edges(self) -> set[tuple[int, int]]:
+        return {
+            (r.target, v) if r.target < v else (v, r.target)
+            for r in self.report_log for v in r.neighbors
+        }
+
+    @property
+    def statements(self) -> dict[tuple[int, int], Color]:
+        return {
+            (r.target, v): said
+            for r in self.report_log for v, said in zip(r.neighbors, r.statements)
+        }
+
     def candidates(self) -> list[int]:
         """Observed-but-unmonitored node ids, ascending (the legal monitor targets)."""
         return sorted(v for v in self.observed_nodes if v not in self.monitored)
@@ -131,46 +144,46 @@ class ObserverState:
     def ingest(self, report: MonitorReport) -> "ObserverState":
         """Fold one monitor report into the state.
 
-        The target is recorded with its true color, its neighbors and
-        incident edges become observed, its claims are recorded, and the
-        verified-claim table picks up both old claims about the target and
-        new claims about already-monitored subjects. Ingesting the same
-        target twice is an error: a monitor placement spends budget once.
+        The target is recorded with its true color, its neighbors become
+        observed, its claims are counted, and the verified-claim table
+        picks up both old claims about the target and new claims about
+        already-monitored subjects. Ingesting the same target twice is an
+        error: a monitor placement spends budget once.
         """
         t = report.target
         if t in self.monitored:
             raise ValueError(f"node {t} is already monitored")
         if t not in self.observed_nodes:
             raise ValueError(f"node {t} has not been observed; monitors go on observed nodes")
-        self.monitored[t] = report.true_color
-        t_red = report.true_color is Color.RED
-        t_nbrs = set(report.neighbors)
+        t_color = report.true_color
+        self.monitored[t] = t_color
+        t_red = t_color is Color.RED
+        if t_red:
+            t_nbrs = set(report.neighbors)
+        verified = self.verified_counts
 
-        for v in report.neighbors:
+        for v, said in zip(report.neighbors, report.statements):
             self.observed_nodes.add(v)
-            self.observed_edges.add((t, v) if t < v else (v, t))
+            counts = self._say.setdefault(v, [0, 0, 0, 0])
             if t_red:
                 known_reds = self._red_mon_nbrs.get(v)
                 if known_reds:
                     self._red_tri[v] = self._red_tri.get(v, 0) + len(known_reds & t_nbrs)
                 self._red_mon_nbrs.setdefault(v, set()).add(t)
+                counts[_RSR if said is Color.RED else _RSB] += 1
             else:
                 self._blue_mon_count[v] = self._blue_mon_count.get(v, 0) + 1
-
-        for stmt in report.statements:
-            self.statements[(t, stmt.subject)] = stmt.said
-            self._stmts_about.setdefault(stmt.subject, []).append((t, stmt.said))
-            counts = self._say.setdefault(stmt.subject, [0, 0, 0, 0])
-            if t_red:
-                counts[_RSR if stmt.said is Color.RED else _RSB] += 1
-            else:
-                counts[_BSR if stmt.said is Color.RED else _BSB] += 1
-            subject_color = self.monitored.get(stmt.subject)
+                counts[_BSR if said is Color.RED else _BSB] += 1
+            subject_color = self.monitored.get(v)
             if subject_color is not None:
-                self.verified_counts[(report.true_color, stmt.said, subject_color)] += 1
+                verified[(t_color, said, subject_color)] += 1
 
-        for speaker, said in self._stmts_about.get(t, ()):
-            self.verified_counts[(self.monitored[speaker], said, report.true_color)] += 1
+        # Every claim about t came from an already-monitored speaker, so
+        # t's four claim counts are exactly the claims t's color verifies.
+        about_t = self._say.get(t)
+        if about_t is not None:
+            for (speaker_color, said), count in zip(_SAY_CELLS, about_t):
+                verified[(speaker_color, said, t_color)] += count
 
         self.report_log.append(report)
         return self
@@ -263,6 +276,7 @@ class ObserverState:
                     "true_color": report.true_color.value,
                     "neighbors": list(report.neighbors),
                     "statements": [
-                        {"subject": s.subject, "said": s.said.value} for s in report.statements
+                        {"subject": v, "said": said.value}
+                        for v, said in zip(report.neighbors, report.statements)
                     ],
                 }) + "\n")

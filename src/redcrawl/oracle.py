@@ -15,6 +15,9 @@ probability min((1 - H) * L_subject / L_speaker, 1) and about a blue
 neighbor with probability (1 - H). A lie states the flipped color. Each
 (speaker, subject) claim is decided once and cached, so re-reading a
 monitor's answers never changes them.
+
+The world is fixed across runs; the per-run honesty vector lives in the
+run's Oracle. A claim is just the stated Color, aligned with neighbors.
 """
 
 from __future__ import annotations
@@ -45,56 +48,44 @@ class LyingScenario(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Statement:
-    """One immutable claim: `speaker` says `subject` has color `said`."""
-
-    speaker: int
-    subject: int
-    said: Color
-
-
-@dataclass(frozen=True)
 class MonitorReport:
     """Everything one monitor placement reveals.
 
-    `statements[i]` is the target's claim about `neighbors[i]`; neighbor
-    lists are always the true topology, in ascending id order.
+    `statements[i]` is the color the target states for `neighbors[i]`;
+    neighbor lists are always the true topology, in ascending id order.
     """
 
     target: int
     true_color: Color
     neighbors: tuple[int, ...]
-    statements: tuple[Statement, ...]
+    statements: tuple[Color, ...]
 
 
-def assign_honesty(world: WorldGraph, rng: random.Random) -> WorldGraph:
-    """Return a copy of `world` with fresh per-node honesty values.
+def assign_honesty(world: WorldGraph, rng: random.Random) -> list[float]:
+    """Draw a fresh per-node honesty vector for one run on `world`.
 
     Each node gets an independent Normal(0.5, 0.125) draw clamped into
     [0, 1], taken in node-id order so a given seed always yields the same
     vector. Clamping (rather than redrawing) keeps the seed-to-vector
     mapping simple; the out-of-range tail is about 0.006% of draws.
     """
-    out = world.copy()
-    out.honesty = [min(1.0, max(0.0, rng.gauss(HONESTY_MEAN, HONESTY_SD))) for _ in range(world.n)]
-    return out
+    return [min(1.0, max(0.0, rng.gauss(HONESTY_MEAN, HONESTY_SD))) for _ in range(world.n)]
 
 
-def lie_probability(speaker: int, subject: int, world: WorldGraph, scenario: LyingScenario) -> float:
+def lie_probability(speaker: int, subject: int, world: WorldGraph, honesty: list[float],
+                    scenario: LyingScenario) -> float:
     """Probability that `speaker` misstates `subject`'s color.
 
-    Pure function of the world's colors, honesty, and hierarchy; requires
-    the pair to be adjacent and honesty to be assigned.
+    Pure function of the world's colors and hierarchy and the per-node
+    `honesty`; requires the pair to be adjacent.
     """
     if subject not in world.adjacency[speaker]:
         raise ValueError(f"lie_probability requires adjacent nodes, got ({speaker}, {subject})")
-    if world.honesty is None:
-        raise ValueError("world has no honesty assignment")
     speaker_color = world.colors[speaker]
     subject_color = world.colors[subject]
     if speaker_color is Color.BLUE and scenario is LyingScenario.LS2:
         return 1.0 if subject_color is Color.RED else 0.0
-    dishonesty = 1.0 - world.honesty[speaker]
+    dishonesty = 1.0 - honesty[speaker]
     if subject_color is Color.RED:
         p = dishonesty * world.hierarchy[subject] / world.hierarchy[speaker]
     else:
@@ -106,21 +97,23 @@ def lie_probability(speaker: int, subject: int, world: WorldGraph, scenario: Lyi
 class Oracle:
     """Stateful answer source for one run.
 
-    Holds the honesty-assigned world, the scenario, and a seeded stream
-    for the lie draws. Statements are drawn lazily, one Bernoulli draw
-    per (speaker, subject) in ascending subject order, and cached so a
-    repeated placement returns the identical report. One oracle per run;
-    distinct runs with distinct oracles can execute in parallel.
+    Holds the shared world, this run's honesty (see assign_honesty), the
+    scenario, and a seeded stream for the lie draws. Claims are drawn
+    lazily, one Bernoulli draw per (speaker, subject) in ascending subject
+    order, and cached in `issued` so a repeated placement returns the
+    identical report. One oracle per run; distinct runs with distinct
+    oracles can execute in parallel.
     """
 
     world: WorldGraph
+    honesty: list[float]
     scenario: LyingScenario
     rng: random.Random
-    issued: dict[tuple[int, int], Statement] = field(default_factory=dict)
+    issued: dict[tuple[int, int], Color] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.world.honesty is None:
-            raise ValueError("oracle needs a world with honesty assigned (see assign_honesty)")
+        if len(self.honesty) != self.world.n or not all(0.0 <= h <= 1.0 for h in self.honesty):
+            raise ValueError(f"honesty needs one value in [0, 1] for each of the {self.world.n} nodes")
 
     def place_monitor(self, target: int) -> MonitorReport:
         """Answer a monitor placement on `target`."""
@@ -129,13 +122,12 @@ class Oracle:
         neighbors = tuple(sorted(self.world.adjacency[target]))
         statements = []
         for v in neighbors:
-            stmt = self.issued.get((target, v))
-            if stmt is None:
+            said = self.issued.get((target, v))
+            if said is None:
                 true = self.world.colors[v]
-                lied = self.rng.random() < lie_probability(target, v, self.world, self.scenario)
-                stmt = Statement(speaker=target, subject=v, said=true.flip() if lied else true)
-                self.issued[(target, v)] = stmt
-            statements.append(stmt)
+                p = lie_probability(target, v, self.world, self.honesty, self.scenario)
+                said = self.issued[(target, v)] = true.flip() if self.rng.random() < p else true
+            statements.append(said)
         return MonitorReport(
             target=target,
             true_color=self.world.colors[target],

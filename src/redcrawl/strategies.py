@@ -90,19 +90,16 @@ def pick_redlearn(state: ObserverState, model: TrainedModel, rng: random.Random)
     return _argmax(dict(zip(cands, probs.tolist())), rng)
 
 
+_COUNTING_PICKS = {"sr": pick_smart_random, "rs": pick_red_score, "mrsr": pick_mrsr, "mrn": pick_mrn}
+
+
 def pick(strategy: str, state: ObserverState, rng: random.Random,
          model: TrainedModel | None = None) -> Decision:
     """Dispatch by strategy name (see STRATEGY_NAMES)."""
-    if strategy == "sr":
-        return pick_smart_random(state, rng)
-    if strategy == "rs":
-        return pick_red_score(state, rng)
-    if strategy == "mrsr":
-        return pick_mrsr(state, rng)
-    if strategy == "mrn":
-        return pick_mrn(state, rng)
     if strategy == "redlearn":
         if model is None:
             raise ValueError("redlearn needs a trained (or fallback) model")
         return pick_redlearn(state, model, rng)
-    raise ValueError(f"unknown strategy {strategy!r}: expected one of {STRATEGY_NAMES}")
+    if strategy not in _COUNTING_PICKS:
+        raise ValueError(f"unknown strategy {strategy!r}: expected one of {STRATEGY_NAMES}")
+    return _COUNTING_PICKS[strategy](state, rng)

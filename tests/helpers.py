@@ -44,7 +44,7 @@ def have_pokec(attribute: str) -> bool:
     return edge_path.is_file() and node_path.is_file()
 
 
-def make_world(n, edges, red=(), hierarchy=None, honesty=None, name="test") -> WorldGraph:
+def make_world(n, edges, red=(), hierarchy=None, name="test") -> WorldGraph:
     """Hand-build a world graph from an edge list and a red id set."""
     adjacency = [set() for _ in range(n)]
     for u, v in edges:
@@ -56,7 +56,6 @@ def make_world(n, edges, red=(), hierarchy=None, honesty=None, name="test") -> W
         adjacency=adjacency,
         colors=colors,
         hierarchy=[float(h) for h in hierarchy] if hierarchy else [1.0] * n,
-        honesty=[float(h) for h in honesty] if honesty else None,
         name=name,
     )
     g.validate()
@@ -85,8 +84,8 @@ def brute_knowledge(start, reports):
         for v in rep.neighbors:
             observed.add(v)
             edges.add(_pair(rep.target, v))
-        for s in rep.statements:
-            statements[(s.speaker, s.subject)] = s.said
+        for v, said in zip(rep.neighbors, rep.statements):
+            statements[(rep.target, v)] = said
     return observed, edges, monitored, statements
 
 

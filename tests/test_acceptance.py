@@ -52,13 +52,12 @@ def criterion(label):
     print(f"\n[PASS] {label}")
 
 
-def star_world(speaker_color, subject_color, h, l_speaker, l_subject, leaves, adjacency):
+def star_world(speaker_color, subject_color, l_speaker, l_subject, leaves, adjacency):
     n = leaves + 1
     return WorldGraph(
         adjacency=adjacency,
         colors=[speaker_color] + [subject_color] * leaves,
         hierarchy=[l_speaker] + [l_subject] * leaves,
-        honesty=[h] + [0.5] * leaves,
         labels=[str(i) for i in range(n)],
     )
 
@@ -79,19 +78,20 @@ def test_criterion_1_lying_model_fidelity():
             h = rng.random()
             l_speaker = rng.uniform(0.2, 5.0)
             l_subject = rng.uniform(0.2, 5.0)
-            world = star_world(speaker_color, subject_color, h, l_speaker, l_subject,
+            world = star_world(speaker_color, subject_color, l_speaker, l_subject,
                                leaves, shared_adjacency)
-            p = lie_probability(0, 1, world, scenario)
-            oracle = Oracle(world, scenario, random.Random(rng.getrandbits(64)))
+            honesty = [h] + [0.5] * leaves
+            p = lie_probability(0, 1, world, honesty, scenario)
+            oracle = Oracle(world, honesty, scenario, random.Random(rng.getrandbits(64)))
             report = oracle.place_monitor(0)
-            lies = sum(1 for s in report.statements if s.said is not subject_color)
+            lies = sum(1 for said in report.statements if said is not subject_color)
             sigma = math.sqrt(p * (1.0 - p) / leaves)
             assert abs(lies / leaves - p) <= 3.0 * sigma + 1e-12, (
                 f"case {case}: freq {lies / leaves} vs p {p}"
             )
             if scenario is LyingScenario.LS2 and speaker_color is Color.BLUE:
                 ls2_blue_statements += leaves
-                ls2_blue_said_blue += sum(1 for s in report.statements if s.said is Color.BLUE)
+                ls2_blue_said_blue += sum(1 for said in report.statements if said is Color.BLUE)
         assert ls2_blue_statements > 0
         assert ls2_blue_said_blue == ls2_blue_statements, "an LS2 blue speaker said red"
         elapsed = time.perf_counter() - t0
@@ -121,8 +121,8 @@ def test_criterion_3_observer_oracle_equivalence():
         t0 = time.perf_counter()
         for case in range(100):
             world = generate_synthetic(50, 0.2, "homophily", case)
-            world = assign_honesty(world, random.Random(case * 31 + 1))
-            oracle = Oracle(world, LyingScenario.LS1 if case % 2 else LyingScenario.LS2,
+            honesty = assign_honesty(world, random.Random(case * 31 + 1))
+            oracle = Oracle(world, honesty, LyingScenario.LS1 if case % 2 else LyingScenario.LS2,
                             random.Random(case * 31 + 2))
             start = world.red_ids()[0]
             state = ObserverState(start)

@@ -38,9 +38,7 @@ def random_training_set(rng, n_rows, n_classes=2):
 
 
 def crawl_state(world, scenario, n_monitors, seed):
-    world = world.copy()
-    world.honesty = [0.5] * world.n
-    oracle = Oracle(world, scenario, random.Random(seed))
+    oracle = Oracle(world, [0.5] * world.n, scenario, random.Random(seed))
     start = world.red_ids()[0]
     state = ObserverState(start)
     state.ingest(oracle.place_monitor(start))
@@ -66,8 +64,7 @@ class TestBuildTrainingSet:
     def test_first_monitor_has_empty_knowledge_row(self):
         state = ObserverState(0)
         world = generate_synthetic(30, 0.2, "homophily", 1)
-        world.honesty = [0.5] * world.n
-        oracle = Oracle(world, LyingScenario.LS1, random.Random(0))
+        oracle = Oracle(world, [0.5] * world.n, LyingScenario.LS1, random.Random(0))
         start = world.red_ids()[0]
         state = ObserverState(start)
         state.ingest(oracle.place_monitor(start))

@@ -8,6 +8,8 @@ import pytest
 from redcrawl import (
     Color,
     GraphLoadError,
+    LyingScenario,
+    Oracle,
     WorldGraph,
     count_colors,
     generate_synthetic,
@@ -278,10 +280,10 @@ class TestValidation:
             g.validate()
 
     def test_validate_catches_bad_honesty(self):
-        g = make_world(2, [(0, 1)], honesty=[0.5, 0.5])
-        g.honesty[1] = 1.5
+        # per-run honesty lives with the Oracle, which checks its range once
+        g = make_world(2, [(0, 1)])
         with pytest.raises(ValueError, match="honesty"):
-            g.validate()
+            Oracle(g, [0.5, 1.5], LyingScenario.LS1, random.Random(0))
 
     def test_copy_is_deep_for_adjacency(self):
         g = make_world(3, [(0, 1)])

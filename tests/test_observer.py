@@ -10,7 +10,6 @@ from redcrawl import (
     MonitorReport,
     ObserverState,
     Oracle,
-    Statement,
     generate_synthetic,
 )
 from helpers import (
@@ -29,15 +28,13 @@ def report(target, color, neighbor_colors):
         target=target,
         true_color=color,
         neighbors=neighbors,
-        statements=tuple(
-            Statement(speaker=target, subject=v, said=neighbor_colors[v]) for v in neighbors
-        ),
+        statements=tuple(neighbor_colors[v] for v in neighbors),
     )
 
 
-def crawl(world, scenario, start, n_monitors, seed):
+def crawl(world, honesty, scenario, start, n_monitors, seed):
     """Random legal crawl; returns the resulting state."""
-    oracle = Oracle(world, scenario, random.Random(seed))
+    oracle = Oracle(world, honesty, scenario, random.Random(seed))
     state = ObserverState(start)
     state.ingest(oracle.place_monitor(start))
     rng = random.Random(seed + 1)
@@ -82,10 +79,25 @@ class TestIngest:
         assert state.verified_counts[(Color.BLUE, Color.BLUE, Color.RED)] == 1
         assert sum(state.verified_counts.values()) == 2
 
+        # A blue speaker also claims 1 before 1 is monitored, so monitoring
+        # 1 verifies claims from a red and a blue speaker at once.
+        state = ObserverState(0)
+        state.ingest(report(0, Color.RED, {1: Color.RED, 2: Color.BLUE}))
+        state.ingest(report(2, Color.BLUE, {0: Color.RED, 1: Color.RED}))
+        before = dict(state.verified_counts)
+        state.ingest(report(1, Color.BLUE, {0: Color.BLUE, 2: Color.BLUE}))
+        gained = {k: n - before[k] for k, n in state.verified_counts.items() if n != before[k]}
+        assert gained == {
+            (Color.RED, Color.RED, Color.BLUE): 1,  # 0 called 1 red
+            (Color.BLUE, Color.RED, Color.BLUE): 1,  # 2 called 1 red
+            (Color.BLUE, Color.BLUE, Color.RED): 1,  # 1 called 0 blue
+            (Color.BLUE, Color.BLUE, Color.BLUE): 1,  # 1 called 2 blue
+        }
+        assert state.verified_counts == brute_verified(state.monitored, state.statements)
+
     def test_monotone_growth(self):
         world = generate_synthetic(50, 0.2, "homophily", 3)
-        world.honesty = [0.5] * world.n
-        oracle = Oracle(world, LyingScenario.LS1, random.Random(0))
+        oracle = Oracle(world, [0.5] * world.n, LyingScenario.LS1, random.Random(0))
         state = ObserverState(0)
         prev_nodes, prev_edges, prev_stmts = 0, 0, 0
         rng = random.Random(1)
@@ -180,8 +192,7 @@ class TestFeatures:
 
     def test_statement_partition_sums_to_speaker_count(self):
         world = generate_synthetic(50, 0.25, "homophily", 6)
-        world.honesty = [0.4] * world.n
-        state = crawl(world, LyingScenario.LS1, world.red_ids()[0], 20, seed=3)
+        state = crawl(world, [0.4] * world.n, LyingScenario.LS1, world.red_ids()[0], 20, seed=3)
         for v in state.candidates():
             fv = state.features(v)
             speakers = sum(1 for (s, subj) in state.statements if subj == v and s in state.monitored)
@@ -200,8 +211,7 @@ class TestFeatures:
 
     def test_triangle_count_never_exceeds_world_count(self):
         world = generate_synthetic(60, 0.3, "homophily", 2)
-        world.honesty = [0.5] * world.n
-        state = crawl(world, LyingScenario.LS1, world.red_ids()[0], 25, seed=9)
+        state = crawl(world, [0.5] * world.n, LyingScenario.LS1, world.red_ids()[0], 25, seed=9)
         for v in state.candidates():
             fv = state.features(v)
             red_nbrs = [
@@ -221,9 +231,8 @@ class TestBruteForceEquivalence:
     def test_state_and_features_match_definitional_recount(self):
         for seed in range(8):
             world = generate_synthetic(50, 0.2, "homophily", seed)
-            world.honesty = [0.45] * world.n
             start = world.red_ids()[0]
-            state = crawl(world, LyingScenario.LS1, start, 20, seed=seed + 100)
+            state = crawl(world, [0.45] * world.n, LyingScenario.LS1, start, 20, seed=seed + 100)
 
             observed, edges, monitored, statements = brute_knowledge(start, state.report_log)
             assert state.observed_nodes == observed
@@ -248,9 +257,8 @@ class TestBruteForceEquivalence:
 
     def test_replay_reproduces_state(self):
         world = generate_synthetic(40, 0.2, "homophily", 4)
-        world.honesty = [0.5] * world.n
         start = world.red_ids()[0]
-        state = crawl(world, LyingScenario.LS2, start, 15, seed=5)
+        state = crawl(world, [0.5] * world.n, LyingScenario.LS2, start, 15, seed=5)
         again = ObserverState.replay(start, state.report_log)
         assert again.observed_nodes == state.observed_nodes
         assert again.observed_edges == state.observed_edges
@@ -275,3 +283,7 @@ def test_dump_report_log(tmp_path):
     assert entry["true_color"] == "red"
     assert entry["neighbors"] == [1, 2]
     assert {s["subject"]: s["said"] for s in entry["statements"]} == {1: "red", 2: "blue"}
+    assert lines[0] == (
+        '{"target": 0, "true_color": "red", "neighbors": [1, 2], '
+        '"statements": [{"subject": 1, "said": "red"}, {"subject": 2, "said": "blue"}]}'
+    )

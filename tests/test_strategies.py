@@ -13,7 +13,6 @@ from redcrawl import (
     MonitorReport,
     ObserverState,
     Oracle,
-    Statement,
     TrainedModel,
     generate_synthetic,
     pick,
@@ -32,9 +31,7 @@ def report(target, color, neighbor_colors):
         target=target,
         true_color=color,
         neighbors=neighbors,
-        statements=tuple(
-            Statement(speaker=target, subject=v, said=neighbor_colors[v]) for v in neighbors
-        ),
+        statements=tuple(neighbor_colors[v] for v in neighbors),
     )
 
 
@@ -91,8 +88,8 @@ class TestRedScore:
     def test_ls2_blue_monitors_only_never_score(self):
         # blue speakers under LS2 never say red, so every score stays 0
         world = generate_synthetic(40, 0.2, "homophily", 1)
-        world.honesty = [0.0] * world.n  # maximal liars
-        oracle = Oracle(world, LyingScenario.LS2, random.Random(0))
+        # maximal liars
+        oracle = Oracle(world, [0.0] * world.n, LyingScenario.LS2, random.Random(0))
         blues = [v for v in range(world.n) if world.colors[v] is Color.BLUE]
         state = ObserverState(blues[0])
         state.ingest(oracle.place_monitor(blues[0]))
@@ -135,8 +132,7 @@ class TestMostRedNeighbors:
     def test_chases_blues_when_homophily_removed(self):
         # with no red-red edges every neighbor of a monitored red is blue
         world = generate_synthetic(80, 0.15, "no_homophily", 7)
-        world.honesty = [0.5] * world.n
-        oracle = Oracle(world, LyingScenario.LS1, random.Random(0))
+        oracle = Oracle(world, [0.5] * world.n, LyingScenario.LS1, random.Random(0))
         start = max(world.red_ids(), key=world.degree)
         state = ObserverState(start)
         state.ingest(oracle.place_monitor(start))
@@ -189,8 +185,7 @@ class TestCommonContracts:
     @pytest.mark.parametrize("strategy", ["sr", "rs", "mrsr", "mrn", "redlearn"])
     def test_only_candidates_returned_and_state_unchanged(self, strategy):
         world = generate_synthetic(50, 0.2, "homophily", 3)
-        world.honesty = [0.5] * world.n
-        oracle = Oracle(world, LyingScenario.LS1, random.Random(0))
+        oracle = Oracle(world, [0.5] * world.n, LyingScenario.LS1, random.Random(0))
         start = world.red_ids()[0]
         state = ObserverState(start)
         state.ingest(oracle.place_monitor(start))
