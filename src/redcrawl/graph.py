@@ -214,7 +214,13 @@ def save_graph(g: WorldGraph, edge_file, node_file) -> None:
         writer = csv.writer(fh)
         writer.writerow(["id", "color", "hierarchy"])
         for v in range(g.n):
-            writer.writerow([g.labels[v], g.colors[v].value, f"{g.hierarchy[v]:g}"])
+            writer.writerow([g.labels[v], g.colors[v].value, _float_text(g.hierarchy[v])])
+
+
+def _float_text(x: float) -> str:
+    """Short text for `x` ("12" for 12.0) that float() reads back exactly."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
 
 
 def remove_red_red_edges(g: WorldGraph) -> WorldGraph:

@@ -9,10 +9,15 @@ monitored. From this it derives, for any candidate node, the nine-entry
 feature vector the learning strategy consumes and the trust-weighted
 probability that the candidate is red.
 
-The report log is the one record of claims and edges; ingest keeps only
-per-node counters on top of it, and the read side turns them into
-features in one pass per pick (and per training set): `features_matrix`
-returns one row per node, reading the trust table once. `features` and
+The report log is the one record of claims and edges. On top of it,
+ingest keeps per-node counters as int arrays indexed by node id
+(`NodeCounters`): each node's four claim counts by (speaker color, said
+color), its red triangles, its monitored color and whether it is on the
+frontier. The frontier is kept incrementally, so `frontier()` and
+`candidates()` read one mask, and the known red and blue neighbor counts
+derive from the claim counts, because every monitored neighbor makes
+exactly one claim about a node. `features_matrix` gathers one row per
+node from the arrays, reading the trust table once; `features` and
 `inferred_red_probability` are that same row code for a single node. The
 test suite checks the rows against a from-scratch recount of the log.
 """
@@ -39,9 +44,48 @@ FEATURE_NAMES = (
     "inferred_red",
 )
 
-# Index layout of the per-node statement counters: (speaker color, said color).
-_RSR, _RSB, _BSR, _BSB = 0, 1, 2, 3
-_SAY_CELLS = tuple((speaker, said) for speaker in Color for said in Color)
+# Column layout of the per-node claim counts: (speaker color, said color),
+# with Color 0 = red and 1 = blue, so a claim's column is 2 * speaker + said.
+RSR, RSB, BSR, BSB = 0, 1, 2, 3
+_COLOR_PAIRS = tuple((a, b) for a in Color for b in Color)
+
+
+class NodeCounters:
+    """Per-node int arrays indexed by node id, grown as larger ids appear.
+
+      say        (size, 4) claims about each node by monitored speakers,
+                 columns in (speaker color, said color) order: rsr, rsb,
+                 bsr, bsb.
+      triangles  adjacent pairs among each node's monitored red neighbors.
+      color      0 (red) or 1 (blue) once the node is monitored, -1 before.
+      frontier   True for observed, unmonitored nodes (the candidates).
+
+    The arrays always keep at least one spare row past the largest id
+    ingested, so an id beyond them can be read as that all-zero row.
+    """
+
+    FIELDS = ("say", "triangles", "color", "frontier")
+
+    def __init__(self, size: int):
+        self.say = np.zeros((size, 4), dtype=np.int64)
+        self.triangles = np.zeros(size, dtype=np.int64)
+        self.color = np.full(size, -1, dtype=np.int8)
+        self.frontier = np.zeros(size, dtype=bool)
+
+    def reserve(self, top: int) -> None:
+        """Make ids up to `top` indexable, keeping a spare row past them."""
+        size = len(self.color)
+        if top + 1 < size:
+            return
+        grown = NodeCounters(max(top + 2, 2 * size))
+        for name in self.FIELDS:
+            getattr(grown, name)[:size] = getattr(self, name)
+        self.__dict__.update(grown.__dict__)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, NodeCounters):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in self.FIELDS)
 
 
 @dataclass(frozen=True)
@@ -94,6 +138,9 @@ class ObserverState:
                        count of claims whose subject is now monitored.
       start            the initially known node.
       report_log       ingested reports, in order.
+      counts           NodeCounters: per-node claim counts, red triangles,
+                       monitored colors and the frontier mask, kept up to
+                       date by `ingest`; callers only read them.
 
     Derived from `report_log` on each read (nothing on the run path reads them):
       observed_edges   set of (u, v) pairs with u < v, only edges incident
@@ -109,11 +156,10 @@ class ObserverState:
             (sp, said, sub): 0 for sp in Color for said in Color for sub in Color
         }
         self.report_log: list[MonitorReport] = []
-        # Incremental per-node counters backing the feature rows.
+        self.counts = NodeCounters(start + 2)
+        self.counts.frontier[start] = True
+        # Monitored red neighbors of each node, for the triangle counts only.
         self._red_mon_nbrs: dict[int, set[int]] = {}
-        self._blue_mon_count: dict[int, int] = {}
-        self._red_tri: dict[int, int] = {}
-        self._say: dict[int, list[int]] = {}
 
     @classmethod
     def replay(cls, start: int, reports) -> "ObserverState":
@@ -137,9 +183,13 @@ class ObserverState:
             for r in self.report_log for v, said in zip(r.neighbors, r.statements)
         }
 
+    def frontier(self) -> np.ndarray:
+        """Observed-but-unmonitored node ids as a new ascending int array."""
+        return np.flatnonzero(self.counts.frontier)
+
     def candidates(self) -> list[int]:
         """Observed-but-unmonitored node ids, ascending (the legal monitor targets)."""
-        return sorted(v for v in self.observed_nodes if v not in self.monitored)
+        return self.frontier().tolist()
 
     def ingest(self, report: MonitorReport) -> "ObserverState":
         """Fold one monitor report into the state.
@@ -156,34 +206,36 @@ class ObserverState:
         if t not in self.observed_nodes:
             raise ValueError(f"node {t} has not been observed; monitors go on observed nodes")
         t_color = report.true_color
+        t_code = int(t_color is Color.BLUE)
         self.monitored[t] = t_color
-        t_red = t_color is Color.RED
-        if t_red:
+        self.observed_nodes.update(report.neighbors)
+        c = self.counts
+        c.reserve(max((t, *report.neighbors)))
+        c.color[t] = t_code
+        c.frontier[t] = False
+
+        nbrs = np.array(report.neighbors, dtype=np.intp)
+        blue = Color.BLUE
+        said = np.array([s is blue for s in report.statements], dtype=np.intp)
+        c.say[nbrs, 2 * t_code + said] += 1
+        if t_color is Color.RED:
             t_nbrs = set(report.neighbors)
+            red_sets = [self._red_mon_nbrs.setdefault(v, set()) for v in report.neighbors]
+            c.triangles[nbrs] += np.array([len(known & t_nbrs) for known in red_sets], dtype=np.int64)
+            for known in red_sets:
+                known.add(t)
+        subject = c.color[nbrs]
+        c.frontier[nbrs[subject < 0]] = True
+
         verified = self.verified_counts
-
-        for v, said in zip(report.neighbors, report.statements):
-            self.observed_nodes.add(v)
-            counts = self._say.setdefault(v, [0, 0, 0, 0])
-            if t_red:
-                known_reds = self._red_mon_nbrs.get(v)
-                if known_reds:
-                    self._red_tri[v] = self._red_tri.get(v, 0) + len(known_reds & t_nbrs)
-                self._red_mon_nbrs.setdefault(v, set()).add(t)
-                counts[_RSR if said is Color.RED else _RSB] += 1
-            else:
-                self._blue_mon_count[v] = self._blue_mon_count.get(v, 0) + 1
-                counts[_BSR if said is Color.RED else _BSB] += 1
-            subject_color = self.monitored.get(v)
-            if subject_color is not None:
-                verified[(t_color, said, subject_color)] += 1
-
+        seen = subject >= 0
+        cells = np.bincount(2 * said[seen] + subject[seen], minlength=4).tolist()
+        for (said_color, subject_color), count in zip(_COLOR_PAIRS, cells):
+            verified[(t_color, said_color, subject_color)] += count
         # Every claim about t came from an already-monitored speaker, so
         # t's four claim counts are exactly the claims t's color verifies.
-        about_t = self._say.get(t)
-        if about_t is not None:
-            for (speaker_color, said), count in zip(_SAY_CELLS, about_t):
-                verified[(speaker_color, said, t_color)] += count
+        for (speaker_color, said_color), count in zip(_COLOR_PAIRS, c.say[t].tolist()):
+            verified[(speaker_color, said_color, t_color)] += count
 
         self.report_log.append(report)
         return self
@@ -224,24 +276,23 @@ class ObserverState:
         """Feature rows of `nodes` as a (len(nodes), 9) float array, in one pass.
 
         Columns follow FEATURE_NAMES and row i equals
-        `features(nodes[i], allow_monitored).as_tuple()`; the trust table
-        is read once per call.
+        `features(nodes[i], allow_monitored).as_tuple()`. The rows are
+        gathered from `counts`, and the trust table is read once per call.
         """
-        for v in nodes:
+        ids = np.asarray(nodes, dtype=np.intp)
+        for v in ids.tolist():
             if v not in self.observed_nodes:
                 raise ValueError(f"node {v} has not been observed")
             if not allow_monitored and v in self.monitored:
                 raise ValueError(f"node {v} is monitored; features are for candidates")
-        red_nbrs, blue, tri, say = self._red_mon_nbrs, self._blue_mon_count, self._red_tri, self._say
-        none = (0, 0, 0, 0)
-        # red_score (column 3) and inferred_red (column 8) are filled in below
-        X = np.array(
-            [(len(red_nbrs.get(v, ())), blue.get(v, 0), tri.get(v, 0), 0, *say.get(v, none), 0.5)
-             for v in nodes],
-            dtype=float,
-        ).reshape(-1, len(FEATURE_NAMES))
-        rsr, rsb, bsr, bsb = X[:, 4], X[:, 5], X[:, 6], X[:, 7]
-        X[:, 3] = rsr + bsr
+        c = self.counts
+        # An observed id past the arrays was never named in a report: it
+        # reads the spare all-zero row.
+        rows = np.minimum(ids, len(c.color) - 1)
+        say = c.say[rows].astype(float)
+        rsr, rsb, bsr, bsb = say.T
+        X = np.column_stack((rsr + rsb, bsr + bsb, c.triangles[rows], rsr + bsr, say,
+                             np.full(len(rows), 0.5)))
         total = rsr + rsb + bsr + bsb
         # Elementwise, in this order, so every row rounds exactly as the
         # scalar sum would; a BLAS dot could reorder the additions.
@@ -254,18 +305,10 @@ class ObserverState:
         np.divide(acc, total, out=X[:, 8], where=total > 0)
         return X
 
-    # Cheap single-count accessors for the non-learning strategies.
-
     def red_neighbor_count(self, v: int) -> int:
-        return len(self._red_mon_nbrs.get(v, ()))
-
-    def red_score(self, v: int) -> int:
-        say = self._say.get(v)
-        return say[_RSR] + say[_BSR] if say else 0
-
-    def red_say_red_count(self, v: int) -> int:
-        say = self._say.get(v)
-        return say[_RSR] if say else 0
+        """Monitored red neighbors of `v`: each has made one claim about it."""
+        rsr, rsb, _, _ = self.counts.say[min(v, len(self.counts.color) - 1)].tolist()
+        return rsr + rsb
 
     def dump_report_log(self, path) -> None:
         """Write the report log as JSON lines, one report per line."""

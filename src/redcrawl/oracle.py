@@ -116,21 +116,35 @@ class Oracle:
             raise ValueError(f"honesty needs one value in [0, 1] for each of the {self.world.n} nodes")
 
     def place_monitor(self, target: int) -> MonitorReport:
-        """Answer a monitor placement on `target`."""
-        if not 0 <= target < self.world.n:
+        """Answer a monitor placement on `target`.
+
+        Each uncached claim's lie probability is `lie_probability`'s,
+        computed inline from the speaker's values read once per placement.
+        """
+        world = self.world
+        if not 0 <= target < world.n:
             raise ValueError(f"unknown node id {target}")
-        neighbors = tuple(sorted(self.world.adjacency[target]))
+        colors, hierarchy, issued, rand = world.colors, world.hierarchy, self.issued, self.rng.random
+        neighbors = tuple(sorted(world.adjacency[target]))
+        blind = colors[target] is Color.BLUE and self.scenario is LyingScenario.LS2
+        dishonesty = 1.0 - self.honesty[target]
+        speaker_rank = hierarchy[target]
         statements = []
         for v in neighbors:
-            said = self.issued.get((target, v))
+            said = issued.get((target, v))
             if said is None:
-                true = self.world.colors[v]
-                p = lie_probability(target, v, self.world, self.honesty, self.scenario)
-                said = self.issued[(target, v)] = true.flip() if self.rng.random() < p else true
+                true = colors[v]
+                if blind:
+                    p = 1.0 if true is Color.RED else 0.0
+                elif true is Color.RED:
+                    p = min(dishonesty * hierarchy[v] / speaker_rank, 1.0)
+                else:
+                    p = min(dishonesty, 1.0)
+                said = issued[(target, v)] = true.flip() if rand() < p else true
             statements.append(said)
         return MonitorReport(
             target=target,
-            true_color=self.world.colors[target],
+            true_color=colors[target],
             neighbors=neighbors,
             statements=tuple(statements),
         )

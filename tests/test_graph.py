@@ -308,3 +308,12 @@ def test_random_graphs_stay_valid():
         mode = rng.choice(["homophily", "no_homophily", "structural_signal"])
         g = generate_synthetic(n, rng.uniform(0.05, 0.45), mode, rng.randint(0, 10**6))
         g.validate()
+
+
+def test_save_graph_round_trips_hierarchy_exactly(tmp_path):
+    scores = [0.1234567891, 2500000.5, 12.0, 1234567.0, 3e-7, 2500000.0]
+    g = make_world(len(scores), [(0, 1), (1, 2), (3, 4), (4, 5)], red={1, 4}, hierarchy=scores)
+    edge_path, node_path = tmp_path / "e.txt", tmp_path / "n.csv"
+    save_graph(g, edge_path, node_path)
+    assert load_graph(edge_path, node_path).hierarchy == scores
+    assert node_path.read_text().splitlines()[3] == "2,blue,12"

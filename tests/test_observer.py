@@ -287,3 +287,40 @@ def test_dump_report_log(tmp_path):
         '{"target": 0, "true_color": "red", "neighbors": [1, 2], '
         '"statements": [{"subject": 1, "said": "red"}, {"subject": 2, "said": "blue"}]}'
     )
+
+
+def brute_frontier(start, reports):
+    observed, _, monitored, _ = brute_knowledge(start, reports)
+    return sorted(observed - set(monitored))
+
+
+class TestIncrementalFrontier:
+    @pytest.mark.parametrize("scenario", [LyingScenario.LS1, LyingScenario.LS2])
+    def test_candidates_match_brute_frontier_after_every_ingest_and_replay(self, scenario):
+        for seed in range(4):
+            world = generate_synthetic(60, 0.2, "homophily", seed)
+            oracle = Oracle(world, [0.45] * world.n, scenario, random.Random(seed))
+            start = world.red_ids()[-1]
+            state = ObserverState(start)
+            assert state.candidates() == [start]
+            rng = random.Random(seed + 50)
+            while len(state.monitored) < 30 and state.candidates():
+                state.ingest(oracle.place_monitor(rng.choice(state.candidates())))
+                assert state.candidates() == brute_frontier(start, state.report_log)
+            again = ObserverState.replay(start, state.report_log)
+            assert again.candidates() == brute_frontier(start, state.report_log)
+            assert again.counts == state.counts
+
+    def test_ids_past_the_arrays_grow_them(self):
+        state = ObserverState(0)
+        state.ingest(report(0, Color.RED, {3: Color.BLUE, 1000: Color.RED}))
+        state.ingest(report(1000, Color.RED, {0: Color.RED, 3: Color.RED, 5000: Color.BLUE}))
+        assert state.candidates() == [3, 5000]
+        observed, edges, monitored, statements = brute_knowledge(0, state.report_log)
+        verified = brute_verified(monitored, statements)
+        for v, row in zip(state.candidates(), state.features_matrix(state.candidates()).tolist()):
+            assert tuple(row) == pytest.approx(brute_features(v, edges, monitored, statements, verified))
+        assert state.features(3).red_triangles == 1
+        # an id observed without ever being named in a report reads as zeros
+        state.observed_nodes.add(10**6)
+        assert state.features(10**6).as_tuple() == (0, 0, 0, 0, 0, 0, 0, 0, 0.5)

@@ -177,3 +177,43 @@ class TestPlaceMonitor:
             lies = sum(1 for said in report.statements if said is not subject_color)
             sigma = math.sqrt(p * (1 - p) / leaves)
             assert abs(lies / leaves - p) <= 3 * sigma + 1e-12
+
+
+def reference_place_monitor(world, honesty, scenario, rng, target):
+    """One lie_probability call and one rng.random() per claim, ascending subject order."""
+    neighbors = tuple(sorted(world.adjacency[target]))
+    statements = []
+    for v in neighbors:
+        p = lie_probability(target, v, world, honesty, scenario)
+        true = world.colors[v]
+        statements.append(true.flip() if rng.random() < p else true)
+    return neighbors, tuple(statements)
+
+
+@pytest.mark.parametrize("scenario", [LyingScenario.LS1, LyingScenario.LS2])
+def test_place_monitor_matches_lie_probability_loop(scenario):
+    world = generate_synthetic(80, 0.3, "homophily", 5)
+    honesty = assign_honesty(world, random.Random(1))
+    for v in range(0, world.n, 4):
+        honesty[v] = 0.0
+    # some red-subject claims have p > 1 before clamping
+    clamped = [
+        (u, v) for u in range(world.n) for v in world.adjacency[u]
+        if world.colors[v] is Color.RED
+        and (1.0 - honesty[u]) * world.hierarchy[v] / world.hierarchy[u] > 1.0
+    ]
+    assert any(world.colors[u] is Color.RED for u, _ in clamped)
+    assert any(world.colors[u] is Color.BLUE for u, _ in clamped)
+
+    oracle = Oracle(world, honesty, scenario, random.Random(2))
+    ref_rng = random.Random()
+    ref_rng.setstate(oracle.rng.getstate())
+    order = list(range(world.n))
+    random.Random(3).shuffle(order)
+    for target in order:
+        report = oracle.place_monitor(target)
+        want = reference_place_monitor(world, honesty, scenario, ref_rng, target)
+        assert (report.neighbors, report.statements) == want
+        assert oracle.rng.getstate() == ref_rng.getstate()
+        assert all(oracle.issued[(target, v)] is said for v, said in zip(*want))
+    assert len(oracle.issued) == 2 * world.num_edges()

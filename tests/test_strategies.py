@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from redcrawl import (
+    FEATURE_NAMES,
     Color,
     ExplorationExhausted,
     LyingScenario,
@@ -14,6 +15,7 @@ from redcrawl import (
     ObserverState,
     Oracle,
     TrainedModel,
+    assign_honesty,
     generate_synthetic,
     pick,
     pick_mrn,
@@ -21,8 +23,9 @@ from redcrawl import (
     pick_red_score,
     pick_redlearn,
     pick_smart_random,
+    predict_many,
 )
-from helpers import identity_model
+from helpers import brute_features, brute_knowledge, brute_verified, identity_model
 
 
 def report(target, color, neighbor_colors):
@@ -214,3 +217,77 @@ class TestCommonContracts:
         rng = random.Random(0)
         for _ in range(50):
             assert pick_red_score(state, rng).chosen == 2
+
+
+REFERENCE_COLUMN = {
+    "sr": None,
+    "rs": FEATURE_NAMES.index("red_score"),
+    "mrsr": FEATURE_NAMES.index("red_say_red"),
+    "mrn": FEATURE_NAMES.index("red_neighbors"),
+}
+
+
+def reference_pick(strategy, state, rng):
+    """Scalar pick from the report log: brute-force scores over the sorted
+    frontier, then one rng.choice over the ascending tied list."""
+    observed, edges, monitored, statements = brute_knowledge(state.start, state.report_log)
+    verified = brute_verified(monitored, statements)
+    cands = sorted(observed - set(monitored))
+    col = REFERENCE_COLUMN[strategy]
+    scores = {
+        v: 0.0 if col is None else brute_features(v, edges, monitored, statements, verified)[col]
+        for v in cands
+    }
+    best = max(scores.values())
+    return rng.choice([v for v in cands if scores[v] == best]), scores
+
+
+class TestArrayPicksMatchScalarReference:
+    @pytest.mark.parametrize("scenario", [LyingScenario.LS1, LyingScenario.LS2])
+    @pytest.mark.parametrize("strategy", ["sr", "rs", "mrsr", "mrn"])
+    def test_same_choice_scores_and_rng_state(self, strategy, scenario):
+        world = generate_synthetic(70, 0.2, "homophily", 5)
+        oracle = Oracle(world, assign_honesty(world, random.Random(1)), scenario, random.Random(2))
+        start = world.red_ids()[0]
+        state = ObserverState(start)
+        state.ingest(oracle.place_monitor(start))
+        rng = random.Random(3)
+        for _ in range(30):
+            ref_rng = random.Random()
+            ref_rng.setstate(rng.getstate())
+            want_chosen, want_scores = reference_pick(strategy, state, ref_rng)
+            decision = pick(strategy, state, rng)
+            assert decision.chosen == want_chosen
+            assert type(decision.chosen) is int
+            assert rng.getstate() == ref_rng.getstate()
+            assert dict(decision.scores) == want_scores
+            state.ingest(oracle.place_monitor(decision.chosen))
+
+
+class TestDecisionScores:
+    @pytest.mark.parametrize("strategy", ["sr", "rs", "mrsr", "mrn", "redlearn"])
+    def test_scores_keep_pick_time_values_across_ingest(self, strategy):
+        world = generate_synthetic(60, 0.2, "homophily", 9)
+        oracle = Oracle(world, [0.4] * world.n, LyingScenario.LS1, random.Random(0))
+        start = world.red_ids()[0]
+        state = ObserverState(start)
+        state.ingest(oracle.place_monitor(start))
+        model = identity_model(np.ones(9) * 0.3, bias=-0.2)
+        rng = random.Random(6)
+        for _ in range(8):
+            cands = state.candidates()
+            if strategy == "redlearn":
+                want = dict(zip(cands, predict_many(model, state.features_matrix(cands)).tolist()))
+            else:
+                want = reference_pick(strategy, state, random.Random(0))[1]
+            decision = pick(strategy, state, rng, model=model)
+            assert len(decision.scores) == len(cands)
+            state.ingest(oracle.place_monitor(decision.chosen))
+            assert dict(decision.scores) == want
+            assert list(decision.scores) == cands
+
+    def test_scores_are_read_only(self, four_candidate_state):
+        scores = pick_mrn(four_candidate_state, random.Random(0)).scores
+        with pytest.raises(TypeError):
+            scores[1] = 5.0
+        assert scores == {1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0}
