@@ -14,7 +14,6 @@ from .classifier import (
     TrainingSet,
     build_training_set,
     fit,
-    predict,
     predict_many,
 )
 from .graph import (
@@ -38,7 +37,7 @@ from .harness import (
     run_single,
     summarize,
 )
-from .observer import FEATURE_NAMES, FeatureVector, ObserverState
+from .observer import FEATURE_NAMES, ObserverState
 from .oracle import (
     LyingScenario,
     MonitorReport,
@@ -51,11 +50,7 @@ from .strategies import (
     Decision,
     ExplorationExhausted,
     pick,
-    pick_mrn,
-    pick_mrsr,
-    pick_red_score,
     pick_redlearn,
-    pick_smart_random,
 )
 
 __version__ = "0.1.0"
@@ -67,7 +62,6 @@ __all__ = [
     "ExperimentConfig",
     "ExplorationExhausted",
     "FEATURE_NAMES",
-    "FeatureVector",
     "GraphLoadError",
     "LyingScenario",
     "MonitorReport",
@@ -90,12 +84,7 @@ __all__ = [
     "load_graph",
     "parse_config",
     "pick",
-    "pick_mrn",
-    "pick_mrsr",
-    "pick_red_score",
     "pick_redlearn",
-    "pick_smart_random",
-    "predict",
     "predict_many",
     "remove_red_red_edges",
     "run_experiment",

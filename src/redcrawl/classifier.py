@@ -1,11 +1,11 @@
 """Binary logistic regression over observer features, fit by gradient descent.
 
-The training set is rebuilt from scratch at every retrain: one row per
-monitored node, its feature vector recomputed against the current
-observer state and labeled with its true color. Feature vectors are
-standardized at fit time (raw counts and the inferred probability live
-on very different scales) and the weights minimize the L2-regularized
-logistic loss
+The training set is rebuilt from scratch at every retrain: the observer's
+(k, 9) feature matrix over the k monitored nodes, recomputed against the
+current observer state, with a label per row (1.0 for red, 0.0 for blue).
+Feature columns are standardized at fit time (raw counts and the
+inferred probability live on very different scales) and the weights
+minimize the L2-regularized logistic loss
 
     mean_i log(1 + exp(-s_i * (w . x_i + b))) + 0.5 * l2 * |w|^2
 
@@ -23,10 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Color
-from .observer import FeatureVector, ObserverState
-
-N_FEATURES = 9
+from .observer import ObserverState
 
 
 @dataclass(frozen=True)
@@ -41,10 +38,10 @@ DEFAULT_PARAMS = ClassifierParams()
 
 @dataclass
 class TrainingSet:
-    """Labeled feature rows snapshotted after `snapshot_step` monitors."""
+    """A (k, 9) feature matrix `rows` and its k `labels`: 1.0 for red, 0.0 for blue."""
 
-    rows: list[tuple[FeatureVector, Color]]
-    snapshot_step: int
+    rows: np.ndarray
+    labels: np.ndarray
 
 
 @dataclass
@@ -68,26 +65,16 @@ class TrainedModel:
 def build_training_set(state: ObserverState) -> TrainingSet:
     """One row per monitored node, in monitor order.
 
-    Each row carries the node's current feature vector, computed exactly
-    as it would be for a candidate (a node's own report contributes
-    nothing to its own counts), labeled with the node's true color.
+    Each row is the node's current feature row, computed exactly as it
+    would be for a candidate (a node's own report contributes nothing to
+    its own counts), labeled with the node's true color.
     """
     if not state.monitored:
         raise ValueError("cannot build a training set with no monitored nodes")
-    X = state.features_matrix(list(state.monitored), allow_monitored=True)
-    rows = [
-        (FeatureVector.from_row(x), color)
-        for x, color in zip(X.tolist(), state.monitored.values())
-    ]
-    return TrainingSet(rows=rows, snapshot_step=len(state.monitored))
-
-
-def _to_arrays(data: TrainingSet) -> tuple[np.ndarray, np.ndarray]:
-    if not data.rows:
-        return np.zeros((0, N_FEATURES)), np.zeros(0)
-    X = np.array([fv.as_tuple() for fv, _ in data.rows], dtype=float)
-    y = np.array([1.0 if c is Color.RED else 0.0 for _, c in data.rows])
-    return X, y
+    ids = list(state.monitored)
+    # Color code 0 is red.
+    labels = (state.counts.color[ids] == 0).astype(float)
+    return TrainingSet(rows=state.features_matrix(ids, allow_monitored=True), labels=labels)
 
 
 def _sigmoid(z):
@@ -125,7 +112,7 @@ def fit(data: TrainingSet, params: ClassifierParams = DEFAULT_PARAMS) -> Trained
     the standardization. Single-class or empty data yields a fallback
     model.
     """
-    X, y = _to_arrays(data)
+    X, y = data.rows, data.labels
     if len(y) == 0 or np.unique(y).size < 2:
         return TrainedModel(weights=None, bias=0.0, mean=None, scale=None, fallback=True)
 
@@ -171,8 +158,3 @@ def predict_many(model: TrainedModel, X) -> np.ndarray:
         raise ValueError("fallback model cannot predict; rank by red neighbors instead")
     Xs = (np.asarray(X, dtype=float) - model.mean) * model.scale
     return _sigmoid(Xs @ model.weights + model.bias)
-
-
-def predict(model: TrainedModel, x: FeatureVector) -> float:
-    """Predicted probability that the node behind `x` is red."""
-    return float(predict_many(model, [x.as_tuple()])[0])

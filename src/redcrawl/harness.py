@@ -126,9 +126,13 @@ class ExperimentConfig:
                 raise ValueError(f"budget tier {tier} outside (0, 1]")
         if self.retrain_every < 1:
             raise ValueError("retrain_every must be at least 1")
+        if not self.strategies:
+            raise ValueError("strategies must name at least one strategy")
         for s in self.strategies:
             if s not in STRATEGY_NAMES:
                 raise ValueError(f"unknown strategy {s!r}: expected one of {STRATEGY_NAMES}")
+        if len(set(self.strategies)) < len(self.strategies):
+            raise ValueError(f"strategies must not repeat: {self.strategies}")
 
     def classifier_params(self) -> ClassifierParams:
         return ClassifierParams(l2=self.l2, max_iter=self.max_iter, grad_tol=self.grad_tol)
@@ -212,6 +216,8 @@ def run_single(
     given, is called as `(state, decision)` after each pick and before
     the matching ingest.
     """
+    if not 0 <= start < world.n:
+        raise ValueError(f"start node {start} is not a node id in [0, {world.n})")
     if world.colors[start] is not Color.RED:
         raise ValueError(f"start node {start} is not red")
     if budget < 1:

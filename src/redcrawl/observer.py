@@ -3,11 +3,12 @@
 Only what reports reveal is known: a node is observed once any monitor
 names it as a neighbor, an edge is known only when one of its endpoints
 has been monitored, and a color is known only for monitored nodes. The
-state keeps a 2x2x2 table of verified claims (speaker color x said color
-x subject's true color), filled in whenever a claim's subject gets
-monitored. From this it derives, for any candidate node, the nine-entry
-feature vector the learning strategy consumes and the trust-weighted
-probability that the candidate is red.
+state keeps a (2, 2, 2) int array of verified claims (speaker color x
+said color x subject's true color), filled in whenever a claim's subject
+gets monitored, and `trust()` smooths it into a 2x2 array. From these it
+derives, for any candidate node, the nine-entry feature row the learning
+strategy consumes, whose last entry is the trust-weighted probability
+that the candidate is red.
 
 The report log is the one record of claims and edges. On top of it,
 ingest keeps per-node counters as int arrays indexed by node id
@@ -16,16 +17,16 @@ color), its red triangles, its monitored color and whether it is on the
 frontier. The frontier is kept incrementally, so `frontier()` and
 `candidates()` read one mask, and the known red and blue neighbor counts
 derive from the claim counts, because every monitored neighbor makes
-exactly one claim about a node. `features_matrix` gathers one row per
-node from the arrays, reading the trust table once; `features` and
-`inferred_red_probability` are that same row code for a single node. The
+exactly one claim about a node. Colors are coded 0 = red and 1 = blue
+throughout the arrays, the verified table included. `features_matrix`
+gathers one float row per node from the arrays, computing the trust
+table once; `features(v)` is that matrix's single row for one node. The
 test suite checks the rows against a from-scratch recount of the log.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +48,6 @@ FEATURE_NAMES = (
 # Column layout of the per-node claim counts: (speaker color, said color),
 # with Color 0 = red and 1 = blue, so a claim's column is 2 * speaker + said.
 RSR, RSB, BSR, BSB = 0, 1, 2, 3
-_COLOR_PAIRS = tuple((a, b) for a in Color for b in Color)
 
 
 class NodeCounters:
@@ -88,45 +88,6 @@ class NodeCounters:
         return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in self.FIELDS)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Per-candidate classification features.
-
-    The first eight are non-negative counts over the candidate's
-    monitored neighbors and their claims about it; `inferred_red` is the
-    trust-weighted mean probability in [0, 1].
-    """
-
-    red_neighbors: int
-    blue_neighbors: int
-    red_triangles: int
-    red_score: int
-    red_say_red: int
-    red_say_blue: int
-    blue_say_red: int
-    blue_say_blue: int
-    inferred_red: float
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return (
-            float(self.red_neighbors),
-            float(self.blue_neighbors),
-            float(self.red_triangles),
-            float(self.red_score),
-            float(self.red_say_red),
-            float(self.red_say_blue),
-            float(self.blue_say_red),
-            float(self.blue_say_blue),
-            float(self.inferred_red),
-        )
-
-    @classmethod
-    def from_row(cls, row) -> "FeatureVector":
-        """Inverse of `as_tuple`, e.g. for a row of `ObserverState.features_matrix`."""
-        *counts, inferred_red = row
-        return cls(*map(int, counts), float(inferred_red))
-
-
 class ObserverState:
     """Mutable crawl knowledge for one run, keyed by dense node ids.
 
@@ -134,8 +95,10 @@ class ObserverState:
       observed_nodes   set of node ids ever seen (monitored or named as a
                        neighbor); the start node is observed from step 0.
       monitored        node id -> true Color, in monitor order.
-      verified_counts  (speaker color, said color, subject true color) ->
-                       count of claims whose subject is now monitored.
+      verified_counts  (2, 2, 2) int array indexed [speaker color, said
+                       color, subject true color] in the NodeCounters codes
+                       (0 = red, 1 = blue): counts of claims whose subject
+                       is now monitored.
       start            the initially known node.
       report_log       ingested reports, in order.
       counts           NodeCounters: per-node claim counts, red triangles,
@@ -152,9 +115,7 @@ class ObserverState:
         self.start = start
         self.observed_nodes: set[int] = {start}
         self.monitored: dict[int, Color] = {}
-        self.verified_counts: dict[tuple[Color, Color, Color], int] = {
-            (sp, said, sub): 0 for sp in Color for said in Color for sub in Color
-        }
+        self.verified_counts = np.zeros((2, 2, 2), dtype=np.int64)
         self.report_log: list[MonitorReport] = []
         self.counts = NodeCounters(start + 2)
         self.counts.frontier[start] = True
@@ -229,55 +190,44 @@ class ObserverState:
 
         verified = self.verified_counts
         seen = subject >= 0
-        cells = np.bincount(2 * said[seen] + subject[seen], minlength=4).tolist()
-        for (said_color, subject_color), count in zip(_COLOR_PAIRS, cells):
-            verified[(t_color, said_color, subject_color)] += count
+        verified[t_code] += np.bincount(2 * said[seen] + subject[seen], minlength=4).reshape(2, 2)
         # Every claim about t came from an already-monitored speaker, so
         # t's four claim counts are exactly the claims t's color verifies.
-        for (speaker_color, said_color), count in zip(_COLOR_PAIRS, c.say[t].tolist()):
-            verified[(speaker_color, said_color, t_color)] += count
+        verified[:, :, t_code] += c.say[t].reshape(2, 2)
 
         self.report_log.append(report)
         return self
 
-    def conditional_trust(self, speaker_color: Color, said: Color) -> float:
-        """P(subject is red | a speaker of this color said this), from verified claims.
+    def trust(self) -> np.ndarray:
+        """P(subject is red | speaker color, said color) as a 2x2 array, from verified claims.
 
+        Indexed [speaker color, said color] in the NodeCounters codes.
         Add-one smoothed: (verified red subjects + 1) / (verified total + 2),
-        so the value is 0.5 before any evidence and approaches the raw
+        so each cell is 0.5 before any evidence and approaches the raw
         verified ratio as counts grow.
         """
-        reds = self.verified_counts[(speaker_color, said, Color.RED)]
-        blues = self.verified_counts[(speaker_color, said, Color.BLUE)]
-        return (reds + 1) / (reds + blues + 2)
+        v = self.verified_counts
+        return (v[..., 0] + 1) / (v.sum(-1) + 2)
 
-    def inferred_red_probability(self, v: int) -> float:
-        """Trust-weighted mean over all claims about candidate `v`.
-
-        Each monitored neighbor's claim contributes the trust value for
-        its (speaker color, said color) cell; with no claims the neutral
-        0.5 is returned. Only candidates have a meaningful inferred
-        probability, so monitored nodes are rejected.
-        """
-        return self.features(v).inferred_red
-
-    def features(self, v: int, allow_monitored: bool = False) -> FeatureVector:
-        """Feature vector for node `v` from current knowledge.
+    def features(self, v: int, allow_monitored: bool = False) -> np.ndarray:
+        """Feature row of node `v` from current knowledge: `features_matrix([v])[0]`.
 
         By default `v` must be a candidate. Training-set assembly passes
-        `allow_monitored=True` to compute the same vector for a monitored
+        `allow_monitored=True` to compute the same row for a monitored
         node; nothing a node's own report reveals feeds back into its own
-        counts, so the vector matches what a candidate in its position
+        counts, so the row matches what a candidate in its position
         would show.
         """
-        return FeatureVector.from_row(self.features_matrix([v], allow_monitored).tolist()[0])
+        return self.features_matrix([v], allow_monitored)[0]
 
     def features_matrix(self, nodes, allow_monitored: bool = False) -> np.ndarray:
         """Feature rows of `nodes` as a (len(nodes), 9) float array, in one pass.
 
-        Columns follow FEATURE_NAMES and row i equals
-        `features(nodes[i], allow_monitored).as_tuple()`. The rows are
-        gathered from `counts`, and the trust table is read once per call.
+        Columns follow FEATURE_NAMES. The first eight are non-negative
+        counts over the node's monitored neighbors and their claims about
+        it; `inferred_red` is the trust-weighted mean over those claims,
+        0.5 with none. The rows are gathered from `counts`, and the trust
+        table is computed once per call.
         """
         ids = np.asarray(nodes, dtype=np.intp)
         for v in ids.tolist():
@@ -296,19 +246,10 @@ class ObserverState:
         total = rsr + rsb + bsr + bsb
         # Elementwise, in this order, so every row rounds exactly as the
         # scalar sum would; a BLAS dot could reorder the additions.
-        acc = (
-            rsr * self.conditional_trust(Color.RED, Color.RED)
-            + rsb * self.conditional_trust(Color.RED, Color.BLUE)
-            + bsr * self.conditional_trust(Color.BLUE, Color.RED)
-            + bsb * self.conditional_trust(Color.BLUE, Color.BLUE)
-        )
+        trust = self.trust()
+        acc = rsr * trust[0, 0] + rsb * trust[0, 1] + bsr * trust[1, 0] + bsb * trust[1, 1]
         np.divide(acc, total, out=X[:, 8], where=total > 0)
         return X
-
-    def red_neighbor_count(self, v: int) -> int:
-        """Monitored red neighbors of `v`: each has made one claim about it."""
-        rsr, rsb, _, _ = self.counts.say[min(v, len(self.counts.color) - 1)].tolist()
-        return rsr + rsb
 
     def dump_report_log(self, path) -> None:
         """Write the report log as JSON lines, one report per line."""

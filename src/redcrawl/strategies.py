@@ -102,26 +102,6 @@ def _pick_by_counts(strategy: str, state: ObserverState, rng: random.Random) -> 
     return _argmax(cands, scores, rng)
 
 
-def pick_smart_random(state: ObserverState, rng: random.Random) -> Decision:
-    """Uniform pick over the frontier."""
-    return _pick_by_counts("sr", state, rng)
-
-
-def pick_red_score(state: ObserverState, rng: random.Random) -> Decision:
-    """Pick the candidate the most speakers have called red."""
-    return _pick_by_counts("rs", state, rng)
-
-
-def pick_mrsr(state: ObserverState, rng: random.Random) -> Decision:
-    """Pick the candidate with the most red neighbors calling it red."""
-    return _pick_by_counts("mrsr", state, rng)
-
-
-def pick_mrn(state: ObserverState, rng: random.Random) -> Decision:
-    """Pick the candidate with the most known-red neighbors."""
-    return _pick_by_counts("mrn", state, rng)
-
-
 def pick_redlearn(state: ObserverState, model: TrainedModel, rng: random.Random) -> Decision:
     """Pick the candidate the classifier rates most likely red.
 
@@ -130,7 +110,7 @@ def pick_redlearn(state: ObserverState, model: TrainedModel, rng: random.Random)
     non-learning baseline when reds cluster.
     """
     if model.fallback:
-        return pick_mrn(state, rng)
+        return _pick_by_counts("mrn", state, rng)
     cands = _frontier(state)
     return _argmax(cands, predict_many(model, state.features_matrix(cands)), rng)
 

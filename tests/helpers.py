@@ -13,7 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from redcrawl import Color, TrainedModel, WorldGraph
+from redcrawl import FEATURE_NAMES, Color, TrainedModel, TrainingSet, WorldGraph
+
+# The observer's color codes, as used to index its arrays.
+RED, BLUE = 0, 1
+CODE = {Color.RED: RED, Color.BLUE: BLUE}
 
 NOORDIN_DIR = Path(os.environ.get(
     "REDCRAWL_NOORDIN_DIR",
@@ -66,6 +70,25 @@ def identity_model(weights, bias=0.0) -> TrainedModel:
     """Model with pass-through standardization for hand-built score checks."""
     w = np.asarray(weights, dtype=float)
     return TrainedModel(weights=w, bias=bias, mean=np.zeros(9), scale=np.ones(9), fallback=False)
+
+
+def training_set(pairs) -> TrainingSet:
+    """TrainingSet from (nine feature values, Color) pairs."""
+    rows = np.array([values for values, _ in pairs], dtype=float).reshape(-1, 9)
+    return TrainingSet(rows=rows, labels=np.array([float(c is Color.RED) for _, c in pairs]))
+
+
+def named(row) -> dict[str, float]:
+    """A feature row as a FEATURE_NAMES -> value dict."""
+    return dict(zip(FEATURE_NAMES, row.tolist()))
+
+
+def verified_dict(verified_counts) -> dict:
+    """The observer's (2, 2, 2) verified array as brute_verified's Color-keyed dict."""
+    return {
+        (sp, said, sub): int(verified_counts[CODE[sp], CODE[said], CODE[sub]])
+        for sp in Color for said in Color for sub in Color
+    }
 
 
 def _pair(u, v):

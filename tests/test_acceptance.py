@@ -19,17 +19,16 @@ from redcrawl import (
     LyingScenario,
     ObserverState,
     Oracle,
-    TrainingSet,
     WorldGraph,
     assign_honesty,
     fit,
     generate_synthetic,
     lie_probability,
-    predict,
+    predict_many,
     remove_red_red_edges,
     run_experiment,
 )
-from redcrawl.classifier import FeatureVector, gradient, loss
+from redcrawl.classifier import gradient, loss
 from redcrawl.cli import main as cli_main
 from helpers import (
     brute_features,
@@ -39,6 +38,8 @@ from helpers import (
     identity_model,
     noordin_paths,
     ordered_inferred_red,
+    training_set,
+    verified_dict,
 )
 
 
@@ -139,11 +140,11 @@ def test_criterion_3_observer_oracle_equivalence():
             assert state.observed_edges == edges
             assert state.monitored == monitored
             assert state.statements == statements
-            assert state.verified_counts == brute_verified(monitored, statements)
-            verified = state.verified_counts
+            assert verified_dict(state.verified_counts) == brute_verified(monitored, statements)
+            verified = verified_dict(state.verified_counts)
             cands = state.candidates()
             for v, row in zip(cands, state.features_matrix(cands).tolist()):
-                got = state.features(v).as_tuple()
+                got = tuple(state.features(v).tolist())
                 want = brute_features(v, edges, monitored, statements, verified)
                 assert got == pytest.approx(want), f"case {case}, node {v}"
                 assert tuple(row) == pytest.approx(want), f"case {case}, node {v}"
@@ -177,20 +178,20 @@ def test_criterion_4_classifier_correctness():
         toy_rng = random.Random(0)
         rows = []
         for _ in range(10):
-            rows.append((FeatureVector(toy_rng.uniform(2, 3), toy_rng.uniform(0, 1),
-                                       0, 0, 0, 0, 0, 0, 0.9), Color.RED))
-            rows.append((FeatureVector(toy_rng.uniform(0, 1), toy_rng.uniform(2, 3),
-                                       0, 0, 0, 0, 0, 0, 0.1), Color.BLUE))
-        model = fit(TrainingSet(rows=rows, snapshot_step=len(rows)))
+            rows.append(((toy_rng.uniform(2, 3), toy_rng.uniform(0, 1),
+                          0, 0, 0, 0, 0, 0, 0.9), Color.RED))
+            rows.append(((toy_rng.uniform(0, 1), toy_rng.uniform(2, 3),
+                          0, 0, 0, 0, 0, 0, 0.1), Color.BLUE))
+        model = fit(training_set(rows))
         correct = sum(
             1 for features, label in rows
-            if (predict(model, features) >= 0.5) == (label is Color.RED)
+            if (predict_many(model, [features])[0] >= 0.5) == (label is Color.RED)
         )
         assert correct == len(rows), "separable toy set not fit to 100% accuracy"
 
         margin_model = identity_model([math.log(3.0)] + [0.0] * 8)
-        x = FeatureVector(1, 0, 0, 0, 0, 0, 0, 0, 0.0)
-        assert abs(predict(margin_model, x) - 0.75) <= 1e-9
+        x = (1, 0, 0, 0, 0, 0, 0, 0, 0.0)
+        assert abs(predict_many(margin_model, [x])[0] - 0.75) <= 1e-9
 
 
 def _tier_table(result):

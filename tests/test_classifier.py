@@ -9,7 +9,6 @@ import pytest
 from redcrawl import (
     ClassifierParams,
     Color,
-    FeatureVector,
     LyingScenario,
     ObserverState,
     Oracle,
@@ -17,15 +16,20 @@ from redcrawl import (
     build_training_set,
     fit,
     generate_synthetic,
-    predict,
     predict_many,
 )
 from redcrawl.classifier import gradient, loss
-from helpers import brute_features, brute_knowledge, brute_verified, identity_model
+from helpers import (
+    brute_features,
+    brute_knowledge,
+    brute_verified,
+    identity_model,
+    training_set,
+)
 
 
 def fv(*values):
-    return FeatureVector(*values)
+    return tuple(float(x) for x in values)
 
 
 def random_training_set(rng, n_rows, n_classes=2):
@@ -34,7 +38,7 @@ def random_training_set(rng, n_rows, n_classes=2):
         values = [float(rng.randint(0, 6)) for _ in range(8)] + [rng.random()]
         color = Color.RED if (i % n_classes == 0) else Color.BLUE
         rows.append((fv(*values), color))
-    return TrainingSet(rows=rows, snapshot_step=n_rows)
+    return training_set(rows)
 
 
 def crawl_state(world, scenario, n_monitors, seed):
@@ -57,7 +61,7 @@ def separable_toy_set():
     for _ in range(10):
         rows.append((fv(rng.uniform(2, 3), rng.uniform(0, 1), 0, 0, 0, 0, 0, 0, 0.9), Color.RED))
         rows.append((fv(rng.uniform(0, 1), rng.uniform(2, 3), 0, 0, 0, 0, 0, 0, 0.1), Color.BLUE))
-    return TrainingSet(rows=rows, snapshot_step=20)
+    return training_set(rows)
 
 
 class TestBuildTrainingSet:
@@ -70,18 +74,26 @@ class TestBuildTrainingSet:
         state.ingest(oracle.place_monitor(start))
         data = build_training_set(state)
         assert len(data.rows) == 1
-        features, label = data.rows[0]
-        assert features.as_tuple() == (0, 0, 0, 0, 0, 0, 0, 0, 0.5)
-        assert label is Color.RED
+        features, label = data.rows[0], data.labels[0]
+        assert tuple(features.tolist()) == (0, 0, 0, 0, 0, 0, 0, 0, 0.5)
+        assert label == 1.0
 
     def test_row_per_monitor_with_true_labels(self):
         world = generate_synthetic(60, 0.25, "homophily", 2)
         state = crawl_state(world, LyingScenario.LS1, 20, seed=5)
         data = build_training_set(state)
         assert len(data.rows) == 20
-        assert data.snapshot_step == 20
-        labels = {m: label for (_, label), m in zip(data.rows, state.monitored)}
+        assert data.rows.shape == (20, 9)
+        labels = {m: Color.RED if label else Color.BLUE for label, m in zip(data.labels, state.monitored)}
         assert labels == state.monitored
+
+    def test_rows_are_the_monitored_feature_matrix(self):
+        world = generate_synthetic(60, 0.25, "homophily", 2)
+        state = crawl_state(world, LyingScenario.LS2, 25, seed=8)
+        data = build_training_set(state)
+        want = state.features_matrix(list(state.monitored), allow_monitored=True)
+        assert np.array_equal(data.rows, want)
+        assert data.labels.tolist() == [float(c is Color.RED) for c in state.monitored.values()]
 
     def test_rows_match_masked_recount_from_log(self):
         # recompute each monitored node's features from the log without its
@@ -91,12 +103,12 @@ class TestBuildTrainingSet:
         data = build_training_set(state)
         _, _, monitored_full, statements_full = brute_knowledge(state.start, state.report_log)
         verified = brute_verified(monitored_full, statements_full)
-        for (features, label), m in zip(data.rows, state.monitored):
+        for features, label, m in zip(data.rows, data.labels, state.monitored):
             masked = [rep for rep in state.report_log if rep.target != m]
             _, edges, monitored, statements = brute_knowledge(state.start, masked)
             expected = brute_features(m, edges, monitored, statements, verified)
-            assert features.as_tuple() == pytest.approx(expected)
-            assert label is monitored_full[m]
+            assert tuple(features.tolist()) == pytest.approx(expected)
+            assert (Color.RED if label else Color.BLUE) is monitored_full[m]
 
     def test_empty_state_rejected(self):
         with pytest.raises(ValueError, match="no monitored"):
@@ -140,9 +152,9 @@ class TestLossAndGradient:
             (fv(x0, x1, 0, 0, 0, 0, 0, 0, 0.0), Color.RED if label else Color.BLUE)
             for (x0, x1), label in zip(X, y)
         ]
-        data = TrainingSet(rows=rows, snapshot_step=len(rows))
+        data = training_set(rows)
         model = fit(data, ClassifierParams(l2=1e-2, max_iter=5000, grad_tol=1e-8))
-        Xs = (np.array([r[0].as_tuple() for r in rows]) - model.mean) * model.scale
+        Xs = (np.array([r[0] for r in rows]) - model.mean) * model.scale
         gw, gb = gradient(Xs, y, model.weights, model.bias, 1e-2)
         assert max(np.max(np.abs(gw)), abs(gb)) < 1e-6
         assert model.converged
@@ -152,16 +164,16 @@ class TestLossAndGradient:
 class TestFit:
     def test_linearly_separable_toy_set(self):
         data = separable_toy_set()
-        rows = data.rows
+        rows = list(zip(data.rows, data.labels))
         model = fit(data)
         assert not model.fallback
         correct = sum(
             1 for features, label in rows
-            if (predict(model, features) >= 0.5) == (label is Color.RED)
+            if (predict_many(model, [features])[0] >= 0.5) == (label == 1.0)
         )
         assert correct == 20
-        X = np.array([f.as_tuple() for f, _ in rows])
-        y = np.array([1.0 if c is Color.RED else 0.0 for _, c in rows])
+        X = data.rows
+        y = data.labels
         Xs = (X - model.mean) * model.scale
         assert loss(Xs, y, model.weights, model.bias, 1e-3) < 0.1
 
@@ -173,11 +185,11 @@ class TestFit:
 
     def test_single_class_routes_to_fallback(self):
         rows = [(fv(1, 0, 0, 0, 0, 0, 0, 0, 0.5), Color.RED) for _ in range(5)]
-        model = fit(TrainingSet(rows=rows, snapshot_step=5))
+        model = fit(training_set(rows))
         assert model.fallback
         with pytest.raises(ValueError, match="fallback"):
-            predict(model, rows[0][0])
-        model = fit(TrainingSet(rows=[], snapshot_step=0))
+            predict_many(model, [rows[0][0]])
+        model = fit(TrainingSet(rows=np.zeros((0, 9)), labels=np.zeros(0)))
         assert model.fallback
 
     def test_weight_sign_matches_correlation(self):
@@ -187,17 +199,17 @@ class TestFit:
             red = i < 10
             value = 1.0 + 0.1 * i if red else -1.0 - 0.1 * i
             rows.append((fv(value, 0, 0, 0, 0, 0, 0, 0, 0.5), Color.RED if red else Color.BLUE))
-        model = fit(TrainingSet(rows=rows, snapshot_step=20))
+        model = fit(training_set(rows))
         assert model.weights[0] > 0
         flipped = [(features, label.flip()) for features, label in rows]
-        model = fit(TrainingSet(rows=flipped, snapshot_step=20))
+        model = fit(training_set(flipped))
         assert model.weights[0] < 0
 
     def test_loss_never_increases_along_descent(self):
         rng = random.Random(1)
         data = random_training_set(rng, 30)
-        X = np.array([f.as_tuple() for f, _ in data.rows])
-        y = np.array([1.0 if c is Color.RED else 0.0 for _, c in data.rows])
+        X = data.rows
+        y = data.labels
         mu, sd = X.mean(0), X.std(0)
         scale = np.where(sd > 0, 1 / np.where(sd > 0, sd, 1), 0.0)
         Xs = (X - mu) * scale
@@ -228,35 +240,33 @@ class TestFit:
     def test_rescaling_invariance(self):
         data = random_training_set(random.Random(9), 40)
         factors = np.array([3.0, 0.5, 10.0, 1.0, 2.0, 0.1, 7.0, 1.0, 100.0])
-        scaled_rows = [
-            (fv(*(np.array(f.as_tuple()) * factors)), label) for f, label in data.rows
-        ]
-        scaled = TrainingSet(rows=scaled_rows, snapshot_step=data.snapshot_step)
+        scaled_rows = data.rows * factors
+        scaled = TrainingSet(rows=scaled_rows, labels=data.labels)
         model_a = fit(data)
         model_b = fit(scaled)
-        for (fa, _), (fb, _) in zip(data.rows, scaled_rows):
-            assert predict(model_a, fa) == pytest.approx(predict(model_b, fb), abs=1e-6)
+        for fa, fb in zip(data.rows, scaled_rows):
+            assert predict_many(model_a, [fa])[0] == pytest.approx(predict_many(model_b, [fb])[0], abs=1e-6)
 
 
 class TestPredict:
     def test_zero_model_predicts_half(self):
         model = identity_model(np.zeros(9))
-        assert predict(model, fv(9, 9, 9, 9, 9, 9, 9, 9, 0.9)) == 0.5
+        assert predict_many(model, [fv(9, 9, 9, 9, 9, 9, 9, 9, 0.9)])[0] == 0.5
 
     def test_log_three_margin_gives_three_quarters(self):
         model = identity_model([math.log(3.0)] + [0.0] * 8)
-        assert predict(model, fv(1, 0, 0, 0, 0, 0, 0, 0, 0.0)) == pytest.approx(0.75, abs=1e-9)
+        assert predict_many(model, [fv(1, 0, 0, 0, 0, 0, 0, 0, 0.0)])[0] == pytest.approx(0.75, abs=1e-9)
 
     def test_monotone_in_positive_weight_feature(self):
         model = identity_model([1.0] + [0.0] * 8)
-        probs = [predict(model, fv(k, 0, 0, 0, 0, 0, 0, 0, 0.0)) for k in range(6)]
+        probs = [predict_many(model, [fv(k, 0, 0, 0, 0, 0, 0, 0, 0.0)])[0] for k in range(6)]
         assert all(a < b for a, b in zip(probs, probs[1:]))
         assert all(0.0 < p < 1.0 for p in probs)
 
     def test_predict_many_matches_predict(self):
         data = random_training_set(random.Random(4), 30)
         model = fit(data)
-        features = [f for f, _ in data.rows]
-        batch = predict_many(model, np.array([f.as_tuple() for f in features]))
+        features = list(data.rows)
+        batch = predict_many(model, np.array(features))
         for x, p in zip(features, batch):
-            assert predict(model, x) == pytest.approx(float(p))
+            assert predict_many(model, [x])[0] == pytest.approx(float(p))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from redcrawl import (
+    FEATURE_NAMES,
     Color,
     Decision,
     ExperimentConfig,
@@ -25,7 +26,7 @@ from redcrawl import (
     summarize,
 )
 from redcrawl.cli import main as cli_main
-from helpers import make_world
+from helpers import brute_features, brute_knowledge, brute_verified, make_world
 
 
 def star_world():
@@ -123,9 +124,12 @@ class TestRunSingle:
             cands = state.candidates()
             model = models[-1]
             if model.fallback:
-                want = [float(state.red_neighbor_count(v)) for v in cands]
+                _, edges, monitored, statements = brute_knowledge(state.start, state.report_log)
+                verified = brute_verified(monitored, statements)
+                col = FEATURE_NAMES.index("red_neighbors")
+                want = [brute_features(v, edges, monitored, statements, verified)[col] for v in cands]
             else:
-                rows = np.array([state.features(v).as_tuple() for v in cands])
+                rows = np.array([state.features(v) for v in cands])
                 want = predict_many(model, rows).tolist()
                 learned.append(decision.chosen)
             assert list(decision.scores) == cands
@@ -147,6 +151,12 @@ class TestRunSingle:
         world = make_world(3, [(0, 1), (1, 2)], red={0})
         with pytest.raises(ValueError, match="not red"):
             run_single(world, "sr", LyingScenario.LS1, 1, seed=0, budget=2)
+
+    @pytest.mark.parametrize("start", [-1, 3, 10**6])
+    def test_start_outside_the_world_rejected(self, start):
+        world = make_world(3, [(0, 1), (1, 2)], red={0, 2})
+        with pytest.raises(ValueError, match=rf"start node {start} is not a node id in \[0, 3\)"):
+            run_single(world, "sr", LyingScenario.LS1, start, seed=0, budget=2)
 
     def test_budget_must_be_positive(self):
         world = make_world(3, [(0, 1)], red={0})
@@ -280,6 +290,25 @@ class TestExperimentConfig:
             ExperimentConfig(synthetic_mode="homophily", budget_fraction=1.5).validate()
         with pytest.raises(ValueError, match="tier"):
             ExperimentConfig(synthetic_mode="homophily", budget_tiers=[0.0]).validate()
+        with pytest.raises(ValueError, match="at least one strategy"):
+            ExperimentConfig(synthetic_mode="homophily", strategies=[]).validate()
+        with pytest.raises(ValueError, match="must not repeat"):
+            ExperimentConfig(synthetic_mode="homophily", strategies=["mrn", "sr", "mrn"]).validate()
+
+    @pytest.mark.parametrize("line", ["strategies =", "strategies = mrn,mrn"])
+    def test_config_file_with_empty_or_repeated_strategies_rejected(self, tmp_path, line):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"synthetic_mode = homophily\n{line}\nruns = 2\n")
+        with pytest.raises(ValueError, match="strateg"):
+            parse_config(path)
+
+    def test_cli_strategy_override_with_repeat_rejected(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("synthetic_mode = homophily\nsynthetic_n = 30\nruns = 2\n")
+        out = tmp_path / "results"
+        with pytest.raises(ValueError, match="must not repeat"):
+            cli_main(["run", "--config", str(path), "--strategy", "mrn,mrn", "--out", str(out)])
+        assert not out.exists()
 
 
 class TestRunExperiment:

@@ -2,9 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from redcrawl import (
+    FEATURE_NAMES,
     Color,
     LyingScenario,
     MonitorReport,
@@ -13,12 +15,19 @@ from redcrawl import (
     generate_synthetic,
 )
 from helpers import (
+    BLUE,
+    CODE,
+    RED,
     brute_features,
     brute_knowledge,
     brute_trust,
     brute_verified,
+    named,
     ordered_inferred_red,
+    verified_dict,
 )
+
+INFERRED_RED = FEATURE_NAMES.index("inferred_red")
 
 
 def report(target, color, neighbor_colors):
@@ -71,29 +80,30 @@ class TestIngest:
     def test_verification_when_subject_monitored_later(self):
         state = ObserverState(0)
         state.ingest(report(0, Color.RED, {1: Color.RED, 2: Color.BLUE}))
-        assert sum(state.verified_counts.values()) == 0
+        assert sum(verified_dict(state.verified_counts).values()) == 0
         # 1 turns out blue, so (red speaker, said red, blue subject) += 1
         state.ingest(report(1, Color.BLUE, {0: Color.BLUE}))
-        assert state.verified_counts[(Color.RED, Color.RED, Color.BLUE)] == 1
+        assert verified_dict(state.verified_counts)[(Color.RED, Color.RED, Color.BLUE)] == 1
         # 1's own claim about 0 verifies immediately (0 already monitored)
-        assert state.verified_counts[(Color.BLUE, Color.BLUE, Color.RED)] == 1
-        assert sum(state.verified_counts.values()) == 2
+        assert verified_dict(state.verified_counts)[(Color.BLUE, Color.BLUE, Color.RED)] == 1
+        assert sum(verified_dict(state.verified_counts).values()) == 2
 
         # A blue speaker also claims 1 before 1 is monitored, so monitoring
         # 1 verifies claims from a red and a blue speaker at once.
         state = ObserverState(0)
         state.ingest(report(0, Color.RED, {1: Color.RED, 2: Color.BLUE}))
         state.ingest(report(2, Color.BLUE, {0: Color.RED, 1: Color.RED}))
-        before = dict(state.verified_counts)
+        before = verified_dict(state.verified_counts)
         state.ingest(report(1, Color.BLUE, {0: Color.BLUE, 2: Color.BLUE}))
-        gained = {k: n - before[k] for k, n in state.verified_counts.items() if n != before[k]}
+        after = verified_dict(state.verified_counts)
+        gained = {k: n - before[k] for k, n in after.items() if n != before[k]}
         assert gained == {
             (Color.RED, Color.RED, Color.BLUE): 1,  # 0 called 1 red
             (Color.BLUE, Color.RED, Color.BLUE): 1,  # 2 called 1 red
             (Color.BLUE, Color.BLUE, Color.RED): 1,  # 1 called 0 blue
             (Color.BLUE, Color.BLUE, Color.BLUE): 1,  # 1 called 2 blue
         }
-        assert state.verified_counts == brute_verified(state.monitored, state.statements)
+        assert verified_dict(state.verified_counts) == brute_verified(state.monitored, state.statements)
 
     def test_monotone_growth(self):
         world = generate_synthetic(50, 0.2, "homophily", 3)
@@ -120,19 +130,33 @@ class TestConditionalTrust:
         state = ObserverState(0)
         for speaker_color in Color:
             for said in Color:
-                assert state.conditional_trust(speaker_color, said) == 0.5
+                assert state.trust()[CODE[speaker_color], CODE[said]] == 0.5
 
     def test_smoothed_ratio(self):
         state = ObserverState(0)
-        state.verified_counts[(Color.RED, Color.RED, Color.RED)] = 3
-        state.verified_counts[(Color.RED, Color.RED, Color.BLUE)] = 1
-        assert state.conditional_trust(Color.RED, Color.RED) == pytest.approx(2 / 3)
+        state.verified_counts[RED, RED, RED] = 3
+        state.verified_counts[RED, RED, BLUE] = 1
+        assert state.trust()[RED, RED] == pytest.approx(2 / 3)
 
     def test_approaches_raw_ratio(self):
         state = ObserverState(0)
-        state.verified_counts[(Color.RED, Color.RED, Color.RED)] = 100
-        assert state.conditional_trust(Color.RED, Color.RED) == pytest.approx(101 / 102)
-        assert state.conditional_trust(Color.RED, Color.RED) >= 0.99 * (101 / 102)
+        state.verified_counts[RED, RED, RED] = 100
+        assert state.trust()[RED, RED] == pytest.approx(101 / 102)
+        assert state.trust()[RED, RED] >= 0.99 * (101 / 102)
+
+    def test_every_cell_equals_the_python_int_ratio_bit_for_bit(self):
+        rng = random.Random(11)
+        state = ObserverState(0)
+        for _ in range(200):
+            counts = [rng.choice((0, 1, 7, rng.randrange(10**6), rng.randrange(2**40)))
+                      for _ in range(8)]
+            state.verified_counts[...] = np.array(counts).reshape(2, 2, 2)
+            trust = state.trust()
+            assert trust.shape == (2, 2)
+            for sp in (RED, BLUE):
+                for said in (RED, BLUE):
+                    r, b = counts[4 * sp + 2 * said], counts[4 * sp + 2 * said + 1]
+                    assert trust[sp, said] == (r + 1) / (r + b + 2)
 
 
 class TestInferredRedProbability:
@@ -140,33 +164,33 @@ class TestInferredRedProbability:
         state = ObserverState(0)
         state.ingest(report(0, Color.RED, {1: Color.RED}))
         state.observed_nodes.add(9)  # observed via nothing but presence
-        assert state.inferred_red_probability(9) == 0.5
+        assert state.features(9)[INFERRED_RED] == 0.5
 
     def test_single_statement_passes_trust_through(self):
         state = ObserverState(0)
         state.ingest(report(0, Color.RED, {1: Color.RED}))
-        expected = state.conditional_trust(Color.RED, Color.RED)
-        assert state.inferred_red_probability(1) == pytest.approx(expected)
+        expected = state.trust()[RED, RED]
+        assert state.features(1)[INFERRED_RED] == pytest.approx(expected)
 
     def test_mean_of_two_trust_cells(self):
         state = ObserverState(0)
         state.ingest(report(0, Color.RED, {1: Color.RED, 2: Color.RED}))
         state.ingest(report(2, Color.BLUE, {0: Color.BLUE, 1: Color.BLUE}))
         # craft the table so red-say-red trust is 0.8 and blue-say-blue is 0.4
-        state.verified_counts = {key: 0 for key in state.verified_counts}
-        state.verified_counts[(Color.RED, Color.RED, Color.RED)] = 7
-        state.verified_counts[(Color.RED, Color.RED, Color.BLUE)] = 1
-        state.verified_counts[(Color.BLUE, Color.BLUE, Color.RED)] = 1
-        state.verified_counts[(Color.BLUE, Color.BLUE, Color.BLUE)] = 2
-        assert state.conditional_trust(Color.RED, Color.RED) == pytest.approx(0.8)
-        assert state.conditional_trust(Color.BLUE, Color.BLUE) == pytest.approx(0.4)
-        assert state.inferred_red_probability(1) == pytest.approx(0.6)
+        state.verified_counts[...] = 0
+        state.verified_counts[RED, RED, RED] = 7
+        state.verified_counts[RED, RED, BLUE] = 1
+        state.verified_counts[BLUE, BLUE, RED] = 1
+        state.verified_counts[BLUE, BLUE, BLUE] = 2
+        assert state.trust()[RED, RED] == pytest.approx(0.8)
+        assert state.trust()[BLUE, BLUE] == pytest.approx(0.4)
+        assert state.features(1)[INFERRED_RED] == pytest.approx(0.6)
 
     def test_monitored_node_rejected(self):
         state = ObserverState(0)
         state.ingest(report(0, Color.RED, {1: Color.RED}))
         with pytest.raises(ValueError, match="monitored"):
-            state.inferred_red_probability(0)
+            state.features(0)
 
 
 class TestFeatures:
@@ -175,30 +199,30 @@ class TestFeatures:
         state.ingest(report(0, Color.RED, {1: Color.RED}))
         state.observed_nodes.add(5)
         fv = state.features(5)
-        assert fv.as_tuple() == (0, 0, 0, 0, 0, 0, 0, 0, 0.5)
+        assert tuple(fv.tolist()) == (0, 0, 0, 0, 0, 0, 0, 0, 0.5)
 
     def test_two_red_neighbors_with_shared_edge(self):
         # candidate 3 adjacent to monitored reds 0 and 1; 0-1 edge observed
         state = ObserverState(0)
         state.ingest(report(0, Color.RED, {1: Color.RED, 3: Color.RED}))
         state.ingest(report(1, Color.RED, {0: Color.RED, 3: Color.RED}))
-        fv = state.features(3)
-        assert fv.red_neighbors == 2
-        assert fv.blue_neighbors == 0
-        assert fv.red_triangles == 1
-        assert fv.red_score == 2
-        assert fv.red_say_red == 2
-        assert fv.red_say_blue == 0
+        fv = named(state.features(3))
+        assert fv["red_neighbors"] == 2
+        assert fv["blue_neighbors"] == 0
+        assert fv["red_triangles"] == 1
+        assert fv["red_score"] == 2
+        assert fv["red_say_red"] == 2
+        assert fv["red_say_blue"] == 0
 
     def test_statement_partition_sums_to_speaker_count(self):
         world = generate_synthetic(50, 0.25, "homophily", 6)
         state = crawl(world, [0.4] * world.n, LyingScenario.LS1, world.red_ids()[0], 20, seed=3)
         for v in state.candidates():
-            fv = state.features(v)
+            fv = named(state.features(v))
             speakers = sum(1 for (s, subj) in state.statements if subj == v and s in state.monitored)
-            assert fv.red_say_red + fv.red_say_blue + fv.blue_say_red + fv.blue_say_blue == speakers
-            assert fv.red_say_red + fv.red_say_blue <= fv.red_neighbors
-            assert fv.blue_say_red + fv.blue_say_blue <= fv.blue_neighbors
+            assert fv["red_say_red"] + fv["red_say_blue"] + fv["blue_say_red"] + fv["blue_say_blue"] == speakers
+            assert fv["red_say_red"] + fv["red_say_blue"] <= fv["red_neighbors"]
+            assert fv["blue_say_red"] + fv["blue_say_blue"] <= fv["blue_neighbors"]
 
     def test_features_error_cases(self):
         state = ObserverState(0)
@@ -213,7 +237,7 @@ class TestFeatures:
         world = generate_synthetic(60, 0.3, "homophily", 2)
         state = crawl(world, [0.5] * world.n, LyingScenario.LS1, world.red_ids()[0], 25, seed=9)
         for v in state.candidates():
-            fv = state.features(v)
+            fv = named(state.features(v))
             red_nbrs = [
                 u for u in world.adjacency[v]
                 if world.colors[u] is Color.RED
@@ -224,7 +248,7 @@ class TestFeatures:
                 for w in red_nbrs[i + 1:]
                 if w in world.adjacency[u]
             )
-            assert fv.red_triangles <= world_triangles
+            assert fv["red_triangles"] <= world_triangles
 
 
 class TestBruteForceEquivalence:
@@ -240,16 +264,16 @@ class TestBruteForceEquivalence:
             assert state.monitored == monitored
             assert state.statements == statements
             verified = brute_verified(monitored, statements)
-            assert state.verified_counts == verified
+            assert verified_dict(state.verified_counts) == verified
             for speaker_color in Color:
                 for said in Color:
-                    assert state.conditional_trust(speaker_color, said) == pytest.approx(
+                    assert state.trust()[CODE[speaker_color], CODE[said]] == pytest.approx(
                         brute_trust(verified, speaker_color, said)
                     )
             cands = state.candidates()
             for v, row in zip(cands, state.features_matrix(cands).tolist()):
                 want = brute_features(v, edges, monitored, statements, verified)
-                got = state.features(v).as_tuple()
+                got = tuple(state.features(v).tolist())
                 assert got == pytest.approx(want)
                 assert tuple(row) == pytest.approx(want)
                 assert tuple(row) == got
@@ -264,9 +288,9 @@ class TestBruteForceEquivalence:
         assert again.observed_edges == state.observed_edges
         assert again.monitored == state.monitored
         assert again.statements == state.statements
-        assert again.verified_counts == state.verified_counts
+        assert np.array_equal(again.verified_counts, state.verified_counts)
         for v in state.candidates():
-            assert again.features(v) == state.features(v)
+            assert np.array_equal(again.features(v), state.features(v))
 
 
 def test_dump_report_log(tmp_path):
@@ -320,7 +344,7 @@ class TestIncrementalFrontier:
         verified = brute_verified(monitored, statements)
         for v, row in zip(state.candidates(), state.features_matrix(state.candidates()).tolist()):
             assert tuple(row) == pytest.approx(brute_features(v, edges, monitored, statements, verified))
-        assert state.features(3).red_triangles == 1
+        assert named(state.features(3))["red_triangles"] == 1
         # an id observed without ever being named in a report reads as zeros
         state.observed_nodes.add(10**6)
-        assert state.features(10**6).as_tuple() == (0, 0, 0, 0, 0, 0, 0, 0, 0.5)
+        assert tuple(state.features(10**6).tolist()) == (0, 0, 0, 0, 0, 0, 0, 0, 0.5)
