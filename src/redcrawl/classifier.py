@@ -69,9 +69,9 @@ def build_training_set(state: ObserverState) -> TrainingSet:
     would be for a candidate (a node's own report contributes nothing to
     its own counts), labeled with the node's true color.
     """
-    if not state.monitored:
+    ids = [r.target for r in state.report_log]
+    if not ids:
         raise ValueError("cannot build a training set with no monitored nodes")
-    ids = list(state.monitored)
     # Color code 0 is red.
     labels = (state.counts.color[ids] == 0).astype(float)
     return TrainingSet(rows=state.features_matrix(ids, allow_monitored=True), labels=labels)

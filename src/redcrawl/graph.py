@@ -2,7 +2,7 @@
 
 The world graph is the hidden network a crawl explores. Every node has a
 true color (red = node of interest, blue = everything else) and a
-strictly positive rank score used by the lying model. How each node lies
+positive, finite rank score used by the lying model. How each node lies
 varies from run to run, so per-run honesty lives with the run's Oracle,
 not here. Node ids are dense integers in [0, n); external string labels
 from input files are remapped at load time and the label table is kept
@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import enum
 import logging
+import math
 from dataclasses import dataclass, field
 
 import random
@@ -75,9 +76,6 @@ class WorldGraph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def neighbors(self, v: int) -> set[int]:
-        return self.adjacency[v]
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""
         return sorted((u, v) for u in range(self.n) for v in self.adjacency[u] if u < v)
@@ -110,8 +108,8 @@ class WorldGraph:
                     raise ValueError(f"edge endpoint {v} out of range")
                 if u not in self.adjacency[v]:
                     raise ValueError(f"asymmetric edge ({u}, {v})")
-            if self.hierarchy[u] <= 0:
-                raise ValueError(f"non-positive hierarchy score at node {u}")
+            if not 0 < self.hierarchy[u] < math.inf:
+                raise ValueError(f"hierarchy score at node {u} must be positive and finite")
 
 
 def load_graph(edge_file, node_file) -> WorldGraph:
@@ -126,7 +124,7 @@ def load_graph(edge_file, node_file) -> WorldGraph:
     dropped with a logged warning count.
 
     Raises GraphLoadError on: an edge endpoint with no node row, a color
-    outside red/blue, a non-positive hierarchy score, or a malformed line.
+    outside red/blue, a hierarchy score outside (0, inf), or a malformed line.
     """
     labels: list[str] = []
     label_to_id: dict[str, int] = {}
@@ -156,8 +154,8 @@ def load_graph(edge_file, node_file) -> WorldGraph:
                     raise GraphLoadError(f"{node_file}:{row_num}: bad hierarchy value {raw_h!r}") from None
             else:
                 h = 1.0
-            if h <= 0:
-                raise GraphLoadError(f"{node_file}:{row_num}: hierarchy score must be positive, got {h}")
+            if not 0 < h < math.inf:
+                raise GraphLoadError(f"{node_file}:{row_num}: hierarchy score must be positive and finite, got {h}")
             label_to_id[label] = len(labels)
             labels.append(label)
             colors.append(color)

@@ -133,6 +133,9 @@ class ExperimentConfig:
                 raise ValueError(f"unknown strategy {s!r}: expected one of {STRATEGY_NAMES}")
         if len(set(self.strategies)) < len(self.strategies):
             raise ValueError(f"strategies must not repeat: {self.strategies}")
+        for name, value in (("l2", self.l2), ("grad_tol", self.grad_tol)):
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
     def classifier_params(self) -> ClassifierParams:
         return ClassifierParams(l2=self.l2, max_iter=self.max_iter, grad_tol=self.grad_tol)
@@ -246,7 +249,8 @@ def run_single(
             break
         if step_callback is not None:
             step_callback(state, decision)
-        if decision.chosen in state.monitored:
+        color = state.counts.color
+        if 0 <= decision.chosen < len(color) and color[decision.chosen] >= 0:
             raise ValueError(
                 f"strategy {strategy!r} picked node {decision.chosen}, which is already monitored"
             )

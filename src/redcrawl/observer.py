@@ -10,23 +10,27 @@ derives, for any candidate node, the nine-entry feature row the learning
 strategy consumes, whose last entry is the trust-weighted probability
 that the candidate is red.
 
-The report log is the one record of claims and edges. On top of it,
-ingest keeps per-node counters as int arrays indexed by node id
-(`NodeCounters`): each node's four claim counts by (speaker color, said
-color), its red triangles, its monitored color and whether it is on the
-frontier. The frontier is kept incrementally, so `frontier()` and
+The state is the report log plus the counters below; no fact is stored
+twice. The log is the one record of claims, edges and monitor order. On
+top of it, ingest keeps per-node counters as int arrays indexed by node
+id (`NodeCounters`): each node's four claim counts by (speaker color,
+said color), its red triangles, its monitored color and whether it is
+on the frontier. The frontier is kept incrementally, so `frontier()` and
 `candidates()` read one mask, and the known red and blue neighbor counts
 derive from the claim counts, because every monitored neighbor makes
 exactly one claim about a node. Colors are coded 0 = red and 1 = blue
-throughout the arrays, the verified table included. `features_matrix`
-gathers one float row per node from the arrays, computing the trust
-table once; `features(v)` is that matrix's single row for one node. The
-test suite checks the rows against a from-scratch recount of the log.
+throughout the arrays, the verified table included. `observed_nodes` and
+`monitored` are read-only views rebuilt on every read; the step loop
+never reads them. `features_matrix` gathers one float row per node from
+the arrays, computing the trust table once; `features(v)` is that
+matrix's single row. The test suite checks the rows against a
+from-scratch recount of the log.
 """
 
 from __future__ import annotations
 
 import json
+from types import MappingProxyType
 
 import numpy as np
 
@@ -60,8 +64,8 @@ class NodeCounters:
       color      0 (red) or 1 (blue) once the node is monitored, -1 before.
       frontier   True for observed, unmonitored nodes (the candidates).
 
-    The arrays always keep at least one spare row past the largest id
-    ingested, so an id beyond them can be read as that all-zero row.
+    An id past the arrays has never been named in a report, so it is not
+    observed.
     """
 
     FIELDS = ("say", "triangles", "color", "frontier")
@@ -73,11 +77,11 @@ class NodeCounters:
         self.frontier = np.zeros(size, dtype=bool)
 
     def reserve(self, top: int) -> None:
-        """Make ids up to `top` indexable, keeping a spare row past them."""
+        """Make ids up to `top` indexable."""
         size = len(self.color)
-        if top + 1 < size:
+        if top < size:
             return
-        grown = NodeCounters(max(top + 2, 2 * size))
+        grown = NodeCounters(max(top + 1, 2 * size))
         for name in self.FIELDS:
             getattr(grown, name)[:size] = getattr(self, name)
         self.__dict__.update(grown.__dict__)
@@ -91,33 +95,30 @@ class NodeCounters:
 class ObserverState:
     """Mutable crawl knowledge for one run, keyed by dense node ids.
 
-    Public fields:
-      observed_nodes   set of node ids ever seen (monitored or named as a
-                       neighbor); the start node is observed from step 0.
-      monitored        node id -> true Color, in monitor order.
+    Stored, each fact once:
+      start            the initially known node.
+      report_log       ingested reports, in order: the claims, the known
+                       edges and the monitor order.
+      counts           NodeCounters: per-node claim counts, red triangles,
+                       monitored colors and the frontier mask, kept up to
+                       date by `ingest`; callers only read them.
       verified_counts  (2, 2, 2) int array indexed [speaker color, said
                        color, subject true color] in the NodeCounters codes
                        (0 = red, 1 = blue): counts of claims whose subject
                        is now monitored.
-      start            the initially known node.
-      report_log       ingested reports, in order.
-      counts           NodeCounters: per-node claim counts, red triangles,
-                       monitored colors and the frontier mask, kept up to
-                       date by `ingest`; callers only read them.
 
-    Derived from `report_log` on each read (nothing on the run path reads them):
-      observed_edges   set of (u, v) pairs with u < v, only edges incident
-                       to a monitored node.
-      statements       (speaker, subject) -> said Color.
+    Read-only views, rebuilt from the above on every read in time linear
+    in the arrays or the log, so not meant for a step loop:
+      observed_nodes   frozenset of ids ever seen (monitored or named as a
+                       neighbor); the start node is observed from step 0.
+      monitored        node id -> true Color, in monitor order.
     """
 
     def __init__(self, start: int):
         self.start = start
-        self.observed_nodes: set[int] = {start}
-        self.monitored: dict[int, Color] = {}
         self.verified_counts = np.zeros((2, 2, 2), dtype=np.int64)
         self.report_log: list[MonitorReport] = []
-        self.counts = NodeCounters(start + 2)
+        self.counts = NodeCounters(start + 1)
         self.counts.frontier[start] = True
         # Monitored red neighbors of each node, for the triangle counts only.
         self._red_mon_nbrs: dict[int, set[int]] = {}
@@ -131,18 +132,13 @@ class ObserverState:
         return state
 
     @property
-    def observed_edges(self) -> set[tuple[int, int]]:
-        return {
-            (r.target, v) if r.target < v else (v, r.target)
-            for r in self.report_log for v in r.neighbors
-        }
+    def observed_nodes(self) -> frozenset[int]:
+        c = self.counts
+        return frozenset(np.flatnonzero(c.frontier | (c.color >= 0)).tolist())
 
     @property
-    def statements(self) -> dict[tuple[int, int], Color]:
-        return {
-            (r.target, v): said
-            for r in self.report_log for v, said in zip(r.neighbors, r.statements)
-        }
+    def monitored(self) -> MappingProxyType:
+        return MappingProxyType({r.target: r.true_color for r in self.report_log})
 
     def frontier(self) -> np.ndarray:
         """Observed-but-unmonitored node ids as a new ascending int array."""
@@ -162,15 +158,14 @@ class ObserverState:
         error: a monitor placement spends budget once.
         """
         t = report.target
-        if t in self.monitored:
+        c = self.counts
+        inside = 0 <= t < len(c.color)
+        if inside and c.color[t] >= 0:
             raise ValueError(f"node {t} is already monitored")
-        if t not in self.observed_nodes:
+        if not (inside and c.frontier[t]):
             raise ValueError(f"node {t} has not been observed; monitors go on observed nodes")
         t_color = report.true_color
         t_code = int(t_color is Color.BLUE)
-        self.monitored[t] = t_color
-        self.observed_nodes.update(report.neighbors)
-        c = self.counts
         c.reserve(max((t, *report.neighbors)))
         c.color[t] = t_code
         c.frontier[t] = False
@@ -227,22 +222,24 @@ class ObserverState:
         counts over the node's monitored neighbors and their claims about
         it; `inferred_red` is the trust-weighted mean over those claims,
         0.5 with none. The rows are gathered from `counts`, and the trust
-        table is computed once per call.
+        table is computed once per call. An id that is not observed, or
+        that is monitored without `allow_monitored`, raises ValueError.
         """
         ids = np.asarray(nodes, dtype=np.intp)
-        for v in ids.tolist():
-            if v not in self.observed_nodes:
-                raise ValueError(f"node {v} has not been observed")
-            if not allow_monitored and v in self.monitored:
-                raise ValueError(f"node {v} is monitored; features are for candidates")
         c = self.counts
-        # An observed id past the arrays was never named in a report: it
-        # reads the spare all-zero row.
-        rows = np.minimum(ids, len(c.color) - 1)
-        say = c.say[rows].astype(float)
+        outside = (ids < 0) | (ids >= len(c.color))
+        if outside.any():
+            raise ValueError(f"node {ids[outside][0]} has not been observed")
+        legal = c.frontier[ids] | (allow_monitored & (c.color[ids] >= 0))
+        if not legal.all():
+            v = ids[~legal][0]
+            if c.color[v] >= 0:
+                raise ValueError(f"node {v} is monitored; features are for candidates")
+            raise ValueError(f"node {v} has not been observed")
+        say = c.say[ids].astype(float)
         rsr, rsb, bsr, bsb = say.T
-        X = np.column_stack((rsr + rsb, bsr + bsb, c.triangles[rows], rsr + bsr, say,
-                             np.full(len(rows), 0.5)))
+        X = np.column_stack((rsr + rsb, bsr + bsb, c.triangles[ids], rsr + bsr, say,
+                             np.full(len(ids), 0.5)))
         total = rsr + rsb + bsr + bsb
         # Elementwise, in this order, so every row rounds exactly as the
         # scalar sum would; a BLAS dot could reorder the additions.

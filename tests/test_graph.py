@@ -1,6 +1,7 @@
 """Graph model, loaders, transforms, and synthetic generators."""
 
 import logging
+import math
 import random
 
 import pytest
@@ -105,6 +106,14 @@ class TestLoadGraph:
             tmp_path, "a b\n", "id,color,hierarchy\na,red,0\nb,blue,1\n"
         )
         with pytest.raises(GraphLoadError, match="positive"):
+            load_graph(edge_path, node_path)
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "Infinity", "-inf"])
+    def test_non_finite_hierarchy_rejected(self, tmp_path, score):
+        edge_path, node_path = write_graph_files(
+            tmp_path, "a b\nb c\n", f"id,color,hierarchy\nb,blue,1\na,red,{score}\nc,blue,1\n"
+        )
+        with pytest.raises(GraphLoadError, match=r"nodes\.csv:3: hierarchy score must be positive and finite"):
             load_graph(edge_path, node_path)
 
     def test_duplicate_node_id_rejected(self, tmp_path):
@@ -277,6 +286,13 @@ class TestValidation:
         g = make_world(2, [(0, 1)])
         g.adjacency[0].add(0)
         with pytest.raises(ValueError, match="self-loop"):
+            g.validate()
+
+    @pytest.mark.parametrize("score", [0.0, -1.0, math.nan, math.inf])
+    def test_validate_catches_bad_hierarchy(self, score):
+        g = make_world(3, [(0, 1), (1, 2)])
+        g.hierarchy[1] = score
+        with pytest.raises(ValueError, match="hierarchy score at node 1 must be positive and finite"):
             g.validate()
 
     def test_validate_catches_bad_honesty(self):

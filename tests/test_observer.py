@@ -60,10 +60,22 @@ class TestIngest:
         state = ObserverState(0)
         state.ingest(report(0, Color.RED, {1: Color.RED, 2: Color.BLUE, 3: Color.BLUE}))
         assert state.observed_nodes == {0, 1, 2, 3}
-        assert state.observed_edges == {(0, 1), (0, 2), (0, 3)}
+        _, edges, _, statements = brute_knowledge(0, state.report_log)
+        assert edges == {(0, 1), (0, 2), (0, 3)}
         assert state.monitored == {0: Color.RED}
-        assert len(state.statements) == 3
+        assert len(statements) == 3
         assert state.candidates() == [1, 2, 3]
+
+    def test_views_are_read_only(self):
+        state = ObserverState(0)
+        state.ingest(report(0, Color.RED, {1: Color.BLUE}))
+        with pytest.raises(AttributeError):
+            state.observed_nodes.add(9)
+        with pytest.raises(TypeError):
+            state.monitored[1] = Color.BLUE
+        assert state.observed_nodes == {0, 1}
+        assert state.monitored == {0: Color.RED}
+        assert state.candidates() == [1]
 
     def test_double_ingest_rejected(self):
         state = ObserverState(0)
@@ -76,6 +88,14 @@ class TestIngest:
         state.ingest(report(0, Color.RED, {1: Color.BLUE}))
         with pytest.raises(ValueError, match="not been observed"):
             state.ingest(report(9, Color.BLUE, {0: Color.RED}))
+
+    @pytest.mark.parametrize("target", [-1, 2, 10**6])
+    def test_target_outside_the_arrays_rejected(self, target):
+        state = ObserverState(0)
+        state.ingest(report(0, Color.RED, {1: Color.BLUE}))
+        with pytest.raises(ValueError, match="has not been observed"):
+            state.ingest(report(target, Color.BLUE, {0: Color.RED}))
+        assert state.observed_nodes == {0, 1}
 
     def test_verification_when_subject_monitored_later(self):
         state = ObserverState(0)
@@ -103,7 +123,8 @@ class TestIngest:
             (Color.BLUE, Color.BLUE, Color.RED): 1,  # 1 called 0 blue
             (Color.BLUE, Color.BLUE, Color.BLUE): 1,  # 1 called 2 blue
         }
-        assert verified_dict(state.verified_counts) == brute_verified(state.monitored, state.statements)
+        _, _, monitored, statements = brute_knowledge(0, state.report_log)
+        assert verified_dict(state.verified_counts) == brute_verified(monitored, statements)
 
     def test_monotone_growth(self):
         world = generate_synthetic(50, 0.2, "homophily", 3)
@@ -117,12 +138,13 @@ class TestIngest:
             if not cands:
                 break
             state.ingest(oracle.place_monitor(rng.choice(cands)))
+            _, edges, _, statements = brute_knowledge(0, state.report_log)
             assert len(state.observed_nodes) >= prev_nodes
-            assert len(state.observed_edges) >= prev_edges
-            assert len(state.statements) >= prev_stmts
+            assert len(edges) >= prev_edges
+            assert len(statements) >= prev_stmts
             prev_nodes = len(state.observed_nodes)
-            prev_edges = len(state.observed_edges)
-            prev_stmts = len(state.statements)
+            prev_edges = len(edges)
+            prev_stmts = len(statements)
 
 
 class TestConditionalTrust:
@@ -161,10 +183,8 @@ class TestConditionalTrust:
 
 class TestInferredRedProbability:
     def test_no_statements_gives_half(self):
-        state = ObserverState(0)
-        state.ingest(report(0, Color.RED, {1: Color.RED}))
-        state.observed_nodes.add(9)  # observed via nothing but presence
-        assert state.features(9)[INFERRED_RED] == 0.5
+        # the start node is observed before any report names it
+        assert ObserverState(9).features(9)[INFERRED_RED] == 0.5
 
     def test_single_statement_passes_trust_through(self):
         state = ObserverState(0)
@@ -195,10 +215,7 @@ class TestInferredRedProbability:
 
 class TestFeatures:
     def test_unknown_candidate_all_defaults(self):
-        state = ObserverState(0)
-        state.ingest(report(0, Color.RED, {1: Color.RED}))
-        state.observed_nodes.add(5)
-        fv = state.features(5)
+        fv = ObserverState(5).features(5)
         assert tuple(fv.tolist()) == (0, 0, 0, 0, 0, 0, 0, 0, 0.5)
 
     def test_two_red_neighbors_with_shared_edge(self):
@@ -216,10 +233,12 @@ class TestFeatures:
 
     def test_statement_partition_sums_to_speaker_count(self):
         world = generate_synthetic(50, 0.25, "homophily", 6)
-        state = crawl(world, [0.4] * world.n, LyingScenario.LS1, world.red_ids()[0], 20, seed=3)
+        start = world.red_ids()[0]
+        state = crawl(world, [0.4] * world.n, LyingScenario.LS1, start, 20, seed=3)
+        _, _, monitored, statements = brute_knowledge(start, state.report_log)
         for v in state.candidates():
             fv = named(state.features(v))
-            speakers = sum(1 for (s, subj) in state.statements if subj == v and s in state.monitored)
+            speakers = sum(1 for (s, subj) in statements if subj == v and s in monitored)
             assert fv["red_say_red"] + fv["red_say_blue"] + fv["blue_say_red"] + fv["blue_say_blue"] == speakers
             assert fv["red_say_red"] + fv["red_say_blue"] <= fv["red_neighbors"]
             assert fv["blue_say_red"] + fv["blue_say_blue"] <= fv["blue_neighbors"]
@@ -232,6 +251,17 @@ class TestFeatures:
         with pytest.raises(ValueError, match="observed"):
             state.features(42)
         assert state.features(0, allow_monitored=True) is not None
+
+    @pytest.mark.parametrize("nodes", [[-1], [0, 10**6], [1, -1], [1, 2]])
+    def test_ids_outside_the_observed_set_rejected(self, nodes):
+        state = ObserverState(0)
+        state.ingest(report(0, Color.RED, {1: Color.RED}))
+        with pytest.raises(ValueError, match="has not been observed"):
+            state.features_matrix(nodes)
+        with pytest.raises(ValueError, match="has not been observed"):
+            state.features_matrix(nodes, allow_monitored=True)
+        with pytest.raises(ValueError, match="has not been observed"):
+            state.features(nodes[-1])
 
     def test_triangle_count_never_exceeds_world_count(self):
         world = generate_synthetic(60, 0.3, "homophily", 2)
@@ -260,9 +290,7 @@ class TestBruteForceEquivalence:
 
             observed, edges, monitored, statements = brute_knowledge(start, state.report_log)
             assert state.observed_nodes == observed
-            assert state.observed_edges == edges
             assert state.monitored == monitored
-            assert state.statements == statements
             verified = brute_verified(monitored, statements)
             assert verified_dict(state.verified_counts) == verified
             for speaker_color in Color:
@@ -285,9 +313,8 @@ class TestBruteForceEquivalence:
         state = crawl(world, [0.5] * world.n, LyingScenario.LS2, start, 15, seed=5)
         again = ObserverState.replay(start, state.report_log)
         assert again.observed_nodes == state.observed_nodes
-        assert again.observed_edges == state.observed_edges
         assert again.monitored == state.monitored
-        assert again.statements == state.statements
+        assert again.counts == state.counts
         assert np.array_equal(again.verified_counts, state.verified_counts)
         for v in state.candidates():
             assert np.array_equal(again.features(v), state.features(v))
@@ -345,6 +372,7 @@ class TestIncrementalFrontier:
         for v, row in zip(state.candidates(), state.features_matrix(state.candidates()).tolist()):
             assert tuple(row) == pytest.approx(brute_features(v, edges, monitored, statements, verified))
         assert named(state.features(3))["red_triangles"] == 1
-        # an id observed without ever being named in a report reads as zeros
-        state.observed_nodes.add(10**6)
-        assert tuple(state.features(10**6).tolist()) == (0, 0, 0, 0, 0, 0, 0, 0, 0.5)
+        # a start id far past any other has a row, and reads as zeros
+        far = ObserverState(10**4)
+        assert tuple(far.features(10**4).tolist()) == (0, 0, 0, 0, 0, 0, 0, 0, 0.5)
+        assert far.candidates() == [10**4]
