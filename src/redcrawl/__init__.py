@@ -43,14 +43,12 @@ from .oracle import (
     MonitorReport,
     Oracle,
     assign_honesty,
-    lie_probability,
 )
 from .strategies import (
     STRATEGY_NAMES,
     Decision,
     ExplorationExhausted,
     pick,
-    pick_redlearn,
 )
 
 __version__ = "0.1.0"
@@ -80,11 +78,9 @@ __all__ = [
     "derive_seed",
     "fit",
     "generate_synthetic",
-    "lie_probability",
     "load_graph",
     "parse_config",
     "pick",
-    "pick_redlearn",
     "predict_many",
     "remove_red_red_edges",
     "run_experiment",

@@ -24,6 +24,11 @@ logger = logging.getLogger(__name__)
 EDGE_COMMENT_CHAR = "#"
 
 SYNTHETIC_MODES = ("homophily", "no_homophily", "structural_signal")
+# generate_synthetic's shape: base Erdos-Renyi mean degree, the chance of an
+# extra edge per red pair (homophily), and structural_signal's red degree lift.
+BASE_MEAN_DEGREE = 6.0
+RED_RED_PROB = 0.3
+DEGREE_OFFSET = 10.0
 
 
 class GraphLoadError(ValueError):
@@ -244,29 +249,18 @@ def count_colors(g: WorldGraph) -> tuple[int, int]:
     return red, g.n - red
 
 
-def generate_synthetic(
-    n: int,
-    red_fraction: float,
-    mode: str,
-    seed: int,
-    *,
-    base_mean_degree: float = 6.0,
-    red_red_prob: float = 0.3,
-    degree_offset: float = 10.0,
-) -> WorldGraph:
+def generate_synthetic(n: int, red_fraction: float, mode: str, seed: int) -> WorldGraph:
     """Build a seeded random world graph for desk-scale experiments.
 
     Modes:
-      homophily          Erdos-Renyi base graph (mean degree
-                         `base_mean_degree`) plus extra red-red edges drawn
-                         with probability `red_red_prob` per red pair, so
-                         reds form a visible community.
+      homophily          Erdos-Renyi base graph (mean degree 6) plus extra
+                         red-red edges drawn with probability 0.3 per red
+                         pair, so reds form a visible community.
       no_homophily       The homophily graph with all red-red edges removed.
       structural_signal  No red-red edges at all, but each red node gets
-                         `base_mean_degree + degree_offset + 2` blue
-                         neighbors, so red and blue mean degrees differ by
-                         at least `degree_offset` and the structure alone
-                         identifies reds.
+                         6 + 10 + 2 = 18 blue neighbors, so red and blue
+                         mean degrees differ by at least 10 and the
+                         structure alone identifies reds.
 
     Hierarchy scores are set to node degree (floored at 1 so isolated
     nodes keep a valid positive score). The same arguments always produce
@@ -289,7 +283,7 @@ def generate_synthetic(
         adjacency[u].add(v)
         adjacency[v].add(u)
 
-    p_base = min(1.0, base_mean_degree / (n - 1))
+    p_base = min(1.0, BASE_MEAN_DEGREE / (n - 1))
 
     if mode in ("homophily", "no_homophily"):
         for u in range(n):
@@ -299,7 +293,7 @@ def generate_synthetic(
         reds = sorted(red_set)
         for i, u in enumerate(reds):
             for v in reds[i + 1:]:
-                if v not in adjacency[u] and rng.random() < red_red_prob:
+                if v not in adjacency[u] and rng.random() < RED_RED_PROB:
                     add_edge(u, v)
     else:
         blues = [v for v in range(n) if v not in red_set]
@@ -308,7 +302,7 @@ def generate_synthetic(
                 if rng.random() < p_base:
                     add_edge(u, v)
         # +2 absorbs the degree that red stubs add to the blue average.
-        red_degree = min(len(blues), round(base_mean_degree + degree_offset) + 2)
+        red_degree = min(len(blues), round(BASE_MEAN_DEGREE + DEGREE_OFFSET) + 2)
         for u in sorted(red_set):
             for v in rng.sample(blues, red_degree):
                 add_edge(u, v)

@@ -126,6 +126,8 @@ class ExperimentConfig:
                 raise ValueError(f"budget tier {tier} outside (0, 1]")
         if self.retrain_every < 1:
             raise ValueError("retrain_every must be at least 1")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if not self.strategies:
             raise ValueError("strategies must name at least one strategy")
         for s in self.strategies:

@@ -115,6 +115,8 @@ class ObserverState:
     """
 
     def __init__(self, start: int):
+        if start < 0:
+            raise ValueError(f"start node {start} is not a node id: ids are non-negative")
         self.start = start
         self.verified_counts = np.zeros((2, 2, 2), dtype=np.int64)
         self.report_log: list[MonitorReport] = []

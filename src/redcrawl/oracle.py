@@ -72,27 +72,6 @@ def assign_honesty(world: WorldGraph, rng: random.Random) -> list[float]:
     return [min(1.0, max(0.0, rng.gauss(HONESTY_MEAN, HONESTY_SD))) for _ in range(world.n)]
 
 
-def lie_probability(speaker: int, subject: int, world: WorldGraph, honesty: list[float],
-                    scenario: LyingScenario) -> float:
-    """Probability that `speaker` misstates `subject`'s color.
-
-    Pure function of the world's colors and hierarchy and the per-node
-    `honesty`; requires the pair to be adjacent.
-    """
-    if subject not in world.adjacency[speaker]:
-        raise ValueError(f"lie_probability requires adjacent nodes, got ({speaker}, {subject})")
-    speaker_color = world.colors[speaker]
-    subject_color = world.colors[subject]
-    if speaker_color is Color.BLUE and scenario is LyingScenario.LS2:
-        return 1.0 if subject_color is Color.RED else 0.0
-    dishonesty = 1.0 - honesty[speaker]
-    if subject_color is Color.RED:
-        p = dishonesty * world.hierarchy[subject] / world.hierarchy[speaker]
-    else:
-        p = dishonesty
-    return min(p, 1.0)
-
-
 @dataclass
 class Oracle:
     """Stateful answer source for one run.
@@ -118,8 +97,8 @@ class Oracle:
     def place_monitor(self, target: int) -> MonitorReport:
         """Answer a monitor placement on `target`.
 
-        Each uncached claim's lie probability is `lie_probability`'s,
-        computed inline from the speaker's values read once per placement.
+        Each uncached claim's lie probability follows the module docstring,
+        computed from the speaker's values read once per placement.
         """
         world = self.world
         if not 0 <= target < world.n:

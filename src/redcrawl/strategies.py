@@ -1,16 +1,16 @@
 """Monitor-placement policies: score the frontier, pick the next target.
 
-Every policy sees the same inputs, the observer state and its own random
-stream, and returns a Decision naming the chosen candidate plus the score
-it gave each candidate (useful for tracing), as a read-only mapping over
-the pick's arrays. Each pick scores the whole frontier array at once and
-takes one argmax: the counting policies sum columns of the observer's
+Every policy does the same thing at each step: it scores the whole
+frontier (the observed, unmonitored nodes, in ascending id order) and
+monitors a top-scoring node. `pick` returns a Decision holding the chosen
+node, the frontier array and the score array aligned with it (useful for
+tracing); both arrays belong to the decision, so later ingests do not
+change them. The counting policies sum columns of the observer's
 claim-count table, and redlearn runs `predict_many` on the frontier's
-feature matrix. Policies never mutate the
-state and only ever return observed, unmonitored nodes; monitors cannot
-be placed on nodes the crawl has not seen. Ties are broken uniformly at
-random so that low-information early steps do not bias small networks
-toward low ids.
+feature matrix. Policies never mutate the state and only ever return
+observed, unmonitored nodes; monitors cannot be placed on nodes the crawl
+has not seen. Ties are broken uniformly at random so that low-information
+early steps do not bias small networks toward low ids.
 
   sr        uniform choice over the frontier (the floor every other
             policy should beat).
@@ -18,14 +18,14 @@ toward low ids.
   mrsr      most red neighbors that call the candidate red.
   mrn       most known-red neighbors.
   redlearn  highest predicted red probability from the trained
-            classifier; falls back to mrn ranking while the training
-            data still has only one class.
+            classifier; ranks like mrn while the training data still
+            has only one class (a fallback model), the strongest
+            non-learning baseline when reds cluster.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,84 +44,38 @@ class ExplorationExhausted(RuntimeError):
     """No observed, unmonitored node is left to place a monitor on."""
 
 
-class Scores(Mapping):
-    """Read-only node -> score mapping over one pick's candidate and score arrays.
-
-    The arrays belong to the pick, so later ingests do not change them. The
-    dict behind lookups and iteration is built on first use; `len` is free.
-    """
-
-    __slots__ = ("_nodes", "_values", "_dict")
-
-    def __init__(self, nodes: np.ndarray, values: np.ndarray):
-        self._nodes, self._values, self._dict = nodes, values, None
-
-    def _items(self) -> dict[int, float]:
-        if self._dict is None:
-            self._dict = dict(zip(self._nodes.tolist(), self._values.astype(float).tolist()))
-        return self._dict
-
-    def __getitem__(self, v: int) -> float:
-        return self._items()[v]
-
-    def __iter__(self):
-        return iter(self._items())
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def __repr__(self) -> str:
-        return f"Scores({self._items()!r})"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decision:
-    chosen: int
-    scores: Mapping[int, float]
+    """The chosen node, and the frontier with the score of each candidate.
 
-
-def _frontier(state: ObserverState) -> np.ndarray:
-    cands = state.frontier()
-    if not len(cands):
-        raise ExplorationExhausted("candidate set is empty")
-    return cands
-
-
-def _argmax(cands: np.ndarray, scores: np.ndarray, rng: random.Random) -> Decision:
-    """Uniform choice among the top-scoring candidates, taken in ascending id order."""
-    tied = cands[scores == scores.max()]
-    return Decision(chosen=int(rng.choice(tied)), scores=Scores(cands, scores))
-
-
-def _pick_by_counts(strategy: str, state: ObserverState, rng: random.Random) -> Decision:
-    cands = _frontier(state)
-    say = state.counts.say
-    scores = np.zeros(len(cands), dtype=np.int64)
-    for col in _SCORE_COLUMNS[strategy]:
-        scores += say[cands, col]
-    return _argmax(cands, scores, rng)
-
-
-def pick_redlearn(state: ObserverState, model: TrainedModel, rng: random.Random) -> Decision:
-    """Pick the candidate the classifier rates most likely red.
-
-    A fallback model (single-class training data so far) delegates the
-    whole decision to the most-red-neighbors ranking, the strongest
-    non-learning baseline when reds cluster.
+    `==` compares identity: field-by-field equality over arrays would raise.
     """
-    if model.fallback:
-        return _pick_by_counts("mrn", state, rng)
-    cands = _frontier(state)
-    return _argmax(cands, predict_many(model, state.features_matrix(cands)), rng)
+
+    chosen: int
+    candidates: np.ndarray
+    scores: np.ndarray
 
 
 def pick(strategy: str, state: ObserverState, rng: random.Random,
          model: TrainedModel | None = None) -> Decision:
-    """Dispatch by strategy name (see STRATEGY_NAMES)."""
-    if strategy == "redlearn":
-        if model is None:
-            raise ValueError("redlearn needs a trained (or fallback) model")
-        return pick_redlearn(state, model, rng)
-    if strategy not in _SCORE_COLUMNS:
+    """Score the frontier by `strategy` (see STRATEGY_NAMES) and choose
+    uniformly among the top-scoring candidates, taken in ascending id order.
+
+    Raises ValueError for a redlearn pick without a model or an unknown
+    strategy, then ExplorationExhausted if the frontier is empty.
+    """
+    if strategy == "redlearn" and model is None:
+        raise ValueError("redlearn needs a trained (or fallback) model")
+    if strategy not in STRATEGY_NAMES:
         raise ValueError(f"unknown strategy {strategy!r}: expected one of {STRATEGY_NAMES}")
-    return _pick_by_counts(strategy, state, rng)
+    cands = state.frontier()
+    if not len(cands):
+        raise ExplorationExhausted("candidate set is empty")
+    if strategy == "redlearn" and not model.fallback:
+        scores = predict_many(model, state.features_matrix(cands))
+    else:
+        say = state.counts.say
+        scores = np.zeros(len(cands), dtype=np.int64)
+        for col in _SCORE_COLUMNS["mrn" if strategy == "redlearn" else strategy]:
+            scores += say[cands, col]
+    return Decision(int(rng.choice(cands[scores == scores.max()])), cands, scores)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from redcrawl import FEATURE_NAMES, Color, TrainedModel, TrainingSet, WorldGraph
+from redcrawl import FEATURE_NAMES, Color, LyingScenario, TrainedModel, TrainingSet, WorldGraph
 
 # The observer's color codes, as used to index its arrays.
 RED, BLUE = 0, 1
@@ -64,6 +64,33 @@ def make_world(n, edges, red=(), hierarchy=None, name="test") -> WorldGraph:
     )
     g.validate()
     return g
+
+
+def lie_probability(speaker: int, subject: int, world: WorldGraph, honesty: list[float],
+                    scenario: LyingScenario) -> float:
+    """Probability that `speaker` misstates `subject`'s color, one claim at a time.
+
+    The scalar reference for `Oracle.place_monitor`: a pure function of
+    the world's colors and hierarchy and the per-node `honesty`; requires
+    the pair to be adjacent.
+    """
+    if subject not in world.adjacency[speaker]:
+        raise ValueError(f"lie_probability requires adjacent nodes, got ({speaker}, {subject})")
+    speaker_color = world.colors[speaker]
+    subject_color = world.colors[subject]
+    if speaker_color is Color.BLUE and scenario is LyingScenario.LS2:
+        return 1.0 if subject_color is Color.RED else 0.0
+    dishonesty = 1.0 - honesty[speaker]
+    if subject_color is Color.RED:
+        p = dishonesty * world.hierarchy[subject] / world.hierarchy[speaker]
+    else:
+        p = dishonesty
+    return min(p, 1.0)
+
+
+def scores_of(decision) -> dict:
+    """A Decision's scores as a candidate -> score dict, in frontier order."""
+    return dict(zip(decision.candidates.tolist(), decision.scores.tolist()))
 
 
 def identity_model(weights, bias=0.0) -> TrainedModel:

@@ -23,7 +23,6 @@ from redcrawl import (
     assign_honesty,
     fit,
     generate_synthetic,
-    lie_probability,
     predict_many,
     remove_red_red_edges,
     run_experiment,
@@ -36,6 +35,7 @@ from helpers import (
     brute_verified,
     have_noordin,
     identity_model,
+    lie_probability,
     noordin_paths,
     ordered_inferred_red,
     training_set,

@@ -28,7 +28,7 @@ from redcrawl import (
     summarize,
 )
 from redcrawl.cli import main as cli_main
-from helpers import brute_features, brute_knowledge, brute_verified, make_world
+from helpers import brute_features, brute_knowledge, brute_verified, make_world, scores_of
 
 
 def star_world():
@@ -101,7 +101,7 @@ class TestRunSingle:
         def audit(state, decision):
             cands = set(state.candidates())
             assert decision.chosen in cands
-            assert set(decision.scores) == cands
+            assert set(scores_of(decision)) == cands
             seen.append(decision.chosen)
 
         trace = run_single(
@@ -134,8 +134,8 @@ class TestRunSingle:
                 rows = np.array([state.features(v) for v in cands])
                 want = predict_many(model, rows).tolist()
                 learned.append(decision.chosen)
-            assert list(decision.scores) == cands
-            assert list(decision.scores.values()) == want
+            assert list(scores_of(decision)) == cands
+            assert list(scores_of(decision).values()) == want
 
         monkeypatch.setattr(harness, "fit", recording_fit)
         world = generate_synthetic(80, 0.15, "homophily", 4)
@@ -145,7 +145,8 @@ class TestRunSingle:
 
     def test_pick_of_monitored_node_raises(self, monkeypatch):
         world = star_world()
-        monkeypatch.setattr(harness, "pick", lambda strategy, state, rng, model=None: Decision(0, {0: 0.0}))
+        monkeypatch.setattr(harness, "pick", lambda strategy, state, rng, model=None:
+                            Decision(0, np.array([0]), np.array([0.0])))
         with pytest.raises(ValueError, match="'mrn' picked node 0, which is already monitored"):
             run_single(world, "mrn", LyingScenario.LS1, 0, seed=3, budget=5)
 
@@ -309,6 +310,18 @@ class TestExperimentConfig:
         path = tmp_path / "exp.cfg"
         path.write_text(f"synthetic_mode = homophily\nstrategies = redlearn\n{line}\n")
         with pytest.raises(ValueError, match="must be finite and non-negative"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_validation_rejects_max_iter_below_one(self, value):
+        with pytest.raises(ValueError, match=f"max_iter must be at least 1, got {value}"):
+            ExperimentConfig(synthetic_mode="homophily", max_iter=value).validate()
+
+    @pytest.mark.parametrize("line", ["max_iter = 0", "max_iter = -3"])
+    def test_config_file_with_max_iter_below_one_rejected(self, tmp_path, line):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"synthetic_mode = homophily\nstrategies = redlearn\n{line}\n")
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
             parse_config(path)
 
     def test_zero_fit_params_accepted(self):

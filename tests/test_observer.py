@@ -77,6 +77,11 @@ class TestIngest:
         assert state.monitored == {0: Color.RED}
         assert state.candidates() == [1]
 
+    @pytest.mark.parametrize("start", [-1, -3])
+    def test_negative_start_rejected(self, start):
+        with pytest.raises(ValueError, match=rf"start node {start} is not a node id"):
+            ObserverState(start)
+
     def test_double_ingest_rejected(self):
         state = ObserverState(0)
         state.ingest(report(0, Color.RED, {1: Color.BLUE}))

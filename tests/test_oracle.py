@@ -12,9 +12,8 @@ from redcrawl import (
     Oracle,
     assign_honesty,
     generate_synthetic,
-    lie_probability,
 )
-from helpers import make_world
+from helpers import lie_probability, make_world
 
 
 def two_node_world(speaker_color, subject_color, h_speaker, l_speaker=1.0, l_subject=1.0):

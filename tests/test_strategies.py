@@ -2,6 +2,7 @@
 
 import copy
 import random
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -18,10 +19,9 @@ from redcrawl import (
     assign_honesty,
     generate_synthetic,
     pick,
-    pick_redlearn,
     predict_many,
 )
-from helpers import brute_features, brute_knowledge, brute_verified, identity_model
+from helpers import brute_features, brute_knowledge, brute_verified, identity_model, scores_of
 
 
 def report(target, color, neighbor_colors):
@@ -47,7 +47,7 @@ class TestSmartRandom:
         state.ingest(report(0, Color.RED, {1: Color.BLUE}))
         decision = pick("sr", state, random.Random(0))
         assert decision.chosen == 1
-        assert decision.scores == {1: 0.0}
+        assert scores_of(decision) == {1: 0.0}
 
     def test_uniform_over_candidates(self, four_candidate_state):
         rng = random.Random(42)
@@ -72,7 +72,7 @@ class TestRedScore:
         state.ingest(report(5, Color.BLUE, {0: Color.BLUE, 1: Color.BLUE, 2: Color.RED}))
         decision = pick("rs", state, random.Random(0))
         assert decision.chosen == 2
-        assert decision.scores[2] == 3.0
+        assert scores_of(decision)[2] == 3.0
 
     def test_all_zero_scores_fall_back_to_uniform(self, four_candidate_state):
         state = ObserverState(0)
@@ -96,7 +96,7 @@ class TestRedScore:
             if v in state.observed_nodes:
                 state.ingest(oracle.place_monitor(v))
         decision = pick("rs", state, random.Random(1))
-        assert all(score == 0.0 for score in decision.scores.values())
+        assert all(score == 0.0 for score in scores_of(decision).values())
 
 
 class TestMostRedSayRed:
@@ -108,7 +108,7 @@ class TestMostRedSayRed:
         decision = pick("mrsr", state, random.Random(0))
         # node 3: reds 0 and 1 say red, blue 2's claim does not count
         assert decision.chosen == 3
-        assert decision.scores[3] == 2.0
+        assert scores_of(decision)[3] == 2.0
 
     def test_no_red_monitors_uniform(self):
         state = ObserverState(0)
@@ -126,7 +126,7 @@ class TestMostRedNeighbors:
         # 4 is adjacent to both monitored reds, 5 to one
         decision = pick("mrn", state, random.Random(0))
         assert decision.chosen == 4
-        assert decision.scores == {4: 2.0, 5: 1.0}
+        assert scores_of(decision) == {4: 2.0, 5: 1.0}
 
     def test_chases_blues_when_homophily_removed(self):
         # with no red-red edges every neighbor of a monitored red is blue
@@ -138,7 +138,7 @@ class TestMostRedNeighbors:
         rng = random.Random(2)
         for _ in range(10):
             decision = pick("mrn", state, rng)
-            if decision.scores[decision.chosen] > 0:
+            if scores_of(decision)[decision.chosen] > 0:
                 assert world.colors[decision.chosen] is Color.BLUE
             state.ingest(oracle.place_monitor(decision.chosen))
 
@@ -146,12 +146,12 @@ class TestMostRedNeighbors:
 class TestRedLearnPick:
     def test_zero_weight_model_gives_uniform_half_scores(self, four_candidate_state):
         model = identity_model(np.zeros(9))
-        decision = pick_redlearn(four_candidate_state, model, random.Random(0))
-        assert all(score == 0.5 for score in decision.scores.values())
+        decision = pick("redlearn", four_candidate_state, random.Random(0), model)
+        assert all(score == 0.5 for score in scores_of(decision).values())
         rng = random.Random(8)
         counts = {v: 0 for v in (1, 2, 3, 4)}
         for _ in range(8000):
-            counts[pick_redlearn(four_candidate_state, model, rng).chosen] += 1
+            counts[pick("redlearn", four_candidate_state, rng, model).chosen] += 1
         for v in counts:
             assert abs(counts[v] / 8000 - 0.25) < 0.02
 
@@ -161,11 +161,12 @@ class TestRedLearnPick:
         state.ingest(report(3, Color.RED, {0: Color.RED, 4: Color.BLUE, 5: Color.BLUE}))
         # weight large enough to dominate, small enough not to saturate
         model = identity_model([5.0] + [0.0] * 8)
-        learned = pick_redlearn(state, model, random.Random(1))
+        learned = pick("redlearn", state, random.Random(1), model)
         greedy = pick("mrn", state, random.Random(1))
         assert learned.chosen == greedy.chosen
-        ranked_l = sorted(learned.scores, key=learned.scores.get)
-        ranked_g = sorted(greedy.scores, key=greedy.scores.get)
+        learned_scores, greedy_scores = scores_of(learned), scores_of(greedy)
+        ranked_l = sorted(learned_scores, key=learned_scores.get)
+        ranked_g = sorted(greedy_scores, key=greedy_scores.get)
         assert ranked_l == ranked_g
 
     def test_fallback_model_behaves_as_mrn(self):
@@ -173,7 +174,11 @@ class TestRedLearnPick:
         state.ingest(report(0, Color.RED, {3: Color.BLUE, 4: Color.BLUE}))
         state.ingest(report(3, Color.RED, {0: Color.RED, 4: Color.BLUE, 5: Color.BLUE}))
         fallback = TrainedModel(weights=None, bias=0.0, mean=None, scale=None, fallback=True)
-        assert pick_redlearn(state, fallback, random.Random(7)) == pick("mrn", state, random.Random(7))
+        got = pick("redlearn", state, random.Random(7), fallback)
+        want = pick("mrn", state, random.Random(7))
+        assert got.chosen == want.chosen
+        assert np.array_equal(got.candidates, want.candidates)
+        assert np.array_equal(got.scores, want.scores)
 
     def test_dispatch_requires_model(self, four_candidate_state):
         with pytest.raises(ValueError, match="model"):
@@ -196,8 +201,9 @@ class TestCommonContracts:
         decision = pick(strategy, state, random.Random(4), model=model)
         cands = set(state.candidates())
         assert decision.chosen in cands
-        assert set(decision.scores) == cands
-        assert decision.scores[decision.chosen] == max(decision.scores.values())
+        scores = scores_of(decision)
+        assert set(scores) == cands
+        assert scores[decision.chosen] == max(scores.values())
         after = state.__dict__
         assert after.keys() == before.keys()
         for k, v in after.items():
@@ -206,6 +212,16 @@ class TestCommonContracts:
     def test_unknown_strategy_rejected(self, four_candidate_state):
         with pytest.raises(ValueError, match="unknown strategy"):
             pick("bfs", four_candidate_state, random.Random(0))
+
+    def test_bad_arguments_rejected_before_an_empty_frontier(self):
+        state = ObserverState(0)
+        state.ingest(report(0, Color.RED, {}))
+        with pytest.raises(ValueError, match="model"):
+            pick("redlearn", state, random.Random(0))
+        with pytest.raises(ValueError, match="unknown strategy"):
+            pick("bfs", state, random.Random(0))
+        with pytest.raises(ExplorationExhausted):
+            pick("redlearn", state, random.Random(0), identity_model(np.zeros(9)))
 
     def test_tie_break_uniform_over_tied_subset_only(self):
         state = ObserverState(0)
@@ -258,7 +274,7 @@ class TestArrayPicksMatchScalarReference:
             assert decision.chosen == want_chosen
             assert type(decision.chosen) is int
             assert rng.getstate() == ref_rng.getstate()
-            assert dict(decision.scores) == want_scores
+            assert scores_of(decision) == want_scores
             state.ingest(oracle.place_monitor(decision.chosen))
 
 
@@ -281,11 +297,11 @@ class TestDecisionScores:
             decision = pick(strategy, state, rng, model=model)
             assert len(decision.scores) == len(cands)
             state.ingest(oracle.place_monitor(decision.chosen))
-            assert dict(decision.scores) == want
-            assert list(decision.scores) == cands
+            assert scores_of(decision) == want
+            assert list(scores_of(decision)) == cands
 
     def test_scores_are_read_only(self, four_candidate_state):
-        scores = pick("mrn", four_candidate_state, random.Random(0)).scores
-        with pytest.raises(TypeError):
-            scores[1] = 5.0
-        assert scores == {1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0}
+        decision = pick("mrn", four_candidate_state, random.Random(0))
+        with pytest.raises(FrozenInstanceError):
+            decision.scores = np.zeros(4)
+        assert scores_of(decision) == {1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0}
