@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import RED
 from .observer import ObserverState
 
 
@@ -72,8 +73,7 @@ def build_training_set(state: ObserverState) -> TrainingSet:
     ids = [r.target for r in state.report_log]
     if not ids:
         raise ValueError("cannot build a training set with no monitored nodes")
-    # Color code 0 is red.
-    labels = (state.counts.color[ids] == 0).astype(float)
+    labels = (state.counts.color[ids] == RED).astype(float)
     return TrainingSet(rows=state.features_matrix(ids, allow_monitored=True), labels=labels)
 
 

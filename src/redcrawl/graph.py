@@ -35,12 +35,30 @@ class GraphLoadError(ValueError):
     """Raised when an edge/node file pair cannot be turned into a valid graph."""
 
 
+# The int code of each color wherever colors sit in arrays: a report's
+# claims, the observer's counters and the classifier's labels. Color.code
+# and Color.from_code convert.
+RED, BLUE = 0, 1
+
+
 class Color(enum.Enum):
     RED = "red"
     BLUE = "blue"
 
     def flip(self) -> "Color":
         return Color.BLUE if self is Color.RED else Color.RED
+
+    @property
+    def code(self) -> int:
+        return BLUE if self is Color.BLUE else RED
+
+    @classmethod
+    def from_code(cls, code: int) -> "Color":
+        if code == RED:
+            return cls.RED
+        if code == BLUE:
+            return cls.BLUE
+        raise ValueError(f"unknown color code {code!r}: expected {RED} (red) or {BLUE} (blue)")
 
     @classmethod
     def parse(cls, text: str) -> "Color":

@@ -121,9 +121,11 @@ class ExperimentConfig:
             raise ValueError("runs must be at least 1")
         if not 0.0 < self.budget_fraction <= 1.0:
             raise ValueError("budget_fraction must be in (0, 1]")
+        if not self.budget_tiers:
+            raise ValueError("budget_tiers must name at least one tier")
         for tier in self.budget_tiers:
-            if not 0.0 < tier <= 1.0:
-                raise ValueError(f"budget tier {tier} outside (0, 1]")
+            if not 0.0 < tier <= self.budget_fraction:
+                raise ValueError(f"budget tier {tier:g} outside (0, budget_fraction = {self.budget_fraction:g}]")
         if self.retrain_every < 1:
             raise ValueError("retrain_every must be at least 1")
         if self.max_iter < 1:

@@ -18,8 +18,10 @@ said color), its red triangles, its monitored color and whether it is
 on the frontier. The frontier is kept incrementally, so `frontier()` and
 `candidates()` read one mask, and the known red and blue neighbor counts
 derive from the claim counts, because every monitored neighbor makes
-exactly one claim about a node. Colors are coded 0 = red and 1 = blue
-throughout the arrays, the verified table included. `observed_nodes` and
+exactly one claim about a node. Colors are coded graph.RED (0) and
+graph.BLUE (1) throughout the arrays, the verified table included; a
+report's statements arrive in the same codes, so ingest indexes the
+counters with a report's two arrays as they are. `observed_nodes` and
 `monitored` are read-only views rebuilt on every read; the step loop
 never reads them. `features_matrix` gathers one float row per node from
 the arrays, computing the trust table once; `features(v)` is that
@@ -34,7 +36,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .graph import Color
+from .graph import RED, Color
 from .oracle import MonitorReport
 
 FEATURE_NAMES = (
@@ -49,8 +51,8 @@ FEATURE_NAMES = (
     "inferred_red",
 )
 
-# Column layout of the per-node claim counts: (speaker color, said color),
-# with Color 0 = red and 1 = blue, so a claim's column is 2 * speaker + said.
+# Column layout of the per-node claim counts: (speaker color, said color)
+# in the RED (0) / BLUE (1) codes, so a claim's column is 2 * speaker + said.
 RSR, RSB, BSR, BSB = 0, 1, 2, 3
 
 
@@ -166,19 +168,17 @@ class ObserverState:
             raise ValueError(f"node {t} is already monitored")
         if not (inside and c.frontier[t]):
             raise ValueError(f"node {t} has not been observed; monitors go on observed nodes")
-        t_color = report.true_color
-        t_code = int(t_color is Color.BLUE)
-        c.reserve(max((t, *report.neighbors)))
+        t_code = report.true_color.code
+        nbrs, said = report.neighbors, report.statements
+        c.reserve(max(t, nbrs[-1]) if len(nbrs) else t)  # neighbors ascend
         c.color[t] = t_code
         c.frontier[t] = False
 
-        nbrs = np.array(report.neighbors, dtype=np.intp)
-        blue = Color.BLUE
-        said = np.array([s is blue for s in report.statements], dtype=np.intp)
         c.say[nbrs, 2 * t_code + said] += 1
-        if t_color is Color.RED:
-            t_nbrs = set(report.neighbors)
-            red_sets = [self._red_mon_nbrs.setdefault(v, set()) for v in report.neighbors]
+        if t_code == RED:
+            subjects = nbrs.tolist()
+            t_nbrs = set(subjects)
+            red_sets = [self._red_mon_nbrs.setdefault(v, set()) for v in subjects]
             c.triangles[nbrs] += np.array([len(known & t_nbrs) for known in red_sets], dtype=np.int64)
             for known in red_sets:
                 known.add(t)
@@ -204,7 +204,7 @@ class ObserverState:
         verified ratio as counts grow.
         """
         v = self.verified_counts
-        return (v[..., 0] + 1) / (v.sum(-1) + 2)
+        return (v[..., RED] + 1) / (v.sum(-1) + 2)
 
     def features(self, v: int, allow_monitored: bool = False) -> np.ndarray:
         """Feature row of node `v` from current knowledge: `features_matrix([v])[0]`.
@@ -254,12 +254,13 @@ class ObserverState:
         """Write the report log as JSON lines, one report per line."""
         with open(path, "w", encoding="utf-8") as fh:
             for report in self.report_log:
+                neighbors = report.neighbors.tolist()
                 fh.write(json.dumps({
                     "target": report.target,
                     "true_color": report.true_color.value,
-                    "neighbors": list(report.neighbors),
+                    "neighbors": neighbors,
                     "statements": [
-                        {"subject": v, "said": said.value}
-                        for v, said in zip(report.neighbors, report.statements)
+                        {"subject": v, "said": Color.from_code(said).value}
+                        for v, said in zip(neighbors, report.statements.tolist())
                     ],
                 }) + "\n")

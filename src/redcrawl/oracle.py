@@ -17,7 +17,9 @@ neighbor with probability (1 - H). A lie states the flipped color. Each
 monitor's answers never changes them.
 
 The world is fixed across runs; the per-run honesty vector lives in the
-run's Oracle. A claim is just the stated Color, aligned with neighbors.
+run's Oracle. A report's claims are one array of color codes (graph.RED
+or graph.BLUE, as int8) aligned with its ascending neighbor array, and
+one placement draws them all with a few array operations.
 """
 
 from __future__ import annotations
@@ -25,8 +27,11 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
 
-from .graph import Color, WorldGraph
+import numpy as np
+
+from .graph import BLUE, Color, WorldGraph
 
 HONESTY_MEAN = 0.5
 HONESTY_SD = 0.125
@@ -47,18 +52,20 @@ class LyingScenario(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonitorReport:
     """Everything one monitor placement reveals.
 
-    `statements[i]` is the color the target states for `neighbors[i]`;
-    neighbor lists are always the true topology, in ascending id order.
+    `neighbors` is the target's true neighbor ids as an ascending int
+    array, and `statements[i]` the int8 color code the target states for
+    `neighbors[i]`. The oracle hands both out read-only. Reports have no
+    `==`, since arrays do not compare to one bool.
     """
 
     target: int
     true_color: Color
-    neighbors: tuple[int, ...]
-    statements: tuple[Color, ...]
+    neighbors: np.ndarray
+    statements: np.ndarray
 
 
 def assign_honesty(world: WorldGraph, rng: random.Random) -> list[float]:
@@ -79,8 +86,8 @@ class Oracle:
     Holds the shared world, this run's honesty (see assign_honesty), the
     scenario, and a seeded stream for the lie draws. Claims are drawn
     lazily, one Bernoulli draw per (speaker, subject) in ascending subject
-    order, and cached in `issued` so a repeated placement returns the
-    identical report. One oracle per run; distinct runs with distinct
+    order, and cached in `issued` as color codes, so a repeated placement
+    returns equal arrays. One oracle per run; distinct runs with distinct
     oracles can execute in parallel.
     """
 
@@ -88,42 +95,48 @@ class Oracle:
     honesty: list[float]
     scenario: LyingScenario
     rng: random.Random
-    issued: dict[tuple[int, int], Color] = field(default_factory=dict)
+    issued: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if len(self.honesty) != self.world.n or not all(0.0 <= h <= 1.0 for h in self.honesty):
             raise ValueError(f"honesty needs one value in [0, 1] for each of the {self.world.n} nodes")
+        # The world's colors and ranks as arrays, gathered by each placement.
+        self._codes = np.array([c.code for c in self.world.colors], dtype=np.int8)
+        self._ranks = np.array(self.world.hierarchy, dtype=float)
 
     def place_monitor(self, target: int) -> MonitorReport:
         """Answer a monitor placement on `target`.
 
-        Each uncached claim's lie probability follows the module docstring,
-        computed from the speaker's values read once per placement.
+        The lie probabilities follow the module docstring, computed
+        elementwise in the scalar formula's order, so each claim's float
+        matches it bit for bit. No clamp to 1 is needed: every draw is
+        below 1, so `draw < min(p, 1)` exactly when `draw < p`.
         """
         world = self.world
         if not 0 <= target < world.n:
             raise ValueError(f"unknown node id {target}")
-        colors, hierarchy, issued, rand = world.colors, world.hierarchy, self.issued, self.rng.random
-        neighbors = tuple(sorted(world.adjacency[target]))
-        blind = colors[target] is Color.BLUE and self.scenario is LyingScenario.LS2
-        dishonesty = 1.0 - self.honesty[target]
-        speaker_rank = hierarchy[target]
-        statements = []
-        for v in neighbors:
-            said = issued.get((target, v))
-            if said is None:
-                true = colors[v]
-                if blind:
-                    p = 1.0 if true is Color.RED else 0.0
-                elif true is Color.RED:
-                    p = min(dishonesty * hierarchy[v] / speaker_rank, 1.0)
-                else:
-                    p = min(dishonesty, 1.0)
-                said = issued[(target, v)] = true.flip() if rand() < p else true
-            statements.append(said)
-        return MonitorReport(
-            target=target,
-            true_color=colors[target],
-            neighbors=neighbors,
-            statements=tuple(statements),
-        )
+        true_color = world.colors[target]
+        adjacent = world.adjacency[target]
+        neighbors = np.fromiter(adjacent, dtype=np.intp, count=len(adjacent))
+        neighbors.sort()
+        subjects = neighbors.tolist()
+        issued = self.issued
+        if subjects and (target, subjects[0]) in issued:
+            said = np.array([issued[target, v] for v in subjects], dtype=np.int8)
+        else:
+            said = self._codes[neighbors]
+            # One rng.random() per claim, in ascending subject order; random() never returns 1.0.
+            draws = np.fromiter(iter(self.rng.random, 1.0), dtype=float, count=len(subjects))
+            if true_color is Color.BLUE and self.scenario is LyingScenario.LS2:
+                said.fill(BLUE)  # calls every neighbor blue, after the same draws
+            else:
+                dishonesty = 1.0 - self.honesty[target]
+                p = self._ranks[neighbors]
+                p *= dishonesty
+                p /= world.hierarchy[target]
+                np.putmask(p, said, dishonesty)  # the codes are 1 where the subject is blue
+                said ^= draws < p
+            issued.update(zip(zip(repeat(target), subjects), said.tolist()))
+        neighbors.setflags(write=False)
+        said.setflags(write=False)
+        return MonitorReport(target=target, true_color=true_color, neighbors=neighbors, statements=said)

@@ -13,11 +13,15 @@ from pathlib import Path
 
 import numpy as np
 
-from redcrawl import FEATURE_NAMES, Color, LyingScenario, TrainedModel, TrainingSet, WorldGraph
-
-# The observer's color codes, as used to index its arrays.
-RED, BLUE = 0, 1
-CODE = {Color.RED: RED, Color.BLUE: BLUE}
+from redcrawl import (
+    FEATURE_NAMES,
+    Color,
+    LyingScenario,
+    MonitorReport,
+    TrainedModel,
+    TrainingSet,
+    WorldGraph,
+)
 
 NOORDIN_DIR = Path(os.environ.get(
     "REDCRAWL_NOORDIN_DIR",
@@ -64,6 +68,22 @@ def make_world(n, edges, red=(), hierarchy=None, name="test") -> WorldGraph:
     )
     g.validate()
     return g
+
+
+def report(target, color, neighbor_colors) -> MonitorReport:
+    """Hand-rolled report from a {neighbor: said Color} dict."""
+    neighbors = sorted(neighbor_colors)
+    return MonitorReport(
+        target=target,
+        true_color=color,
+        neighbors=np.array(neighbors, dtype=np.intp),
+        statements=np.array([neighbor_colors[v].code for v in neighbors], dtype=np.int8),
+    )
+
+
+def report_fields(rep) -> tuple:
+    """A report's fields as plain values; reports have no `==` of their own."""
+    return rep.target, rep.true_color, rep.neighbors.tolist(), rep.statements.tolist()
 
 
 def lie_probability(speaker: int, subject: int, world: WorldGraph, honesty: list[float],
@@ -113,7 +133,7 @@ def named(row) -> dict[str, float]:
 def verified_dict(verified_counts) -> dict:
     """The observer's (2, 2, 2) verified array as brute_verified's Color-keyed dict."""
     return {
-        (sp, said, sub): int(verified_counts[CODE[sp], CODE[said], CODE[sub]])
+        (sp, said, sub): int(verified_counts[sp.code, said.code, sub.code])
         for sp in Color for said in Color for sub in Color
     }
 
@@ -123,7 +143,10 @@ def _pair(u, v):
 
 
 def brute_knowledge(start, reports):
-    """Observed nodes/edges, monitored colors, and statements, by definition."""
+    """Observed nodes/edges, monitored colors, and statements, by definition.
+
+    Statements come back keyed (speaker, subject) with the said Color.
+    """
     observed = {start}
     edges = set()
     monitored = {}
@@ -131,11 +154,12 @@ def brute_knowledge(start, reports):
     for rep in reports:
         monitored[rep.target] = rep.true_color
         observed.add(rep.target)
-        for v in rep.neighbors:
+        neighbors = rep.neighbors.tolist()
+        for v in neighbors:
             observed.add(v)
             edges.add(_pair(rep.target, v))
-        for v, said in zip(rep.neighbors, rep.statements):
-            statements[(rep.target, v)] = said
+        for v, said in zip(neighbors, rep.statements.tolist()):
+            statements[(rep.target, v)] = Color.from_code(said)
     return observed, edges, monitored, statements
 
 

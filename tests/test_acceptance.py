@@ -85,14 +85,14 @@ def test_criterion_1_lying_model_fidelity():
             p = lie_probability(0, 1, world, honesty, scenario)
             oracle = Oracle(world, honesty, scenario, random.Random(rng.getrandbits(64)))
             report = oracle.place_monitor(0)
-            lies = sum(1 for said in report.statements if said is not subject_color)
+            lies = int((report.statements != subject_color.code).sum())
             sigma = math.sqrt(p * (1.0 - p) / leaves)
             assert abs(lies / leaves - p) <= 3.0 * sigma + 1e-12, (
                 f"case {case}: freq {lies / leaves} vs p {p}"
             )
             if scenario is LyingScenario.LS2 and speaker_color is Color.BLUE:
                 ls2_blue_statements += leaves
-                ls2_blue_said_blue += sum(1 for said in report.statements if said is Color.BLUE)
+                ls2_blue_said_blue += int((report.statements == Color.BLUE.code).sum())
         assert ls2_blue_statements > 0
         assert ls2_blue_said_blue == ls2_blue_statements, "an LS2 blue speaker said red"
         elapsed = time.perf_counter() - t0

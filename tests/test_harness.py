@@ -293,6 +293,11 @@ class TestExperimentConfig:
             ExperimentConfig(synthetic_mode="homophily", budget_fraction=1.5).validate()
         with pytest.raises(ValueError, match="tier"):
             ExperimentConfig(synthetic_mode="homophily", budget_tiers=[0.0]).validate()
+        # a tier past the budget would repeat the last row as if runs ran short
+        with pytest.raises(ValueError, match=r"budget tier 0.5 outside \(0, budget_fraction = 0.1\]"):
+            ExperimentConfig(synthetic_mode="homophily", budget_fraction=0.1, budget_tiers=[0.1, 0.5]).validate()
+        with pytest.raises(ValueError, match="budget_tiers must name at least one tier"):
+            ExperimentConfig(synthetic_mode="homophily", budget_tiers=[]).validate()
         with pytest.raises(ValueError, match="at least one strategy"):
             ExperimentConfig(synthetic_mode="homophily", strategies=[]).validate()
         with pytest.raises(ValueError, match="must not repeat"):
@@ -333,6 +338,24 @@ class TestExperimentConfig:
         path.write_text(f"synthetic_mode = homophily\n{line}\nruns = 2\n")
         with pytest.raises(ValueError, match="strateg"):
             parse_config(path)
+
+    @pytest.mark.parametrize("lines, match", [
+        ("budget_fraction = 0.1\nbudget_tiers = 0.1,0.5", "budget tier 0.5"),
+        ("budget_tiers =", "at least one tier"),
+    ], ids=["tier_above_budget", "no_tiers"])
+    def test_config_file_with_bad_tiers_rejected(self, tmp_path, lines, match):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"synthetic_mode = homophily\n{lines}\n")
+        with pytest.raises(ValueError, match=match):
+            parse_config(path)
+
+    def test_cli_budget_below_a_tier_rejected(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("synthetic_mode = homophily\nsynthetic_n = 30\nruns = 2\nbudget_tiers = 0.1,0.5\n")
+        out = tmp_path / "results"
+        with pytest.raises(ValueError, match="budget tier 0.5"):
+            cli_main(["run", "--config", str(path), "--budget-fraction", "0.1", "--out", str(out)])
+        assert not out.exists()
 
     def test_cli_strategy_override_with_repeat_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -418,6 +441,10 @@ class TestRunExperiment:
         run_experiment(config)
         logs = sorted((tmp_path / "out").glob("reports_*_run0.jsonl"))
         assert [p.name for p in logs] == ["reports_mrn_run0.jsonl", "reports_sr_run0.jsonl"]
+        # sha256 of the mrn log for this config: a refactor leaves the dump's bytes as they are
+        assert hashlib.sha256(logs[0].read_bytes()).hexdigest() == (
+            "28a40b80eeefbf8b4699edd50b48d53c3df15dbdc4c4fe7cc4f7b3c822a4ca76"
+        )
 
     # sha256 of traces.csv and summary.csv for the config below. A refactor
     # must leave them as they are; a deliberate behaviour change records

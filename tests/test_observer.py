@@ -9,36 +9,23 @@ from redcrawl import (
     FEATURE_NAMES,
     Color,
     LyingScenario,
-    MonitorReport,
     ObserverState,
     Oracle,
     generate_synthetic,
 )
+from redcrawl.graph import BLUE, RED
 from helpers import (
-    BLUE,
-    CODE,
-    RED,
     brute_features,
     brute_knowledge,
     brute_trust,
     brute_verified,
     named,
     ordered_inferred_red,
+    report,
     verified_dict,
 )
 
 INFERRED_RED = FEATURE_NAMES.index("inferred_red")
-
-
-def report(target, color, neighbor_colors):
-    """Hand-rolled report: {neighbor: said_color}."""
-    neighbors = tuple(sorted(neighbor_colors))
-    return MonitorReport(
-        target=target,
-        true_color=color,
-        neighbors=neighbors,
-        statements=tuple(neighbor_colors[v] for v in neighbors),
-    )
 
 
 def crawl(world, honesty, scenario, start, n_monitors, seed):
@@ -157,7 +144,7 @@ class TestConditionalTrust:
         state = ObserverState(0)
         for speaker_color in Color:
             for said in Color:
-                assert state.trust()[CODE[speaker_color], CODE[said]] == 0.5
+                assert state.trust()[speaker_color.code, said.code] == 0.5
 
     def test_smoothed_ratio(self):
         state = ObserverState(0)
@@ -300,7 +287,7 @@ class TestBruteForceEquivalence:
             assert verified_dict(state.verified_counts) == verified
             for speaker_color in Color:
                 for said in Color:
-                    assert state.trust()[CODE[speaker_color], CODE[said]] == pytest.approx(
+                    assert state.trust()[speaker_color.code, said.code] == pytest.approx(
                         brute_trust(verified, speaker_color, said)
                     )
             cands = state.candidates()

@@ -4,6 +4,7 @@ import math
 import random
 import statistics
 
+import numpy as np
 import pytest
 
 from redcrawl import (
@@ -13,6 +14,7 @@ from redcrawl import (
     assign_honesty,
     generate_synthetic,
 )
+from redcrawl.graph import BLUE, RED
 from helpers import lie_probability, make_world
 
 
@@ -93,9 +95,8 @@ class TestPlaceMonitor:
         for target in range(g.n):
             report = oracle.place_monitor(target)
             assert report.true_color is g.colors[target]
-            assert report.neighbors == tuple(sorted(g.adjacency[target]))
-            for v, said in zip(report.neighbors, report.statements):
-                assert said is g.colors[v]
+            assert report.neighbors.tolist() == sorted(g.adjacency[target])
+            assert report.statements.tolist() == [g.colors[v].code for v in report.neighbors]
 
     def test_ls2_blue_target_says_all_blue(self):
         g = generate_synthetic(60, 0.2, "homophily", 2)
@@ -104,16 +105,16 @@ class TestPlaceMonitor:
         for target in range(g.n):
             if g.colors[target] is Color.BLUE:
                 report = oracle.place_monitor(target)
-                assert all(said is Color.BLUE for said in report.statements)
+                assert (report.statements == BLUE).all()
 
     def test_statement_alignment_and_speaker(self):
         g = generate_synthetic(30, 0.2, "homophily", 5)
         oracle = Oracle(g, [0.5] * g.n, LyingScenario.LS1, random.Random(1))
         report = oracle.place_monitor(3)
         assert len(report.statements) == len(report.neighbors)
-        for nbr, said in zip(report.neighbors, report.statements):
-            assert oracle.issued[(3, nbr)] is said
-            assert said in (g.colors[nbr], g.colors[nbr].flip())
+        for nbr, said in zip(report.neighbors.tolist(), report.statements.tolist()):
+            assert oracle.issued[(3, nbr)] == said
+            assert said in (RED, BLUE)
         assert len(oracle.issued) == len(report.neighbors)
 
     def test_repeat_placement_returns_cached_report(self):
@@ -123,7 +124,26 @@ class TestPlaceMonitor:
         # interleave other placements, then re-ask
         oracle.place_monitor(0)
         oracle.place_monitor(1)
-        assert oracle.place_monitor(5) == first
+        state = oracle.rng.getstate()
+        again = oracle.place_monitor(5)
+        assert oracle.rng.getstate() == state
+        assert again.target == first.target
+        assert again.true_color is first.true_color
+        assert np.array_equal(again.neighbors, first.neighbors)
+        assert np.array_equal(again.statements, first.statements)
+        assert again.statements.dtype == first.statements.dtype == np.int8
+
+    def test_report_arrays_are_read_only(self):
+        g = generate_synthetic(40, 0.2, "homophily", 8)
+        oracle = Oracle(g, [0.3] * g.n, LyingScenario.LS1, random.Random(4))
+        for report in (oracle.place_monitor(5), oracle.place_monitor(5)):
+            assert len(report.neighbors) > 0
+            with pytest.raises(ValueError, match="read-only"):
+                report.neighbors[0] = 1
+            with pytest.raises(ValueError, match="read-only"):
+                report.statements[0] = 1 - report.statements[0]
+            with pytest.raises(ValueError, match="read-only"):
+                report.statements.fill(RED)
 
     def test_unknown_node_rejected(self):
         g, h = two_node_world(Color.RED, Color.BLUE, 0.5)
@@ -145,7 +165,7 @@ class TestPlaceMonitor:
         for i in range(trials):
             g, h = two_node_world(Color.RED, Color.BLUE, h_speaker=0.5)
             oracle = Oracle(g, h, LyingScenario.LS1, random.Random(i))
-            if oracle.place_monitor(0).statements[0] is Color.RED:
+            if oracle.place_monitor(0).statements[0] == RED:
                 flips += 1
         assert abs(flips / trials - 0.5) < 0.015
 
@@ -173,7 +193,7 @@ class TestPlaceMonitor:
             p = lie_probability(0, 1, g, honesty, scenario)
             oracle = Oracle(g, honesty, scenario, random.Random(rng.getrandbits(32)))
             report = oracle.place_monitor(0)
-            lies = sum(1 for said in report.statements if said is not subject_color)
+            lies = int((report.statements != subject_color.code).sum())
             sigma = math.sqrt(p * (1 - p) / leaves)
             assert abs(lies / leaves - p) <= 3 * sigma + 1e-12
 
@@ -212,7 +232,44 @@ def test_place_monitor_matches_lie_probability_loop(scenario):
     for target in order:
         report = oracle.place_monitor(target)
         want = reference_place_monitor(world, honesty, scenario, ref_rng, target)
-        assert (report.neighbors, report.statements) == want
+        got = (tuple(report.neighbors.tolist()), tuple(map(Color.from_code, report.statements.tolist())))
+        assert got == want
         assert oracle.rng.getstate() == ref_rng.getstate()
-        assert all(oracle.issued[(target, v)] is said for v, said in zip(*want))
+        assert all(Color.from_code(oracle.issued[(target, v)]) is said for v, said in zip(*want))
     assert len(oracle.issued) == 2 * world.num_edges()
+
+
+class ScriptedRandom:
+    """Stands in for an oracle's random.Random: random() returns `values` in order."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+@pytest.mark.parametrize("scenario", [LyingScenario.LS1, LyingScenario.LS2])
+def test_lie_thresholds_match_lie_probability_bit_for_bit(scenario):
+    # A draw equal to p is no lie and the float just below p is one, so a
+    # probability one rounding step off lie_probability's flips a claim.
+    world = generate_synthetic(80, 0.3, "homophily", 5)
+    honesty = assign_honesty(world, random.Random(1))
+    for v in range(0, world.n, 4):
+        honesty[v] = 0.0
+    below_one = math.nextafter(1.0, 0.0)
+    for offset in (0.0, -math.inf):
+        draws, want = [], []
+        for target in range(world.n):
+            for v in sorted(world.adjacency[target]):
+                p = lie_probability(target, v, world, honesty, scenario)
+                # random() returns a float in [0, 1)
+                draw = min(max(math.nextafter(p, offset), 0.0) if offset else p, below_one)
+                draws.append(draw)
+                want.append(world.colors[v].flip() if draw < p else world.colors[v])
+        rng = ScriptedRandom(draws)
+        oracle = Oracle(world, honesty, scenario, rng)
+        got = [Color.from_code(said) for target in range(world.n)
+               for said in oracle.place_monitor(target).statements.tolist()]
+        assert got == want
+        assert next(rng.values, None) is None

@@ -12,7 +12,6 @@ from redcrawl import (
     Color,
     ExplorationExhausted,
     LyingScenario,
-    MonitorReport,
     ObserverState,
     Oracle,
     TrainedModel,
@@ -21,17 +20,15 @@ from redcrawl import (
     pick,
     predict_many,
 )
-from helpers import brute_features, brute_knowledge, brute_verified, identity_model, scores_of
-
-
-def report(target, color, neighbor_colors):
-    neighbors = tuple(sorted(neighbor_colors))
-    return MonitorReport(
-        target=target,
-        true_color=color,
-        neighbors=neighbors,
-        statements=tuple(neighbor_colors[v] for v in neighbors),
-    )
+from helpers import (
+    brute_features,
+    brute_knowledge,
+    brute_verified,
+    identity_model,
+    report,
+    report_fields,
+    scores_of,
+)
 
 
 @pytest.fixture
@@ -207,7 +204,10 @@ class TestCommonContracts:
         after = state.__dict__
         assert after.keys() == before.keys()
         for k, v in after.items():
-            assert np.array_equal(v, before[k]) if isinstance(v, np.ndarray) else v == before[k], k
+            if k == "report_log":
+                assert list(map(report_fields, v)) == list(map(report_fields, before[k]))
+            else:
+                assert np.array_equal(v, before[k]) if isinstance(v, np.ndarray) else v == before[k], k
 
     def test_unknown_strategy_rejected(self, four_candidate_state):
         with pytest.raises(ValueError, match="unknown strategy"):
