@@ -7,6 +7,13 @@ varies from run to run, so per-run honesty lives with the run's Oracle,
 not here. Node ids are dense integers in [0, n); external string labels
 from input files are remapped at load time and the label table is kept
 for reporting.
+
+A world is built once, by one constructor from color codes, rank scores
+and an array of undirected edges, into read-only arrays: a CSR of
+ascending neighbor ids, an int8 color code per node and a float rank per
+node. Nothing can write to it, so every oracle and every run shares the
+same world; the loader, the generator and the red-red transform all end
+in that constructor.
 """
 
 from __future__ import annotations
@@ -15,9 +22,10 @@ import csv
 import enum
 import logging
 import math
-from dataclasses import dataclass, field
-
 import random
+from array import array
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -54,11 +62,10 @@ class Color(enum.Enum):
 
     @classmethod
     def from_code(cls, code: int) -> "Color":
-        if code == RED:
-            return cls.RED
-        if code == BLUE:
-            return cls.BLUE
-        raise ValueError(f"unknown color code {code!r}: expected {RED} (red) or {BLUE} (blue)")
+        try:
+            return _COLOR_OF_CODE[code]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown color code {code!r}: expected {RED} (red) or {BLUE} (blue)") from None
 
     @classmethod
     def parse(cls, text: str) -> "Color":
@@ -71,68 +78,139 @@ class Color(enum.Enum):
         return self.value
 
 
-@dataclass
-class WorldGraph:
-    """Undirected simple graph with per-node color and rank score.
+_COLOR_OF_CODE = {RED: Color.RED, BLUE: Color.BLUE}
 
-    `adjacency[u]` is the set of neighbors of `u`; symmetry is an invariant
-    (`u in adjacency[v]` iff `v in adjacency[u]`), and there are no
-    self-loops. Treat instances as immutable after construction;
-    transforms return copies, so a loaded graph can be shared read-only
-    across concurrent runs.
+
+class _Adjacency:
+    """`adjacency[v]`: node `v`'s neighbor ids, an ascending read-only slice of the CSR."""
+
+    __slots__ = ("_indptr", "_indices")
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
+        self._indptr = indptr
+        self._indices = indices
+
+    def __len__(self) -> int:
+        return len(self._indptr) - 1
+
+    def __getitem__(self, v: int) -> np.ndarray:
+        if not 0 <= v < len(self._indptr) - 1:
+            raise IndexError(f"node id {v} out of range [0, {len(self._indptr) - 1})")
+        return self._indices[self._indptr[v]:self._indptr[v + 1]]
+
+
+class _Colors:
+    """`colors[v]`: node `v`'s color as a `Color`, read from the code array."""
+
+    __slots__ = ("_codes",)
+
+    def __init__(self, codes: np.ndarray) -> None:
+        self._codes = codes
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def __getitem__(self, v: int) -> Color:
+        return _COLOR_OF_CODE[self._codes[v]]
+
+
+_ARRAYS = ("codes", "hierarchy", "indptr", "indices")  # everything a world stores per node or edge
+
+
+class WorldGraph:
+    """Undirected simple graph with per-node color and rank score, as read-only arrays.
+
+    `codes[v]` is node `v`'s color code (RED or BLUE, int8) and
+    `hierarchy[v]` its rank score. The edges are a CSR: `v`'s neighbors
+    are `indices[indptr[v]:indptr[v + 1]]`, in ascending order, which
+    `adjacency[v]` returns. `colors[v]` reads a code back as a `Color`.
+
+    The constructor is the one way to build a world: color codes, rank
+    scores and an array of undirected (u, v) edges, each pair given once
+    in either order. It raises ValueError for a self-loop, a repeated
+    pair, an endpoint outside [0, n), a color code other than RED or
+    BLUE, or a rank score that is not positive and finite, so every world
+    is symmetric and simple by construction. All four arrays are
+    read-only, so one world is shared by every run without copies;
+    transforms build a new world.
     """
 
-    adjacency: list[set[int]]
-    colors: list[Color]
-    hierarchy: list[float]
-    name: str = "world"
-    labels: list[str] = field(default_factory=list)
+    def __init__(self, codes, hierarchy, edges, name: str = "world", labels=None) -> None:
+        codes = np.array(codes)
+        if codes.ndim != 1 or not ((codes == RED) | (codes == BLUE)).all():
+            raise ValueError(f"colors must be a flat array of the codes {RED} (red) and {BLUE} (blue)")
+        n = len(codes)
+        hierarchy = np.array(hierarchy, dtype=float)
+        labels = tuple(map(str, range(n))) if labels is None else tuple(labels)
+        if hierarchy.shape != (n,) or len(labels) != n:
+            raise ValueError("per-node arrays disagree on node count")
+        bad = ~((hierarchy > 0) & (hierarchy < math.inf))
+        if bad.any():
+            raise ValueError(f"hierarchy score at node {bad.argmax()} must be positive and finite")
 
-    def __post_init__(self) -> None:
-        if not self.labels:
-            self.labels = [str(i) for i in range(len(self.adjacency))]
+        pairs = np.asarray(edges, dtype=np.int64)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("edges must be an array of (u, v) pairs")
+        outside = (pairs < 0) | (pairs >= n)
+        if outside.any():
+            raise ValueError(f"edge endpoint {pairs[outside][0]} out of range [0, {n})")
+        u, v = pairs[:, 0], pairs[:, 1]
+        loops = u == v
+        if loops.any():
+            raise ValueError(f"self-loop at node {u[loops.argmax()]}")
+        # Both directions of every edge as one key row * n + column; sorted,
+        # the keys are the CSR in row order with ascending columns.
+        keys = np.concatenate((u * n + v, v * n + u))
+        keys.sort()
+        repeated = keys[1:] == keys[:-1]
+        if repeated.any():
+            key = int(keys[repeated.argmax()])
+            raise ValueError(f"edge {tuple(sorted(divmod(key, n)))} given more than once")
+        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+        keys %= n
+
+        self.codes = codes.astype(np.int8)
+        self.hierarchy = hierarchy
+        self.indptr = indptr
+        self.indices = keys
+        for key in _ARRAYS:
+            getattr(self, key).setflags(write=False)
+        self.adjacency = _Adjacency(self.indptr, self.indices)
+        self.colors = _Colors(self.codes)
+        self.name = name
+        self.labels = labels
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WorldGraph):
+            return NotImplemented
+        return (self.name, self.labels) == (other.name, other.labels) and all(
+            np.array_equal(getattr(self, key), getattr(other, key)) for key in _ARRAYS
+        )
 
     @property
     def n(self) -> int:
-        return len(self.adjacency)
+        return len(self.codes)
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
+
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every edge once as aligned (u, v) arrays with u < v, sorted."""
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        upper = rows < self.indices
+        return rows[upper], self.indices[upper]
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""
-        return sorted((u, v) for u in range(self.n) for v in self.adjacency[u] if u < v)
+        return list(zip(*(side.tolist() for side in self._pairs())))
 
     def num_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
+        return len(self.indices) // 2
 
     def red_ids(self) -> list[int]:
-        return [v for v in range(self.n) if self.colors[v] is Color.RED]
-
-    def copy(self) -> "WorldGraph":
-        return WorldGraph(
-            adjacency=[set(nbrs) for nbrs in self.adjacency],
-            colors=list(self.colors),
-            hierarchy=list(self.hierarchy),
-            name=self.name,
-            labels=list(self.labels),
-        )
-
-    def validate(self) -> None:
-        """Raise ValueError if any structural invariant is violated."""
-        n = self.n
-        if not (len(self.colors) == len(self.hierarchy) == len(self.labels) == n):
-            raise ValueError("per-node arrays disagree on node count")
-        for u in range(n):
-            if u in self.adjacency[u]:
-                raise ValueError(f"self-loop at node {u}")
-            for v in self.adjacency[u]:
-                if not 0 <= v < n:
-                    raise ValueError(f"edge endpoint {v} out of range")
-                if u not in self.adjacency[v]:
-                    raise ValueError(f"asymmetric edge ({u}, {v})")
-            if not 0 < self.hierarchy[u] < math.inf:
-                raise ValueError(f"hierarchy score at node {u} must be positive and finite")
+        return np.flatnonzero(self.codes == RED).tolist()
 
 
 def load_graph(edge_file, node_file) -> WorldGraph:
@@ -151,7 +229,7 @@ def load_graph(edge_file, node_file) -> WorldGraph:
     """
     labels: list[str] = []
     label_to_id: dict[str, int] = {}
-    colors: list[Color] = []
+    codes: list[int] = []
     hierarchy: list[float] = []
 
     with open(node_file, newline="", encoding="utf-8") as fh:
@@ -163,6 +241,11 @@ def load_graph(edge_file, node_file) -> WorldGraph:
             label = (row["id"] or "").strip()
             if not label:
                 raise GraphLoadError(f"{node_file}:{row_num}: empty node id")
+            if EDGE_COMMENT_CHAR in label or len(label.split()) > 1:
+                raise GraphLoadError(
+                    f"{node_file}:{row_num}: node id {label!r} contains whitespace or "
+                    f"{EDGE_COMMENT_CHAR!r}, so no edge line can name it"
+                )
             if label in label_to_id:
                 raise GraphLoadError(f"{node_file}:{row_num}: duplicate node id {label!r}")
             try:
@@ -181,12 +264,20 @@ def load_graph(edge_file, node_file) -> WorldGraph:
                 raise GraphLoadError(f"{node_file}:{row_num}: hierarchy score must be positive and finite, got {h}")
             label_to_id[label] = len(labels)
             labels.append(label)
-            colors.append(color)
+            codes.append(color.code)
             hierarchy.append(h)
 
-    adjacency: list[set[int]] = [set() for _ in labels]
-    self_loops = 0
-    duplicates = 0
+    edges = _read_edges(edge_file, label_to_id)
+    return WorldGraph(codes, hierarchy, edges, name=str(node_file), labels=labels)
+
+
+def _read_edges(edge_file, label_to_id: dict[str, int]) -> np.ndarray:
+    """The distinct edges of `edge_file` as an (m, 2) id array.
+
+    Self-loops and repeated pairs are dropped, with one logged warning
+    that counts each.
+    """
+    ends = array("q")  # the endpoint ids of every edge line, two per line
     with open(edge_file, encoding="utf-8") as fh:
         for line_num, line in enumerate(fh, start=1):
             line = line.split(EDGE_COMMENT_CHAR, 1)[0].strip()
@@ -207,23 +298,21 @@ def load_graph(edge_file, node_file) -> WorldGraph:
                 raise GraphLoadError(
                     f"{edge_file}:{line_num}: edge references unknown node id {parts[1]!r}"
                 ) from None
-            if u == v:
-                self_loops += 1
-                continue
-            if v in adjacency[u]:
-                duplicates += 1
-                continue
-            adjacency[u].add(v)
-            adjacency[v].add(u)
+            ends.append(u)
+            ends.append(v)
 
+    n = len(label_to_id)
+    pairs = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
+    pairs.sort(axis=1)  # in place, in the buffer of `ends`
+    kept = pairs[:, 0] != pairs[:, 1]
+    keys = np.unique(pairs[kept, 0] * n + pairs[kept, 1])
+    self_loops = len(pairs) - int(kept.sum())
+    duplicates = len(pairs) - self_loops - len(keys)
     if self_loops or duplicates:
         logger.warning(
             "%s: dropped %d self-loop(s) and %d duplicate edge(s)", edge_file, self_loops, duplicates
         )
-
-    g = WorldGraph(adjacency=adjacency, colors=colors, hierarchy=hierarchy, name=str(node_file), labels=labels)
-    g.validate()
-    return g
+    return np.column_stack(np.divmod(keys, n))
 
 
 def save_graph(g: WorldGraph, edge_file, node_file) -> None:
@@ -234,8 +323,8 @@ def save_graph(g: WorldGraph, edge_file, node_file) -> None:
     with open(node_file, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "color", "hierarchy"])
-        for v in range(g.n):
-            writer.writerow([g.labels[v], g.colors[v].value, _float_text(g.hierarchy[v])])
+        for v, h in enumerate(g.hierarchy.tolist()):
+            writer.writerow([g.labels[v], g.colors[v].value, _float_text(h)])
 
 
 def _float_text(x: float) -> str:
@@ -245,25 +334,19 @@ def _float_text(x: float) -> str:
 
 
 def remove_red_red_edges(g: WorldGraph) -> WorldGraph:
-    """Return a copy of `g` with every edge between two red nodes deleted.
+    """Return a new world: `g` with every edge between two red nodes deleted.
 
     Models reds concealing their mutual ties. Colors, scores, and all
     blue-incident edges are untouched; the operation is idempotent.
     """
-    out = g.copy()
-    for u in range(out.n):
-        if out.colors[u] is not Color.RED:
-            continue
-        red_nbrs = [v for v in out.adjacency[u] if out.colors[v] is Color.RED]
-        for v in red_nbrs:
-            out.adjacency[u].discard(v)
-            out.adjacency[v].discard(u)
-    return out
+    u, v = g._pairs()
+    keep = (g.codes[u] != RED) | (g.codes[v] != RED)
+    return WorldGraph(g.codes, g.hierarchy, np.column_stack((u[keep], v[keep])), name=g.name, labels=g.labels)
 
 
 def count_colors(g: WorldGraph) -> tuple[int, int]:
     """Return (red_count, blue_count)."""
-    red = sum(1 for c in g.colors if c is Color.RED)
+    red = int(np.count_nonzero(g.codes == RED))
     return red, g.n - red
 
 
@@ -294,47 +377,39 @@ def generate_synthetic(n: int, red_fraction: float, mode: str, seed: int) -> Wor
     rng = random.Random(seed)
     n_red = max(1, round(n * red_fraction))
     red_set = set(rng.sample(range(n), n_red))
-    colors = [Color.RED if v in red_set else Color.BLUE for v in range(n)]
-    adjacency: list[set[int]] = [set() for _ in range(n)]
-
-    def add_edge(u: int, v: int) -> None:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-
+    codes = np.full(n, BLUE, dtype=np.int8)
+    codes[list(red_set)] = RED
+    edges: list[tuple[int, int]] = []
     p_base = min(1.0, BASE_MEAN_DEGREE / (n - 1))
 
     if mode in ("homophily", "no_homophily"):
         for u in range(n):
             for v in range(u + 1, n):
                 if rng.random() < p_base:
-                    add_edge(u, v)
+                    edges.append((u, v))
+        base = set(edges)
         reds = sorted(red_set)
         for i, u in enumerate(reds):
             for v in reds[i + 1:]:
-                if v not in adjacency[u] and rng.random() < RED_RED_PROB:
-                    add_edge(u, v)
+                if (u, v) not in base and rng.random() < RED_RED_PROB:
+                    edges.append((u, v))
     else:
         blues = [v for v in range(n) if v not in red_set]
         for i, u in enumerate(blues):
             for v in blues[i + 1:]:
                 if rng.random() < p_base:
-                    add_edge(u, v)
+                    edges.append((u, v))
         # +2 absorbs the degree that red stubs add to the blue average.
         red_degree = min(len(blues), round(BASE_MEAN_DEGREE + DEGREE_OFFSET) + 2)
         for u in sorted(red_set):
             for v in rng.sample(blues, red_degree):
-                add_edge(u, v)
+                edges.append((u, v))
 
-    hierarchy = [float(max(1, len(adjacency[v]))) for v in range(n)]
-    g = WorldGraph(
-        adjacency=adjacency,
-        colors=colors,
-        hierarchy=hierarchy,
-        name=f"synthetic-{mode}-n{n}-seed{seed}",
-    )
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    hierarchy = np.maximum(1, np.bincount(pairs.ravel(), minlength=n)).astype(float)
+    g = WorldGraph(codes, hierarchy, pairs, name=f"synthetic-{mode}-n{n}-seed{seed}")
     if mode == "no_homophily":
         # Exactly the homophily graph put through the edge removal; scores
         # keep the pre-removal degrees.
         g = remove_red_red_edges(g)
-    g.validate()
     return g

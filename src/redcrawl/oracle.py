@@ -16,10 +16,13 @@ neighbor with probability (1 - H). A lie states the flipped color. Each
 (speaker, subject) claim is decided once and cached, so re-reading a
 monitor's answers never changes them.
 
-The world is fixed across runs; the per-run honesty vector lives in the
-run's Oracle. A report's claims are one array of color codes (graph.RED
-or graph.BLUE, as int8) aligned with its ascending neighbor array, and
-one placement draws them all with a few array operations.
+The world is fixed across runs and read-only, so every run's Oracle
+shares it; the per-run honesty vector lives in the Oracle. A report's
+neighbor array is the world's own read-only CSR slice of the target, and
+its claims are one array of color codes (graph.RED or graph.BLUE, as
+int8) aligned with it. One placement gathers the subjects' codes and
+ranks from the world's arrays and draws every claim with a few array
+operations.
 """
 
 from __future__ import annotations
@@ -100,9 +103,6 @@ class Oracle:
     def __post_init__(self) -> None:
         if len(self.honesty) != self.world.n or not all(0.0 <= h <= 1.0 for h in self.honesty):
             raise ValueError(f"honesty needs one value in [0, 1] for each of the {self.world.n} nodes")
-        # The world's colors and ranks as arrays, gathered by each placement.
-        self._codes = np.array([c.code for c in self.world.colors], dtype=np.int8)
-        self._ranks = np.array(self.world.hierarchy, dtype=float)
 
     def place_monitor(self, target: int) -> MonitorReport:
         """Answer a monitor placement on `target`.
@@ -116,27 +116,24 @@ class Oracle:
         if not 0 <= target < world.n:
             raise ValueError(f"unknown node id {target}")
         true_color = world.colors[target]
-        adjacent = world.adjacency[target]
-        neighbors = np.fromiter(adjacent, dtype=np.intp, count=len(adjacent))
-        neighbors.sort()
+        neighbors = world.adjacency[target]
         subjects = neighbors.tolist()
         issued = self.issued
         if subjects and (target, subjects[0]) in issued:
             said = np.array([issued[target, v] for v in subjects], dtype=np.int8)
         else:
-            said = self._codes[neighbors]
+            said = world.codes[neighbors]
             # One rng.random() per claim, in ascending subject order; random() never returns 1.0.
             draws = np.fromiter(iter(self.rng.random, 1.0), dtype=float, count=len(subjects))
             if true_color is Color.BLUE and self.scenario is LyingScenario.LS2:
                 said.fill(BLUE)  # calls every neighbor blue, after the same draws
             else:
                 dishonesty = 1.0 - self.honesty[target]
-                p = self._ranks[neighbors]
+                p = world.hierarchy[neighbors]
                 p *= dishonesty
                 p /= world.hierarchy[target]
                 np.putmask(p, said, dishonesty)  # the codes are 1 where the subject is blue
                 said ^= draws < p
             issued.update(zip(zip(repeat(target), subjects), said.tolist()))
-        neighbors.setflags(write=False)
         said.setflags(write=False)
         return MonitorReport(target=target, true_color=true_color, neighbors=neighbors, statements=said)

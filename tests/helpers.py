@@ -22,6 +22,7 @@ from redcrawl import (
     TrainingSet,
     WorldGraph,
 )
+from redcrawl.graph import BLUE, RED
 
 NOORDIN_DIR = Path(os.environ.get(
     "REDCRAWL_NOORDIN_DIR",
@@ -54,20 +55,9 @@ def have_pokec(attribute: str) -> bool:
 
 def make_world(n, edges, red=(), hierarchy=None, name="test") -> WorldGraph:
     """Hand-build a world graph from an edge list and a red id set."""
-    adjacency = [set() for _ in range(n)]
-    for u, v in edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    red = set(red)
-    colors = [Color.RED if v in red else Color.BLUE for v in range(n)]
-    g = WorldGraph(
-        adjacency=adjacency,
-        colors=colors,
-        hierarchy=[float(h) for h in hierarchy] if hierarchy else [1.0] * n,
-        name=name,
-    )
-    g.validate()
-    return g
+    codes = np.full(n, BLUE, dtype=np.int8)
+    codes[list(red)] = RED
+    return WorldGraph(codes, [1.0] * n if hierarchy is None else hierarchy, edges, name=name)
 
 
 def report(target, color, neighbor_colors) -> MonitorReport:

@@ -53,21 +53,19 @@ def criterion(label):
     print(f"\n[PASS] {label}")
 
 
-def star_world(speaker_color, subject_color, l_speaker, l_subject, leaves, adjacency):
-    n = leaves + 1
-    return WorldGraph(
-        adjacency=adjacency,
-        colors=[speaker_color] + [subject_color] * leaves,
-        hierarchy=[l_speaker] + [l_subject] * leaves,
-        labels=[str(i) for i in range(n)],
-    )
+def star_world(speaker_color, subject_color, l_speaker, l_subject, leaves, edges):
+    codes = np.full(leaves + 1, subject_color.code, dtype=np.int8)
+    codes[0] = speaker_color.code
+    hierarchy = np.full(leaves + 1, l_subject)
+    hierarchy[0] = l_speaker
+    return WorldGraph(codes, hierarchy, edges)
 
 
 def test_criterion_1_lying_model_fidelity():
     with criterion("criterion 1: lying-model fidelity (Bernoulli draws track the lie model)"):
         t0 = time.perf_counter()
         leaves = 5000
-        shared_adjacency = [set(range(1, leaves + 1))] + [{0} for _ in range(leaves)]
+        star_edges = np.column_stack((np.zeros(leaves, dtype=np.int64), np.arange(1, leaves + 1)))
         # frozen Monte Carlo realization; every case sits inside the band
         rng = random.Random(38)
         ls2_blue_statements = 0
@@ -80,7 +78,7 @@ def test_criterion_1_lying_model_fidelity():
             l_speaker = rng.uniform(0.2, 5.0)
             l_subject = rng.uniform(0.2, 5.0)
             world = star_world(speaker_color, subject_color, l_speaker, l_subject,
-                               leaves, shared_adjacency)
+                               leaves, star_edges)
             honesty = [h] + [0.5] * leaves
             p = lie_probability(0, 1, world, honesty, scenario)
             oracle = Oracle(world, honesty, scenario, random.Random(rng.getrandbits(64)))

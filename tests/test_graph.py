@@ -4,6 +4,7 @@ import logging
 import math
 import random
 
+import numpy as np
 import pytest
 
 from redcrawl import (
@@ -40,10 +41,10 @@ class TestLoadGraph:
         assert g.n == 3
         assert g.num_edges() == 2
         assert count_colors(g) == (1, 2)
-        assert g.labels == ["a", "b", "c"]
+        assert g.labels == ("a", "b", "c")
         # a-b-c path under the id mapping
         a, b, c = (g.labels.index(x) for x in "abc")
-        assert g.adjacency[b] == {a, c}
+        assert g.adjacency[b].tolist() == sorted([a, c])
         assert g.hierarchy[a] == 2.0
 
     def test_hierarchy_column_optional(self, tmp_path):
@@ -51,7 +52,7 @@ class TestLoadGraph:
             tmp_path, "x y\n", "id,color\nx,red\ny,blue\n"
         )
         g = load_graph(edge_path, node_path)
-        assert g.hierarchy == [1.0, 1.0]
+        assert g.hierarchy.tolist() == [1.0, 1.0]
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         edge_path, node_path = write_graph_files(
@@ -62,14 +63,18 @@ class TestLoadGraph:
         g = load_graph(edge_path, node_path)
         assert g.num_edges() == 1
 
-    def test_self_loop_dropped_with_warning(self, tmp_path, caplog):
+    @pytest.mark.parametrize("edge_text,dropped", [
+        ("a a\na b\n", "1 self-loop(s) and 0 duplicate edge(s)"),
+        ("a a\na a\na b\nb a\n", "2 self-loop(s) and 1 duplicate edge(s)"),
+    ])
+    def test_self_loop_dropped_with_warning(self, tmp_path, caplog, edge_text, dropped):
         edge_path, node_path = write_graph_files(
-            tmp_path, "a a\na b\n", "id,color\na,red\nb,blue\n"
+            tmp_path, edge_text, "id,color\na,red\nb,blue\n"
         )
         with caplog.at_level(logging.WARNING, logger="redcrawl.graph"):
             g = load_graph(edge_path, node_path)
         assert g.num_edges() == 1
-        assert "1 self-loop" in caplog.text
+        assert f"dropped {dropped}" in caplog.text
 
     def test_duplicate_edges_dropped_with_warning(self, tmp_path, caplog):
         edge_path, node_path = write_graph_files(
@@ -123,6 +128,15 @@ class TestLoadGraph:
         with pytest.raises(GraphLoadError, match="duplicate"):
             load_graph(edge_path, node_path)
 
+    @pytest.mark.parametrize("bad_id", ["a#2", "a 2", '"a\t2"'])
+    def test_node_id_the_edge_file_cannot_name_rejected(self, tmp_path, bad_id):
+        # "b a#2" would read as the edge b-a, and "b a 2" as a malformed line
+        edge_path, node_path = write_graph_files(
+            tmp_path, "b a\n", f"id,color\na,red\n{bad_id},blue\nb,blue\n"
+        )
+        with pytest.raises(GraphLoadError, match=r"nodes\.csv:3: node id .* contains whitespace or '#'"):
+            load_graph(edge_path, node_path)
+
     def test_malformed_edge_line_rejected(self, tmp_path):
         edge_path, node_path = write_graph_files(
             tmp_path, "a b c\n", "id,color\na,red\nb,blue\nc,blue\n"
@@ -142,9 +156,9 @@ class TestLoadGraph:
         node_path = tmp_path / "n.csv"
         save_graph(g, edge_path, node_path)
         g2 = load_graph(edge_path, node_path)
-        assert g2.adjacency == g.adjacency
-        assert g2.colors == g.colors
-        assert g2.hierarchy == g.hierarchy
+        assert g2.edges() == g.edges()
+        assert np.array_equal(g2.codes, g.codes)
+        assert g2.hierarchy.tolist() == g.hierarchy.tolist()
         assert g2.labels == g.labels
 
 
@@ -170,8 +184,8 @@ class TestRemoveRedRedEdges:
         g = generate_synthetic(80, 0.3, "homophily", 5)
         out = remove_red_red_edges(g)
         assert out.n == g.n
-        assert out.colors == g.colors
-        assert out.hierarchy == g.hierarchy
+        assert np.array_equal(out.codes, g.codes)
+        assert out.hierarchy.tolist() == g.hierarchy.tolist()
         blue_incident = {e for e in g.edges() if Color.BLUE in (g.colors[e[0]], g.colors[e[1]])}
         assert set(out.edges()) == blue_incident
 
@@ -189,7 +203,7 @@ class TestRemoveRedRedEdges:
 
 class TestCountColors:
     def test_empty_graph(self):
-        g = WorldGraph(adjacency=[], colors=[], hierarchy=[])
+        g = WorldGraph(codes=[], hierarchy=[], edges=[])
         assert count_colors(g) == (0, 0)
 
     def test_red_plus_blue_is_n(self):
@@ -238,9 +252,9 @@ class TestGenerateSynthetic:
     def test_no_homophily_matches_transform_of_homophily(self):
         stripped = remove_red_red_edges(generate_synthetic(120, 0.2, "homophily", 3))
         g = generate_synthetic(120, 0.2, "no_homophily", 3)
-        assert (g.adjacency, g.colors, g.hierarchy) == (
-            stripped.adjacency, stripped.colors, stripped.hierarchy,
-        )
+        for a, b in ((g.indptr, stripped.indptr), (g.indices, stripped.indices),
+                     (g.codes, stripped.codes), (g.hierarchy, stripped.hierarchy)):
+            assert np.array_equal(a, b)
 
     def test_homophily_mode_has_red_red_edges(self):
         g = generate_synthetic(120, 0.2, "homophily", 3)
@@ -275,38 +289,66 @@ class TestGenerateSynthetic:
             generate_synthetic(n, frac, mode, 0)
 
 
-class TestValidation:
-    def test_validate_catches_asymmetry(self):
-        g = make_world(3, [(0, 1)])
-        g.adjacency[2].add(0)  # 0's list does not know about 2
-        with pytest.raises(ValueError, match="asymmetric"):
-            g.validate()
+class TestConstruction:
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError, match="self-loop at node 1"):
+            make_world(3, [(0, 1), (1, 1)])
 
-    def test_validate_catches_self_loop(self):
-        g = make_world(2, [(0, 1)])
-        g.adjacency[0].add(0)
-        with pytest.raises(ValueError, match="self-loop"):
-            g.validate()
+    @pytest.mark.parametrize("edges", [[(0, 1), (0, 1)], [(0, 1), (1, 2), (1, 0)]])
+    def test_repeated_pair_rejected(self, edges):
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) given more than once"):
+            make_world(3, edges)
+
+    @pytest.mark.parametrize("endpoint", [-1, 3, 10**6])
+    def test_out_of_range_endpoint_rejected(self, endpoint):
+        with pytest.raises(ValueError, match=f"edge endpoint {endpoint} out of range"):
+            make_world(3, [(0, 1), (2, endpoint)])
 
     @pytest.mark.parametrize("score", [0.0, -1.0, math.nan, math.inf])
-    def test_validate_catches_bad_hierarchy(self, score):
-        g = make_world(3, [(0, 1), (1, 2)])
-        g.hierarchy[1] = score
+    def test_bad_hierarchy_rejected(self, score):
         with pytest.raises(ValueError, match="hierarchy score at node 1 must be positive and finite"):
-            g.validate()
+            make_world(3, [(0, 1), (1, 2)], hierarchy=[1.0, score, 1.0])
 
-    def test_validate_catches_bad_honesty(self):
+    @pytest.mark.parametrize("codes", [[0, 2, 1], [Color.RED, Color.BLUE, Color.BLUE], [[0, 1, 1]]])
+    def test_bad_color_codes_rejected(self, codes):
+        with pytest.raises(ValueError, match="codes"):
+            WorldGraph(codes, [1.0] * 3, [(0, 1)])
+
+    def test_node_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="node count"):
+            WorldGraph([0, 1, 1], [1.0, 1.0], [(0, 1)])
+        with pytest.raises(ValueError, match="node count"):
+            WorldGraph([0, 1], [1.0, 1.0], [(0, 1)], labels=["a"])
+
+    def test_arrays_reject_writes(self, tmp_path):
+        edge_path, node_path = write_graph_files(tmp_path, "a b\nb c\n", "id,color\na,red\nb,blue\nc,blue\n")
+        source = [1.0, 2.0, 3.0]
+        made = make_world(3, [(0, 1), (1, 2)], hierarchy=source)
+        source[1] = 5.0  # the world keeps its own copy
+        assert made.hierarchy[1] == 2.0
+        for g in (made, load_graph(edge_path, node_path), generate_synthetic(40, 0.2, "no_homophily", 1)):
+            for array in (g.codes, g.hierarchy, g.indptr, g.indices, g.adjacency[1]):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1
+
+    def test_adjacency_is_the_csr(self):
+        g = make_world(5, [(3, 0), (0, 1), (4, 3), (1, 3)])
+        assert g.indptr.tolist() == [0, 2, 4, 4, 7, 8]
+        assert g.indices.tolist() == [1, 3, 0, 3, 0, 1, 4, 3]
+        assert [g.adjacency[v].tolist() for v in range(g.n)] == [[1, 3], [0, 3], [], [0, 1, 4], [3]]
+        assert len(g.adjacency) == 5
+        assert [g.degree(v) for v in range(g.n)] == [2, 2, 0, 3, 1]
+        assert g.edges() == [(0, 1), (0, 3), (1, 3), (3, 4)]
+        with pytest.raises(IndexError):
+            g.adjacency[5]
+        with pytest.raises(IndexError):
+            g.adjacency[-1]
+
+    def test_honesty_checked_by_the_oracle(self):
         # per-run honesty lives with the Oracle, which checks its range once
         g = make_world(2, [(0, 1)])
         with pytest.raises(ValueError, match="honesty"):
             Oracle(g, [0.5, 1.5], LyingScenario.LS1, random.Random(0))
-
-    def test_copy_is_deep_for_adjacency(self):
-        g = make_world(3, [(0, 1)])
-        c = g.copy()
-        c.adjacency[0].add(2)
-        c.adjacency[2].add(0)
-        assert 2 not in g.adjacency[0]
 
 
 def test_color_flip_and_parse():
@@ -323,7 +365,10 @@ def test_random_graphs_stay_valid():
         n = rng.randint(10, 80)
         mode = rng.choice(["homophily", "no_homophily", "structural_signal"])
         g = generate_synthetic(n, rng.uniform(0.05, 0.45), mode, rng.randint(0, 10**6))
-        g.validate()
+        nbrs = [g.adjacency[v].tolist() for v in range(g.n)]
+        for u in range(g.n):
+            assert nbrs[u] == sorted(set(nbrs[u])) and u not in nbrs[u]
+            assert all(u in nbrs[v] for v in nbrs[u])
 
 
 def test_save_graph_round_trips_hierarchy_exactly(tmp_path):
@@ -331,5 +376,5 @@ def test_save_graph_round_trips_hierarchy_exactly(tmp_path):
     g = make_world(len(scores), [(0, 1), (1, 2), (3, 4), (4, 5)], red={1, 4}, hierarchy=scores)
     edge_path, node_path = tmp_path / "e.txt", tmp_path / "n.csv"
     save_graph(g, edge_path, node_path)
-    assert load_graph(edge_path, node_path).hierarchy == scores
+    assert load_graph(edge_path, node_path).hierarchy.tolist() == scores
     assert node_path.read_text().splitlines()[3] == "2,blue,12"

@@ -98,6 +98,16 @@ class TestPlaceMonitor:
             assert report.neighbors.tolist() == sorted(g.adjacency[target])
             assert report.statements.tolist() == [g.colors[v].code for v in report.neighbors]
 
+    def test_report_neighbors_are_the_worlds_csr_slice(self):
+        # a placement neither copies nor sorts: it hands out the world's own slice
+        g = generate_synthetic(60, 0.2, "homophily", 2)
+        for scenario in LyingScenario:
+            oracle = Oracle(g, [0.5] * g.n, scenario, random.Random(0))
+            for target in [*range(g.n), 0, 1]:
+                report = oracle.place_monitor(target)
+                if g.degree(target):  # an isolated node's slice is empty and shares nothing
+                    assert np.shares_memory(report.neighbors, g.adjacency[target])
+
     def test_ls2_blue_target_says_all_blue(self):
         g = generate_synthetic(60, 0.2, "homophily", 2)
         # very dishonest, still forced to say blue
