@@ -70,7 +70,7 @@ def build_training_set(state: ObserverState) -> TrainingSet:
     would be for a candidate (a node's own report contributes nothing to
     its own counts), labeled with the node's true color.
     """
-    ids = [r.target for r in state.report_log]
+    ids = list(state.reports)
     if not ids:
         raise ValueError("cannot build a training set with no monitored nodes")
     labels = (state.counts.color[ids] == RED).astype(float)

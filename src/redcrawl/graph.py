@@ -24,6 +24,7 @@ import logging
 import math
 import random
 from array import array
+from collections import Counter
 
 import numpy as np
 
@@ -81,37 +82,22 @@ class Color(enum.Enum):
 _COLOR_OF_CODE = {RED: Color.RED, BLUE: Color.BLUE}
 
 
-class _Adjacency:
-    """`adjacency[v]`: node `v`'s neighbor ids, an ascending read-only slice of the CSR."""
+class _NodeView:
+    """`view[v]` for a node id `v` in [0, n), read from the world's arrays; IndexError otherwise."""
 
-    __slots__ = ("_indptr", "_indices")
+    __slots__ = ("_n", "_read")
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
-        self._indptr = indptr
-        self._indices = indices
-
-    def __len__(self) -> int:
-        return len(self._indptr) - 1
-
-    def __getitem__(self, v: int) -> np.ndarray:
-        if not 0 <= v < len(self._indptr) - 1:
-            raise IndexError(f"node id {v} out of range [0, {len(self._indptr) - 1})")
-        return self._indices[self._indptr[v]:self._indptr[v + 1]]
-
-
-class _Colors:
-    """`colors[v]`: node `v`'s color as a `Color`, read from the code array."""
-
-    __slots__ = ("_codes",)
-
-    def __init__(self, codes: np.ndarray) -> None:
-        self._codes = codes
+    def __init__(self, n: int, read) -> None:
+        self._n = n
+        self._read = read
 
     def __len__(self) -> int:
-        return len(self._codes)
+        return self._n
 
-    def __getitem__(self, v: int) -> Color:
-        return _COLOR_OF_CODE[self._codes[v]]
+    def __getitem__(self, v: int):
+        if not 0 <= v < self._n:
+            raise IndexError(f"node id {v} out of range [0, {self._n})")
+        return self._read(v)
 
 
 _ARRAYS = ("codes", "hierarchy", "indptr", "indices")  # everything a world stores per node or edge
@@ -124,15 +110,16 @@ class WorldGraph:
     `hierarchy[v]` its rank score. The edges are a CSR: `v`'s neighbors
     are `indices[indptr[v]:indptr[v + 1]]`, in ascending order, which
     `adjacency[v]` returns. `colors[v]` reads a code back as a `Color`.
+    Both views, like `degree(v)`, raise IndexError for `v` outside [0, n).
 
     The constructor is the one way to build a world: color codes, rank
     scores and an array of undirected (u, v) edges, each pair given once
     in either order. It raises ValueError for a self-loop, a repeated
     pair, an endpoint outside [0, n), a color code other than RED or
-    BLUE, or a rank score that is not positive and finite, so every world
-    is symmetric and simple by construction. All four arrays are
-    read-only, so one world is shared by every run without copies;
-    transforms build a new world.
+    BLUE, a rank score that is not positive and finite, or a label that
+    names more than one node, so every world is symmetric and simple by
+    construction. All four arrays are read-only, so one world is shared
+    by every run without copies; transforms build a new world.
     """
 
     def __init__(self, codes, hierarchy, edges, name: str = "world", labels=None) -> None:
@@ -144,6 +131,9 @@ class WorldGraph:
         labels = tuple(map(str, range(n))) if labels is None else tuple(labels)
         if hierarchy.shape != (n,) or len(labels) != n:
             raise ValueError("per-node arrays disagree on node count")
+        if len(set(labels)) != n:
+            repeated = next(label for label, k in Counter(labels).items() if k > 1)
+            raise ValueError(f"label {repeated!r} names more than one node")
         bad = ~((hierarchy > 0) & (hierarchy < math.inf))
         if bad.any():
             raise ValueError(f"hierarchy score at node {bad.argmax()} must be positive and finite")
@@ -177,8 +167,10 @@ class WorldGraph:
         self.indices = keys
         for key in _ARRAYS:
             getattr(self, key).setflags(write=False)
-        self.adjacency = _Adjacency(self.indptr, self.indices)
-        self.colors = _Colors(self.codes)
+        codes = self.codes
+        # v's neighbors, an ascending read-only slice of the CSR, and v's Color.
+        self.adjacency = _NodeView(n, lambda v: keys[indptr[v]:indptr[v + 1]])
+        self.colors = _NodeView(n, lambda v: _COLOR_OF_CODE[codes[v]])
         self.name = name
         self.labels = labels
 
@@ -194,7 +186,7 @@ class WorldGraph:
         return len(self.codes)
 
     def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
+        return len(self.adjacency[v])
 
     def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Every edge once as aligned (u, v) arrays with u < v, sorted."""

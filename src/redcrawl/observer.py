@@ -10,23 +10,27 @@ derives, for any candidate node, the nine-entry feature row the learning
 strategy consumes, whose last entry is the trust-weighted probability
 that the candidate is red.
 
-The state is the report log plus the counters below; no fact is stored
-twice. The log is the one record of claims, edges and monitor order. On
-top of it, ingest keeps per-node counters as int arrays indexed by node
-id (`NodeCounters`): each node's four claim counts by (speaker color,
-said color), its red triangles, its monitored color and whether it is
-on the frontier. The frontier is kept incrementally, so `frontier()` and
-`candidates()` read one mask, and the known red and blue neighbor counts
-derive from the claim counts, because every monitored neighbor makes
-exactly one claim about a node. Colors are coded graph.RED (0) and
-graph.BLUE (1) throughout the arrays, the verified table included; a
-report's statements arrive in the same codes, so ingest indexes the
-counters with a report's two arrays as they are. `observed_nodes` and
-`monitored` are read-only views rebuilt on every read; the step loop
-never reads them. `features_matrix` gathers one float row per node from
-the arrays, computing the trust table once; `features(v)` is that
-matrix's single row. The test suite checks the rows against a
-from-scratch recount of the log.
+The state is one report record plus the counters below; no fact is
+stored twice. The record, `reports`, maps each monitored node to its
+report, in monitor order: it is the one record of claims, edges and
+monitor order. On top of it, ingest keeps per-node counters as int
+arrays indexed by node id (`NodeCounters`): each node's four claim
+counts by (speaker color, said color), its red triangles, its monitored
+color and whether it is on the frontier. The frontier is kept
+incrementally, so `frontier()` and `candidates()` read one mask, and the
+known red and blue neighbor counts derive from the claim counts, because
+every monitored neighbor makes exactly one claim about a node. A red
+target's new triangles are read from the record: each monitored red
+neighbor's report says which of the target's neighbors it also touches.
+Colors are coded graph.RED (0) and graph.BLUE (1) throughout the
+arrays, the verified table included; a report's statements arrive in
+the same codes, so ingest indexes the counters with a report's two
+arrays as they are. `observed_nodes` and `monitored` are read-only
+views rebuilt on every read; the step loop never reads them.
+`features_matrix` gathers one float row per node from the arrays,
+computing the trust table once; `features(v)` is that matrix's single
+row. The test suite checks the rows against a
+from-scratch recount of the reports.
 """
 
 from __future__ import annotations
@@ -99,8 +103,8 @@ class ObserverState:
 
     Stored, each fact once:
       start            the initially known node.
-      report_log       ingested reports, in order: the claims, the known
-                       edges and the monitor order.
+      reports          monitored node id -> its MonitorReport, in monitor
+                       order: the claims and the known edges.
       counts           NodeCounters: per-node claim counts, red triangles,
                        monitored colors and the frontier mask, kept up to
                        date by `ingest`; callers only read them.
@@ -110,7 +114,7 @@ class ObserverState:
                        is now monitored.
 
     Read-only views, rebuilt from the above on every read in time linear
-    in the arrays or the log, so not meant for a step loop:
+    in the arrays or the reports, so not meant for a step loop:
       observed_nodes   frozenset of ids ever seen (monitored or named as a
                        neighbor); the start node is observed from step 0.
       monitored        node id -> true Color, in monitor order.
@@ -121,15 +125,13 @@ class ObserverState:
             raise ValueError(f"start node {start} is not a node id: ids are non-negative")
         self.start = start
         self.verified_counts = np.zeros((2, 2, 2), dtype=np.int64)
-        self.report_log: list[MonitorReport] = []
+        self.reports: dict[int, MonitorReport] = {}
         self.counts = NodeCounters(start + 1)
         self.counts.frontier[start] = True
-        # Monitored red neighbors of each node, for the triangle counts only.
-        self._red_mon_nbrs: dict[int, set[int]] = {}
 
     @classmethod
     def replay(cls, start: int, reports) -> "ObserverState":
-        """Rebuild a state by ingesting an ordered report log from scratch."""
+        """Rebuild a state by ingesting an ordered iterable of reports from scratch."""
         state = cls(start)
         for report in reports:
             state.ingest(report)
@@ -142,7 +144,7 @@ class ObserverState:
 
     @property
     def monitored(self) -> MappingProxyType:
-        return MappingProxyType({r.target: r.true_color for r in self.report_log})
+        return MappingProxyType({t: r.true_color for t, r in self.reports.items()})
 
     def frontier(self) -> np.ndarray:
         """Observed-but-unmonitored node ids as a new ascending int array."""
@@ -175,14 +177,12 @@ class ObserverState:
         c.frontier[t] = False
 
         c.say[nbrs, 2 * t_code + said] += 1
-        if t_code == RED:
-            subjects = nbrs.tolist()
-            t_nbrs = set(subjects)
-            red_sets = [self._red_mon_nbrs.setdefault(v, set()) for v in subjects]
-            c.triangles[nbrs] += np.array([len(known & t_nbrs) for known in red_sets], dtype=np.int64)
-            for known in red_sets:
-                known.add(t)
         subject = c.color[nbrs]
+        if t_code == RED:
+            # A monitored red neighbor r closes the red triangle (t, r, v)
+            # at every v that both t and r touch; both arrays ascend uniquely.
+            for r in nbrs[subject == RED].tolist():
+                c.triangles[np.intersect1d(nbrs, self.reports[r].neighbors, assume_unique=True)] += 1
         c.frontier[nbrs[subject < 0]] = True
 
         verified = self.verified_counts
@@ -192,7 +192,7 @@ class ObserverState:
         # t's four claim counts are exactly the claims t's color verifies.
         verified[:, :, t_code] += c.say[t].reshape(2, 2)
 
-        self.report_log.append(report)
+        self.reports[t] = report
         return self
 
     def trust(self) -> np.ndarray:
@@ -251,9 +251,9 @@ class ObserverState:
         return X
 
     def dump_report_log(self, path) -> None:
-        """Write the report log as JSON lines, one report per line."""
+        """Write the reports as JSON lines, one report per line, in monitor order."""
         with open(path, "w", encoding="utf-8") as fh:
-            for report in self.report_log:
+            for report in self.reports.values():
                 neighbors = report.neighbors.tolist()
                 fh.write(json.dumps({
                     "target": report.target,

@@ -133,7 +133,7 @@ def test_criterion_3_observer_oracle_equivalence():
                     break
                 state.ingest(oracle.place_monitor(pick_rng.choice(cands)))
 
-            observed, edges, monitored, statements = brute_knowledge(start, state.report_log)
+            observed, edges, monitored, statements = brute_knowledge(start, state.reports.values())
             assert state.observed_nodes == observed
             assert state.monitored == monitored
             assert verified_dict(state.verified_counts) == brute_verified(monitored, statements)

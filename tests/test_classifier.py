@@ -101,10 +101,10 @@ class TestBuildTrainingSet:
         world = generate_synthetic(50, 0.25, "homophily", 3)
         state = crawl_state(world, LyingScenario.LS1, 15, seed=9)
         data = build_training_set(state)
-        _, _, monitored_full, statements_full = brute_knowledge(state.start, state.report_log)
+        _, _, monitored_full, statements_full = brute_knowledge(state.start, state.reports.values())
         verified = brute_verified(monitored_full, statements_full)
         for features, label, m in zip(data.rows, data.labels, state.monitored):
-            masked = [rep for rep in state.report_log if rep.target != m]
+            masked = [rep for rep in state.reports.values() if rep.target != m]
             _, edges, monitored, statements = brute_knowledge(state.start, masked)
             expected = brute_features(m, edges, monitored, statements, verified)
             assert tuple(features.tolist()) == pytest.approx(expected)

@@ -344,6 +344,18 @@ class TestConstruction:
         with pytest.raises(IndexError):
             g.adjacency[-1]
 
+    @pytest.mark.parametrize("v", [-1, 3])
+    def test_views_check_bounds(self, v):
+        g = make_world(3, [(0, 1), (1, 2)], red={2})
+        for view in (g.colors.__getitem__, g.degree):
+            with pytest.raises(IndexError, match=f"node id {v} out of range"):
+                view(v)
+        assert [c.value for c in g.colors] == ["blue", "blue", "red"]
+
+    def test_repeated_label_rejected(self):
+        with pytest.raises(ValueError, match="label 'a' names more than one node"):
+            WorldGraph([0, 1, 1], [1.0] * 3, [(0, 1)], labels=["a", "a", "b"])
+
     def test_honesty_checked_by_the_oracle(self):
         # per-run honesty lives with the Oracle, which checks its range once
         g = make_world(2, [(0, 1)])

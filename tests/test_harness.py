@@ -126,7 +126,7 @@ class TestRunSingle:
             cands = state.candidates()
             model = models[-1]
             if model.fallback:
-                _, edges, monitored, statements = brute_knowledge(state.start, state.report_log)
+                _, edges, monitored, statements = brute_knowledge(state.start, state.reports.values())
                 verified = brute_verified(monitored, statements)
                 col = FEATURE_NAMES.index("red_neighbors")
                 want = [brute_features(v, edges, monitored, statements, verified)[col] for v in cands]

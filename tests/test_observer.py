@@ -12,6 +12,7 @@ from redcrawl import (
     ObserverState,
     Oracle,
     generate_synthetic,
+    run_single,
 )
 from redcrawl.graph import BLUE, RED
 from helpers import (
@@ -47,7 +48,7 @@ class TestIngest:
         state = ObserverState(0)
         state.ingest(report(0, Color.RED, {1: Color.RED, 2: Color.BLUE, 3: Color.BLUE}))
         assert state.observed_nodes == {0, 1, 2, 3}
-        _, edges, _, statements = brute_knowledge(0, state.report_log)
+        _, edges, _, statements = brute_knowledge(0, state.reports.values())
         assert edges == {(0, 1), (0, 2), (0, 3)}
         assert state.monitored == {0: Color.RED}
         assert len(statements) == 3
@@ -115,7 +116,7 @@ class TestIngest:
             (Color.BLUE, Color.BLUE, Color.RED): 1,  # 1 called 0 blue
             (Color.BLUE, Color.BLUE, Color.BLUE): 1,  # 1 called 2 blue
         }
-        _, _, monitored, statements = brute_knowledge(0, state.report_log)
+        _, _, monitored, statements = brute_knowledge(0, state.reports.values())
         assert verified_dict(state.verified_counts) == brute_verified(monitored, statements)
 
     def test_monotone_growth(self):
@@ -130,7 +131,7 @@ class TestIngest:
             if not cands:
                 break
             state.ingest(oracle.place_monitor(rng.choice(cands)))
-            _, edges, _, statements = brute_knowledge(0, state.report_log)
+            _, edges, _, statements = brute_knowledge(0, state.reports.values())
             assert len(state.observed_nodes) >= prev_nodes
             assert len(edges) >= prev_edges
             assert len(statements) >= prev_stmts
@@ -227,7 +228,7 @@ class TestFeatures:
         world = generate_synthetic(50, 0.25, "homophily", 6)
         start = world.red_ids()[0]
         state = crawl(world, [0.4] * world.n, LyingScenario.LS1, start, 20, seed=3)
-        _, _, monitored, statements = brute_knowledge(start, state.report_log)
+        _, _, monitored, statements = brute_knowledge(start, state.reports.values())
         for v in state.candidates():
             fv = named(state.features(v))
             speakers = sum(1 for (s, subj) in statements if subj == v and s in monitored)
@@ -280,7 +281,7 @@ class TestBruteForceEquivalence:
             start = world.red_ids()[0]
             state = crawl(world, [0.45] * world.n, LyingScenario.LS1, start, 20, seed=seed + 100)
 
-            observed, edges, monitored, statements = brute_knowledge(start, state.report_log)
+            observed, edges, monitored, statements = brute_knowledge(start, state.reports.values())
             assert state.observed_nodes == observed
             assert state.monitored == monitored
             verified = brute_verified(monitored, statements)
@@ -303,13 +304,37 @@ class TestBruteForceEquivalence:
         world = generate_synthetic(40, 0.2, "homophily", 4)
         start = world.red_ids()[0]
         state = crawl(world, [0.5] * world.n, LyingScenario.LS2, start, 15, seed=5)
-        again = ObserverState.replay(start, state.report_log)
+        again = ObserverState.replay(start, state.reports.values())
         assert again.observed_nodes == state.observed_nodes
         assert again.monitored == state.monitored
         assert again.counts == state.counts
         assert np.array_equal(again.verified_counts, state.verified_counts)
         for v in state.candidates():
             assert np.array_equal(again.features(v), state.features(v))
+
+
+class TestRedTriangles:
+    def test_init_stores_only_the_reports_and_counters(self):
+        assert set(vars(ObserverState(3))) == {"start", "reports", "counts", "verified_counts"}
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_triangles_match_recount_on_a_red_chasing_crawl(self, seed):
+        # mrn chases reds, so red targets meet many monitored red neighbors
+        world = generate_synthetic(200, 0.2, "homophily", seed)
+        states = []
+        run_single(world, "mrn", LyingScenario.LS1, world.red_ids()[0], seed, 30,
+                   step_callback=lambda state, _: states.append(state))
+        state = states[-1]
+        reports = state.reports
+        nbrs = {t: set(r.neighbors.tolist()) for t, r in reports.items()}
+        reds = [t for t, r in reports.items() if r.true_color is Color.RED]
+        want = np.zeros_like(state.counts.triangles)
+        for v in range(len(want)):
+            mates = [r for r in reds if v in nbrs[r]]
+            want[v] = sum(1 for i, u in enumerate(mates) for w in mates[i + 1:] if w in nbrs[u])
+        assert np.array_equal(state.counts.triangles, want)
+        monitored = list(reports)
+        assert want[monitored].max() >= 3 and want[state.candidates()].max() >= 3
 
 
 def test_dump_report_log(tmp_path):
@@ -349,9 +374,9 @@ class TestIncrementalFrontier:
             rng = random.Random(seed + 50)
             while len(state.monitored) < 30 and state.candidates():
                 state.ingest(oracle.place_monitor(rng.choice(state.candidates())))
-                assert state.candidates() == brute_frontier(start, state.report_log)
-            again = ObserverState.replay(start, state.report_log)
-            assert again.candidates() == brute_frontier(start, state.report_log)
+                assert state.candidates() == brute_frontier(start, state.reports.values())
+            again = ObserverState.replay(start, state.reports.values())
+            assert again.candidates() == brute_frontier(start, state.reports.values())
             assert again.counts == state.counts
 
     def test_ids_past_the_arrays_grow_them(self):
@@ -359,7 +384,7 @@ class TestIncrementalFrontier:
         state.ingest(report(0, Color.RED, {3: Color.BLUE, 1000: Color.RED}))
         state.ingest(report(1000, Color.RED, {0: Color.RED, 3: Color.RED, 5000: Color.BLUE}))
         assert state.candidates() == [3, 5000]
-        observed, edges, monitored, statements = brute_knowledge(0, state.report_log)
+        observed, edges, monitored, statements = brute_knowledge(0, state.reports.values())
         verified = brute_verified(monitored, statements)
         for v, row in zip(state.candidates(), state.features_matrix(state.candidates()).tolist()):
             assert tuple(row) == pytest.approx(brute_features(v, edges, monitored, statements, verified))

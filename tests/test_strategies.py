@@ -204,8 +204,8 @@ class TestCommonContracts:
         after = state.__dict__
         assert after.keys() == before.keys()
         for k, v in after.items():
-            if k == "report_log":
-                assert list(map(report_fields, v)) == list(map(report_fields, before[k]))
+            if k == "reports":
+                assert list(map(report_fields, v.values())) == list(map(report_fields, before[k].values()))
             else:
                 assert np.array_equal(v, before[k]) if isinstance(v, np.ndarray) else v == before[k], k
 
@@ -244,7 +244,7 @@ REFERENCE_COLUMN = {
 def reference_pick(strategy, state, rng):
     """Scalar pick from the report log: brute-force scores over the sorted
     frontier, then one rng.choice over the ascending tied list."""
-    observed, edges, monitored, statements = brute_knowledge(state.start, state.report_log)
+    observed, edges, monitored, statements = brute_knowledge(state.start, state.reports.values())
     verified = brute_verified(monitored, statements)
     cands = sorted(observed - set(monitored))
     col = REFERENCE_COLUMN[strategy]
