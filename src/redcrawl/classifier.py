@@ -19,6 +19,7 @@ ranks by known-red neighbors instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +30,18 @@ from .observer import ObserverState
 
 @dataclass(frozen=True)
 class ClassifierParams:
+    """Fit settings; construction raises ValueError for values `fit` cannot use."""
+
     l2: float = 1e-3
     max_iter: int = 500
     grad_tol: float = 1e-6
+
+    def __post_init__(self) -> None:
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        for name, value in (("l2", self.l2), ("grad_tol", self.grad_tol)):
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 DEFAULT_PARAMS = ClassifierParams()

@@ -54,9 +54,6 @@ class Color(enum.Enum):
     RED = "red"
     BLUE = "blue"
 
-    def flip(self) -> "Color":
-        return Color.BLUE if self is Color.RED else Color.RED
-
     @property
     def code(self) -> int:
         return BLUE if self is Color.BLUE else RED
@@ -74,9 +71,6 @@ class Color(enum.Enum):
             return cls(text.strip().lower())
         except ValueError:
             raise ValueError(f"unknown color {text!r}: expected 'red' or 'blue'") from None
-
-    def __str__(self) -> str:
-        return self.value
 
 
 _COLOR_OF_CODE = {RED: Color.RED, BLUE: Color.BLUE}
@@ -110,7 +104,7 @@ class WorldGraph:
     `hierarchy[v]` its rank score. The edges are a CSR: `v`'s neighbors
     are `indices[indptr[v]:indptr[v + 1]]`, in ascending order, which
     `adjacency[v]` returns. `colors[v]` reads a code back as a `Color`.
-    Both views, like `degree(v)`, raise IndexError for `v` outside [0, n).
+    Both views raise IndexError for `v` outside [0, n).
 
     The constructor is the one way to build a world: color codes, rank
     scores and an array of undirected (u, v) edges, each pair given once
@@ -185,9 +179,6 @@ class WorldGraph:
     def n(self) -> int:
         return len(self.codes)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Every edge once as aligned (u, v) arrays with u < v, sorted."""
         rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
@@ -233,7 +224,7 @@ def load_graph(edge_file, node_file) -> WorldGraph:
             label = (row["id"] or "").strip()
             if not label:
                 raise GraphLoadError(f"{node_file}:{row_num}: empty node id")
-            if EDGE_COMMENT_CHAR in label or len(label.split()) > 1:
+            if not _nameable(label):
                 raise GraphLoadError(
                     f"{node_file}:{row_num}: node id {label!r} contains whitespace or "
                     f"{EDGE_COMMENT_CHAR!r}, so no edge line can name it"
@@ -307,8 +298,21 @@ def _read_edges(edge_file, label_to_id: dict[str, int]) -> np.ndarray:
     return np.column_stack(np.divmod(keys, n))
 
 
+def _nameable(label: str) -> bool:
+    """Whether an edge line can name `label`: it is non-empty, with no whitespace and no '#'."""
+    return label.split() == [label] and EDGE_COMMENT_CHAR not in label
+
+
 def save_graph(g: WorldGraph, edge_file, node_file) -> None:
-    """Write a graph back to the two-file format accepted by load_graph."""
+    """Write a graph back to the two-file format accepted by load_graph.
+
+    Raises ValueError, before either file is opened, for a label that is
+    empty or contains whitespace or '#', which load_graph would reject.
+    """
+    for label in g.labels:
+        if not _nameable(label):
+            raise ValueError(f"label {label!r} is empty or contains whitespace or "
+                             f"{EDGE_COMMENT_CHAR!r}, so no edge line can name it")
     with open(edge_file, "w", encoding="utf-8") as fh:
         for u, v in g.edges():
             fh.write(f"{g.labels[u]} {g.labels[v]}\n")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .classifier import ClassifierParams, build_training_set, fit
+from .classifier import DEFAULT_PARAMS, ClassifierParams, build_training_set, fit
 from .graph import (
     Color,
     SYNTHETIC_MODES,
@@ -104,9 +104,9 @@ class ExperimentConfig:
     remove_red_red: bool = False
     output_dir: str = "out"
     dump_reports: bool = False
-    l2: float = 1e-3
-    max_iter: int = 500
-    grad_tol: float = 1e-6
+    l2: float = DEFAULT_PARAMS.l2
+    max_iter: int = DEFAULT_PARAMS.max_iter
+    grad_tol: float = DEFAULT_PARAMS.grad_tol
 
     def validate(self) -> None:
         if (self.edges is None) != (self.nodes is None):
@@ -128,8 +128,6 @@ class ExperimentConfig:
                 raise ValueError(f"budget tier {tier:g} outside (0, budget_fraction = {self.budget_fraction:g}]")
         if self.retrain_every < 1:
             raise ValueError("retrain_every must be at least 1")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if not self.strategies:
             raise ValueError("strategies must name at least one strategy")
         for s in self.strategies:
@@ -137,9 +135,7 @@ class ExperimentConfig:
                 raise ValueError(f"unknown strategy {s!r}: expected one of {STRATEGY_NAMES}")
         if len(set(self.strategies)) < len(self.strategies):
             raise ValueError(f"strategies must not repeat: {self.strategies}")
-        for name, value in (("l2", self.l2), ("grad_tol", self.grad_tol)):
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        self.classifier_params()  # ClassifierParams checks l2, max_iter and grad_tol
 
     def classifier_params(self) -> ClassifierParams:
         return ClassifierParams(l2=self.l2, max_iter=self.max_iter, grad_tol=self.grad_tol)
@@ -179,7 +175,7 @@ def _parse_bool(value: str) -> bool:
 
 def parse_config(path) -> ExperimentConfig:
     """Read a `key = value` config file (# starts a comment)."""
-    config = ExperimentConfig(strategies=list(STRATEGY_NAMES))
+    config = ExperimentConfig()
     with open(path, encoding="utf-8") as fh:
         for line_num, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -210,7 +206,7 @@ def run_single(
     retrain_every: int = 1,
     *,
     run_id: int = 0,
-    classifier_params: ClassifierParams | None = None,
+    classifier_params: ClassifierParams = DEFAULT_PARAMS,
     report_log_path=None,
     step_callback=None,
 ) -> RunTrace:
@@ -241,10 +237,9 @@ def run_single(
 
     model = None
     placed_since_fit = 0
-    params = classifier_params or ClassifierParams()
     while len(steps) < budget:
         if strategy == "redlearn" and (model is None or placed_since_fit >= retrain_every):
-            model = fit(build_training_set(state), params)
+            model = fit(build_training_set(state), classifier_params)
             placed_since_fit = 0
         try:
             decision = pick(strategy, state, tiebreak_rng, model)

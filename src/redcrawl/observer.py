@@ -25,18 +25,15 @@ neighbor's report says which of the target's neighbors it also touches.
 Colors are coded graph.RED (0) and graph.BLUE (1) throughout the
 arrays, the verified table included; a report's statements arrive in
 the same codes, so ingest indexes the counters with a report's two
-arrays as they are. `observed_nodes` and `monitored` are read-only
-views rebuilt on every read; the step loop never reads them.
-`features_matrix` gathers one float row per node from the arrays,
-computing the trust table once; `features(v)` is that matrix's single
-row. The test suite checks the rows against a
+arrays as they are. `features_matrix` gathers one float row per node
+from the arrays, computing the trust table once; `features(v)` is that
+matrix's single row. The test suite checks the rows against a
 from-scratch recount of the reports.
 """
 
 from __future__ import annotations
 
 import json
-from types import MappingProxyType
 
 import numpy as np
 
@@ -112,12 +109,6 @@ class ObserverState:
                        color, subject true color] in the NodeCounters codes
                        (0 = red, 1 = blue): counts of claims whose subject
                        is now monitored.
-
-    Read-only views, rebuilt from the above on every read in time linear
-    in the arrays or the reports, so not meant for a step loop:
-      observed_nodes   frozenset of ids ever seen (monitored or named as a
-                       neighbor); the start node is observed from step 0.
-      monitored        node id -> true Color, in monitor order.
     """
 
     def __init__(self, start: int):
@@ -128,23 +119,6 @@ class ObserverState:
         self.reports: dict[int, MonitorReport] = {}
         self.counts = NodeCounters(start + 1)
         self.counts.frontier[start] = True
-
-    @classmethod
-    def replay(cls, start: int, reports) -> "ObserverState":
-        """Rebuild a state by ingesting an ordered iterable of reports from scratch."""
-        state = cls(start)
-        for report in reports:
-            state.ingest(report)
-        return state
-
-    @property
-    def observed_nodes(self) -> frozenset[int]:
-        c = self.counts
-        return frozenset(np.flatnonzero(c.frontier | (c.color >= 0)).tolist())
-
-    @property
-    def monitored(self) -> MappingProxyType:
-        return MappingProxyType({t: r.true_color for t, r in self.reports.items()})
 
     def frontier(self) -> np.ndarray:
         """Observed-but-unmonitored node ids as a new ascending int array."""

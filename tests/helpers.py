@@ -18,6 +18,7 @@ from redcrawl import (
     Color,
     LyingScenario,
     MonitorReport,
+    ObserverState,
     TrainedModel,
     TrainingSet,
     WorldGraph,
@@ -69,6 +70,32 @@ def report(target, color, neighbor_colors) -> MonitorReport:
         neighbors=np.array(neighbors, dtype=np.intp),
         statements=np.array([neighbor_colors[v].code for v in neighbors], dtype=np.int8),
     )
+
+
+def degree(world, v) -> int:
+    return len(world.adjacency[v])
+
+
+def flip(color) -> Color:
+    return Color.from_code(1 - color.code)
+
+
+def observed_of(state) -> set[int]:
+    """Ids the state has seen: monitored, or on the frontier (the start from step 0)."""
+    return set(np.flatnonzero(state.counts.frontier | (state.counts.color >= 0)).tolist())
+
+
+def monitored_of(state) -> dict:
+    """Monitored id -> true Color, in monitor order."""
+    return {t: rep.true_color for t, rep in state.reports.items()}
+
+
+def replay(start, reports) -> ObserverState:
+    """A fresh state that ingests `reports` in order."""
+    state = ObserverState(start)
+    for rep in reports:
+        state.ingest(rep)
+    return state
 
 
 def report_fields(rep) -> tuple:

@@ -36,7 +36,9 @@ from helpers import (
     have_noordin,
     identity_model,
     lie_probability,
+    monitored_of,
     noordin_paths,
+    observed_of,
     ordered_inferred_red,
     training_set,
     verified_dict,
@@ -127,15 +129,15 @@ def test_criterion_3_observer_oracle_equivalence():
             state = ObserverState(start)
             state.ingest(oracle.place_monitor(start))
             pick_rng = random.Random(case * 31 + 3)
-            while len(state.monitored) < 20:
+            while len(state.reports) < 20:
                 cands = state.candidates()
                 if not cands:
                     break
                 state.ingest(oracle.place_monitor(pick_rng.choice(cands)))
 
             observed, edges, monitored, statements = brute_knowledge(start, state.reports.values())
-            assert state.observed_nodes == observed
-            assert state.monitored == monitored
+            assert observed_of(state) == observed
+            assert monitored_of(state) == monitored
             assert verified_dict(state.verified_counts) == brute_verified(monitored, statements)
             verified = verified_dict(state.verified_counts)
             cands = state.candidates()

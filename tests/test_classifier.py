@@ -23,7 +23,9 @@ from helpers import (
     brute_features,
     brute_knowledge,
     brute_verified,
+    flip,
     identity_model,
+    monitored_of,
     training_set,
 )
 
@@ -47,7 +49,7 @@ def crawl_state(world, scenario, n_monitors, seed):
     state = ObserverState(start)
     state.ingest(oracle.place_monitor(start))
     rng = random.Random(seed + 1)
-    while len(state.monitored) < n_monitors:
+    while len(state.reports) < n_monitors:
         cands = state.candidates()
         if not cands:
             break
@@ -84,16 +86,16 @@ class TestBuildTrainingSet:
         data = build_training_set(state)
         assert len(data.rows) == 20
         assert data.rows.shape == (20, 9)
-        labels = {m: Color.RED if label else Color.BLUE for label, m in zip(data.labels, state.monitored)}
-        assert labels == state.monitored
+        labels = {m: Color.RED if label else Color.BLUE for label, m in zip(data.labels, state.reports)}
+        assert labels == monitored_of(state)
 
     def test_rows_are_the_monitored_feature_matrix(self):
         world = generate_synthetic(60, 0.25, "homophily", 2)
         state = crawl_state(world, LyingScenario.LS2, 25, seed=8)
         data = build_training_set(state)
-        want = state.features_matrix(list(state.monitored), allow_monitored=True)
+        want = state.features_matrix(list(state.reports), allow_monitored=True)
         assert np.array_equal(data.rows, want)
-        assert data.labels.tolist() == [float(c is Color.RED) for c in state.monitored.values()]
+        assert data.labels.tolist() == [float(c is Color.RED) for c in monitored_of(state).values()]
 
     def test_rows_match_masked_recount_from_log(self):
         # recompute each monitored node's features from the log without its
@@ -103,7 +105,7 @@ class TestBuildTrainingSet:
         data = build_training_set(state)
         _, _, monitored_full, statements_full = brute_knowledge(state.start, state.reports.values())
         verified = brute_verified(monitored_full, statements_full)
-        for features, label, m in zip(data.rows, data.labels, state.monitored):
+        for features, label, m in zip(data.rows, data.labels, state.reports):
             masked = [rep for rep in state.reports.values() if rep.target != m]
             _, edges, monitored, statements = brute_knowledge(state.start, masked)
             expected = brute_features(m, edges, monitored, statements, verified)
@@ -183,6 +185,17 @@ class TestFit:
         assert not model.converged
         assert model.iterations == 5
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
+        ({"l2": -1.0}, "l2 must be finite and non-negative, got -1.0"),
+        ({"l2": math.nan}, "l2 must be finite and non-negative, got nan"),
+        ({"grad_tol": math.nan}, "grad_tol must be finite and non-negative, got nan"),
+    ], ids=["max_iter_zero", "l2_negative", "l2_nan", "grad_tol_nan"])
+    def test_params_that_fit_cannot_use_rejected(self, kwargs, match):
+        # without the check these fit nothing, diverge or never stop early
+        with pytest.raises(ValueError, match=match):
+            ClassifierParams(**kwargs)
+
     def test_single_class_routes_to_fallback(self):
         rows = [(fv(1, 0, 0, 0, 0, 0, 0, 0, 0.5), Color.RED) for _ in range(5)]
         model = fit(training_set(rows))
@@ -201,7 +214,7 @@ class TestFit:
             rows.append((fv(value, 0, 0, 0, 0, 0, 0, 0, 0.5), Color.RED if red else Color.BLUE))
         model = fit(training_set(rows))
         assert model.weights[0] > 0
-        flipped = [(features, label.flip()) for features, label in rows]
+        flipped = [(features, flip(label)) for features, label in rows]
         model = fit(training_set(flipped))
         assert model.weights[0] < 0
 

@@ -19,7 +19,7 @@ from redcrawl import (
     remove_red_red_edges,
     save_graph,
 )
-from helpers import have_noordin, have_pokec, make_world, noordin_paths, pokec_paths
+from helpers import degree, have_noordin, have_pokec, make_world, noordin_paths, pokec_paths
 
 
 def write_graph_files(tmp_path, edge_text, node_text):
@@ -264,8 +264,8 @@ class TestGenerateSynthetic:
 
     def test_structural_signal_degree_gap(self):
         g = generate_synthetic(500, 0.05, "structural_signal", 1)
-        red_deg = [g.degree(v) for v in range(g.n) if g.colors[v] is Color.RED]
-        blue_deg = [g.degree(v) for v in range(g.n) if g.colors[v] is Color.BLUE]
+        red_deg = [degree(g, v) for v in range(g.n) if g.colors[v] is Color.RED]
+        blue_deg = [degree(g, v) for v in range(g.n) if g.colors[v] is Color.BLUE]
         gap = sum(red_deg) / len(red_deg) - sum(blue_deg) / len(blue_deg)
         assert gap >= 10.0
         assert all(
@@ -274,7 +274,7 @@ class TestGenerateSynthetic:
 
     def test_hierarchy_is_degree_floored_at_one(self):
         g = generate_synthetic(200, 0.1, "homophily", 9)
-        assert all(g.hierarchy[v] == max(1, g.degree(v)) for v in range(g.n))
+        assert all(g.hierarchy[v] == max(1, degree(g, v)) for v in range(g.n))
 
     def test_red_count(self):
         g = generate_synthetic(200, 0.1, "homophily", 4)
@@ -337,7 +337,7 @@ class TestConstruction:
         assert g.indices.tolist() == [1, 3, 0, 3, 0, 1, 4, 3]
         assert [g.adjacency[v].tolist() for v in range(g.n)] == [[1, 3], [0, 3], [], [0, 1, 4], [3]]
         assert len(g.adjacency) == 5
-        assert [g.degree(v) for v in range(g.n)] == [2, 2, 0, 3, 1]
+        assert [degree(g, v) for v in range(g.n)] == [2, 2, 0, 3, 1]
         assert g.edges() == [(0, 1), (0, 3), (1, 3), (3, 4)]
         with pytest.raises(IndexError):
             g.adjacency[5]
@@ -347,7 +347,7 @@ class TestConstruction:
     @pytest.mark.parametrize("v", [-1, 3])
     def test_views_check_bounds(self, v):
         g = make_world(3, [(0, 1), (1, 2)], red={2})
-        for view in (g.colors.__getitem__, g.degree):
+        for view in (g.colors.__getitem__, g.adjacency.__getitem__):
             with pytest.raises(IndexError, match=f"node id {v} out of range"):
                 view(v)
         assert [c.value for c in g.colors] == ["blue", "blue", "red"]
@@ -364,8 +364,6 @@ class TestConstruction:
 
 
 def test_color_flip_and_parse():
-    assert Color.RED.flip() is Color.BLUE
-    assert Color.BLUE.flip() is Color.RED
     assert Color.parse(" Red ") is Color.RED
     with pytest.raises(ValueError):
         Color.parse("purple")
@@ -390,3 +388,15 @@ def test_save_graph_round_trips_hierarchy_exactly(tmp_path):
     save_graph(g, edge_path, node_path)
     assert load_graph(edge_path, node_path).hierarchy.tolist() == scores
     assert node_path.read_text().splitlines()[3] == "2,blue,12"
+
+
+@pytest.mark.parametrize("labels, bad", [
+    (["a b", "c", "#d"], "a b"),
+    (["a", "", "c"], ""),
+    (["a", "b", "#d"], "#d"),
+], ids=["whitespace", "empty", "hash"])
+def test_save_graph_rejects_a_label_the_loader_would_reject(tmp_path, labels, bad):
+    g = WorldGraph([0, 1, 1], [1, 1, 1], [(0, 1), (1, 2)], labels=labels)
+    with pytest.raises(ValueError, match=f"label {bad!r} is empty or contains whitespace or '#'"):
+        save_graph(g, tmp_path / "e.txt", tmp_path / "n.csv")
+    assert list(tmp_path.iterdir()) == []

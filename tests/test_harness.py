@@ -349,6 +349,20 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=match):
             parse_config(path)
 
+    @pytest.mark.parametrize("line, match", [
+        ("synthetic_mode homophily", "expected 'key = value'"),
+        ("dump_reports = maybe", "bad value for dump_reports: expected a boolean, got 'maybe'"),
+        ("scenario = ls3", "bad value for scenario: unknown lying scenario 'ls3'"),
+        ("runs = two", "bad value for runs: invalid literal for int"),
+    ], ids=["no_equals", "bad_bool", "bad_scenario", "bad_int"])
+    def test_config_file_line_errors_name_file_line_and_problem(self, tmp_path, line, match):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"runs = 2\n{line}\n")
+        with pytest.raises(ValueError) as info:
+            parse_config(path)
+        assert str(info.value).startswith(f"{path}:2: ")
+        assert match in str(info.value)
+
     def test_cli_budget_below_a_tier_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("synthetic_mode = homophily\nsynthetic_n = 30\nruns = 2\nbudget_tiers = 0.1,0.5\n")

@@ -20,8 +20,11 @@ from helpers import (
     brute_knowledge,
     brute_trust,
     brute_verified,
+    monitored_of,
     named,
+    observed_of,
     ordered_inferred_red,
+    replay,
     report,
     verified_dict,
 )
@@ -35,7 +38,7 @@ def crawl(world, honesty, scenario, start, n_monitors, seed):
     state = ObserverState(start)
     state.ingest(oracle.place_monitor(start))
     rng = random.Random(seed + 1)
-    while len(state.monitored) < n_monitors:
+    while len(state.reports) < n_monitors:
         cands = state.candidates()
         if not cands:
             break
@@ -47,23 +50,12 @@ class TestIngest:
     def test_start_report_bookkeeping(self):
         state = ObserverState(0)
         state.ingest(report(0, Color.RED, {1: Color.RED, 2: Color.BLUE, 3: Color.BLUE}))
-        assert state.observed_nodes == {0, 1, 2, 3}
+        assert observed_of(state) == {0, 1, 2, 3}
         _, edges, _, statements = brute_knowledge(0, state.reports.values())
         assert edges == {(0, 1), (0, 2), (0, 3)}
-        assert state.monitored == {0: Color.RED}
+        assert monitored_of(state) == {0: Color.RED}
         assert len(statements) == 3
         assert state.candidates() == [1, 2, 3]
-
-    def test_views_are_read_only(self):
-        state = ObserverState(0)
-        state.ingest(report(0, Color.RED, {1: Color.BLUE}))
-        with pytest.raises(AttributeError):
-            state.observed_nodes.add(9)
-        with pytest.raises(TypeError):
-            state.monitored[1] = Color.BLUE
-        assert state.observed_nodes == {0, 1}
-        assert state.monitored == {0: Color.RED}
-        assert state.candidates() == [1]
 
     @pytest.mark.parametrize("start", [-1, -3])
     def test_negative_start_rejected(self, start):
@@ -88,7 +80,7 @@ class TestIngest:
         state.ingest(report(0, Color.RED, {1: Color.BLUE}))
         with pytest.raises(ValueError, match="has not been observed"):
             state.ingest(report(target, Color.BLUE, {0: Color.RED}))
-        assert state.observed_nodes == {0, 1}
+        assert observed_of(state) == {0, 1}
 
     def test_verification_when_subject_monitored_later(self):
         state = ObserverState(0)
@@ -132,10 +124,10 @@ class TestIngest:
                 break
             state.ingest(oracle.place_monitor(rng.choice(cands)))
             _, edges, _, statements = brute_knowledge(0, state.reports.values())
-            assert len(state.observed_nodes) >= prev_nodes
+            assert len(observed_of(state)) >= prev_nodes
             assert len(edges) >= prev_edges
             assert len(statements) >= prev_stmts
-            prev_nodes = len(state.observed_nodes)
+            prev_nodes = len(observed_of(state))
             prev_edges = len(edges)
             prev_stmts = len(statements)
 
@@ -282,8 +274,8 @@ class TestBruteForceEquivalence:
             state = crawl(world, [0.45] * world.n, LyingScenario.LS1, start, 20, seed=seed + 100)
 
             observed, edges, monitored, statements = brute_knowledge(start, state.reports.values())
-            assert state.observed_nodes == observed
-            assert state.monitored == monitored
+            assert observed_of(state) == observed
+            assert monitored_of(state) == monitored
             verified = brute_verified(monitored, statements)
             assert verified_dict(state.verified_counts) == verified
             for speaker_color in Color:
@@ -304,9 +296,9 @@ class TestBruteForceEquivalence:
         world = generate_synthetic(40, 0.2, "homophily", 4)
         start = world.red_ids()[0]
         state = crawl(world, [0.5] * world.n, LyingScenario.LS2, start, 15, seed=5)
-        again = ObserverState.replay(start, state.reports.values())
-        assert again.observed_nodes == state.observed_nodes
-        assert again.monitored == state.monitored
+        again = replay(start, state.reports.values())
+        assert observed_of(again) == observed_of(state)
+        assert monitored_of(again) == monitored_of(state)
         assert again.counts == state.counts
         assert np.array_equal(again.verified_counts, state.verified_counts)
         for v in state.candidates():
@@ -372,10 +364,10 @@ class TestIncrementalFrontier:
             state = ObserverState(start)
             assert state.candidates() == [start]
             rng = random.Random(seed + 50)
-            while len(state.monitored) < 30 and state.candidates():
+            while len(state.reports) < 30 and state.candidates():
                 state.ingest(oracle.place_monitor(rng.choice(state.candidates())))
                 assert state.candidates() == brute_frontier(start, state.reports.values())
-            again = ObserverState.replay(start, state.reports.values())
+            again = replay(start, state.reports.values())
             assert again.candidates() == brute_frontier(start, state.reports.values())
             assert again.counts == state.counts
 

@@ -24,7 +24,9 @@ from helpers import (
     brute_features,
     brute_knowledge,
     brute_verified,
+    degree,
     identity_model,
+    observed_of,
     report,
     report_fields,
     scores_of,
@@ -90,7 +92,7 @@ class TestRedScore:
         state = ObserverState(blues[0])
         state.ingest(oracle.place_monitor(blues[0]))
         for v in blues[1:6]:
-            if v in state.observed_nodes:
+            if v in observed_of(state):
                 state.ingest(oracle.place_monitor(v))
         decision = pick("rs", state, random.Random(1))
         assert all(score == 0.0 for score in scores_of(decision).values())
@@ -129,7 +131,7 @@ class TestMostRedNeighbors:
         # with no red-red edges every neighbor of a monitored red is blue
         world = generate_synthetic(80, 0.15, "no_homophily", 7)
         oracle = Oracle(world, [0.5] * world.n, LyingScenario.LS1, random.Random(0))
-        start = max(world.red_ids(), key=world.degree)
+        start = max(world.red_ids(), key=lambda v: degree(world, v))
         state = ObserverState(start)
         state.ingest(oracle.place_monitor(start))
         rng = random.Random(2)
