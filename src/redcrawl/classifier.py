@@ -83,7 +83,7 @@ def build_training_set(state: ObserverState) -> TrainingSet:
     ids = list(state.reports)
     if not ids:
         raise ValueError("cannot build a training set with no monitored nodes")
-    labels = (state.counts.color[ids] == RED).astype(float)
+    labels = (state.color[ids] == RED).astype(float)
     return TrainingSet(rows=state.features_matrix(ids, allow_monitored=True), labels=labels)
 
 

@@ -1,4 +1,10 @@
-"""Command-line entry points: `redcrawl run` and `redcrawl gen`."""
+"""Command-line entry points: `redcrawl run` and `redcrawl gen`.
+
+Each `run` override flag keeps its text under the config key it sets,
+and that key's file parser reads it, so a flag accepts exactly what a
+`key = value` line accepts. An input error, such as a bad value or an
+unreadable file, prints one `redcrawl: error:` line and exits 2.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +14,7 @@ import sys
 from pathlib import Path
 
 from .graph import SYNTHETIC_MODES, count_colors, generate_synthetic, save_graph
-from .harness import parse_config, run_experiment
-from .oracle import LyingScenario
+from .harness import _CONFIG_PARSERS, parse_config, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -22,14 +27,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run an experiment from a config file")
     run_p.add_argument("--config", required=True, help="key = value config file")
-    run_p.add_argument("--strategy", help="override strategies (comma-separated: sr,rs,mrsr,mrn,redlearn)")
-    run_p.add_argument("--scenario", choices=["ls1", "ls2"], help="override lying scenario")
-    run_p.add_argument("--runs", type=int, help="override number of runs")
-    run_p.add_argument("--budget-fraction", type=float, help="override monitor budget as a fraction of nodes")
-    run_p.add_argument("--seed", type=int, help="override master seed")
-    run_p.add_argument("--remove-red-red", action="store_true", default=None,
+    run_p.add_argument("--strategy", dest="strategies",
+                       help="override strategies (comma-separated: sr,rs,mrsr,mrn,redlearn)")
+    run_p.add_argument("--scenario", help="override lying scenario (ls1 or ls2)")
+    run_p.add_argument("--runs", help="override number of runs")
+    run_p.add_argument("--budget-fraction", help="override monitor budget as a fraction of nodes")
+    run_p.add_argument("--seed", dest="master_seed", help="override master seed")
+    run_p.add_argument("--remove-red-red", action="store_const", const="true",
                        help="delete all edges between red nodes before crawling")
-    run_p.add_argument("--out", help="override output directory")
+    run_p.add_argument("--out", dest="output_dir", help="override output directory")
 
     gen_p = sub.add_parser("gen", help="generate a synthetic world graph to files")
     gen_p.add_argument("--n", type=int, required=True)
@@ -42,22 +48,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     config = parse_config(args.config)
-    if args.strategy:
-        config.strategies = [s.strip() for s in args.strategy.split(",") if s.strip()]
-    if args.scenario:
-        config.scenario = LyingScenario.parse(args.scenario)
-    if args.runs is not None:
-        config.runs = args.runs
-    if args.budget_fraction is not None:
-        config.budget_fraction = args.budget_fraction
-    if args.seed is not None:
-        config.master_seed = args.seed
-    if args.remove_red_red is not None:
-        config.remove_red_red = args.remove_red_red
-    if args.out:
-        config.output_dir = args.out
-    config.validate()
-
+    # Every override flag's dest is the config key it sets.
+    for key, text in vars(args).items():
+        if key in _CONFIG_PARSERS and text is not None:
+            try:
+                setattr(config, key, _CONFIG_PARSERS[key](text))
+            except ValueError as exc:
+                raise ValueError(f"bad value for {key}: {exc}") from None
     result = run_experiment(config)
     world = result["world"]
     reds, blues = count_colors(world)
@@ -90,9 +87,11 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
-    if args.command == "run":
-        return _cmd_run(args)
-    return _cmd_gen(args)
+    try:
+        return _cmd_run(args) if args.command == "run" else _cmd_gen(args)
+    except (ValueError, OSError) as exc:
+        print(f"redcrawl: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -219,8 +219,7 @@ def run_single(
     given, is called as `(state, decision)` after each pick and before
     the matching ingest.
     """
-    if not 0 <= start < world.n:
-        raise ValueError(f"start node {start} is not a node id in [0, {world.n})")
+    state = ObserverState(start, world.n)  # checks that start is a node id
     if world.colors[start] is not Color.RED:
         raise ValueError(f"start node {start} is not red")
     if budget < 1:
@@ -230,7 +229,6 @@ def run_single(
     tiebreak_rng = random.Random(derive_seed(seed, "tiebreak"))
 
     oracle = Oracle(world, assign_honesty(world, honesty_rng), scenario, lies_rng)
-    state = ObserverState(start)
     state.ingest(oracle.place_monitor(start))
     cum_red = 1
     steps = [TraceStep(0, start, Color.RED, cum_red)]
@@ -248,8 +246,7 @@ def run_single(
             break
         if step_callback is not None:
             step_callback(state, decision)
-        color = state.counts.color
-        if 0 <= decision.chosen < len(color) and color[decision.chosen] >= 0:
+        if 0 <= decision.chosen < world.n and state.color[decision.chosen] >= 0:
             raise ValueError(
                 f"strategy {strategy!r} picked node {decision.chosen}, which is already monitored"
             )

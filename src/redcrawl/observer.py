@@ -13,10 +13,10 @@ that the candidate is red.
 The state is one report record plus the counters below; no fact is
 stored twice. The record, `reports`, maps each monitored node to its
 report, in monitor order: it is the one record of claims, edges and
-monitor order. On top of it, ingest keeps per-node counters as int
-arrays indexed by node id (`NodeCounters`): each node's four claim
-counts by (speaker color, said color), its red triangles, its monitored
-color and whether it is on the frontier. The frontier is kept
+monitor order. On top of it, ingest keeps four per-node arrays indexed
+by node id, allocated once for the world's `n` ids: each node's four
+claim counts by (speaker color, said color), its red triangles, its
+monitored color and whether it is on the frontier. The frontier is kept
 incrementally, so `frontier()` and `candidates()` read one mask, and the
 known red and blue neighbor counts derive from the claim counts, because
 every monitored neighbor makes exactly one claim about a node. A red
@@ -57,72 +57,45 @@ FEATURE_NAMES = (
 RSR, RSB, BSR, BSB = 0, 1, 2, 3
 
 
-class NodeCounters:
-    """Per-node int arrays indexed by node id, grown as larger ids appear.
-
-      say        (size, 4) claims about each node by monitored speakers,
-                 columns in (speaker color, said color) order: rsr, rsb,
-                 bsr, bsb.
-      triangles  adjacent pairs among each node's monitored red neighbors.
-      color      0 (red) or 1 (blue) once the node is monitored, -1 before.
-      frontier   True for observed, unmonitored nodes (the candidates).
-
-    An id past the arrays has never been named in a report, so it is not
-    observed.
-    """
-
-    FIELDS = ("say", "triangles", "color", "frontier")
-
-    def __init__(self, size: int):
-        self.say = np.zeros((size, 4), dtype=np.int64)
-        self.triangles = np.zeros(size, dtype=np.int64)
-        self.color = np.full(size, -1, dtype=np.int8)
-        self.frontier = np.zeros(size, dtype=bool)
-
-    def reserve(self, top: int) -> None:
-        """Make ids up to `top` indexable."""
-        size = len(self.color)
-        if top < size:
-            return
-        grown = NodeCounters(max(top + 1, 2 * size))
-        for name in self.FIELDS:
-            getattr(grown, name)[:size] = getattr(self, name)
-        self.__dict__.update(grown.__dict__)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NodeCounters):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in self.FIELDS)
-
-
 class ObserverState:
-    """Mutable crawl knowledge for one run, keyed by dense node ids.
+    """Mutable crawl knowledge for one run over the node ids [0, n).
 
     Stored, each fact once:
       start            the initially known node.
       reports          monitored node id -> its MonitorReport, in monitor
                        order: the claims and the known edges.
-      counts           NodeCounters: per-node claim counts, red triangles,
-                       monitored colors and the frontier mask, kept up to
-                       date by `ingest`; callers only read them.
+      say              (n, 4) int array: claims about each node by
+                       monitored speakers, columns in (speaker color, said
+                       color) order: rsr, rsb, bsr, bsb.
+      triangles        (n,) int array: adjacent pairs among each node's
+                       monitored red neighbors.
+      color            (n,) int8 array: 0 (red) or 1 (blue) once the node
+                       is monitored, -1 before.
+      on_frontier      (n,) bool array: True for observed, unmonitored
+                       nodes (the candidates).
       verified_counts  (2, 2, 2) int array indexed [speaker color, said
-                       color, subject true color] in the NodeCounters codes
-                       (0 = red, 1 = blue): counts of claims whose subject
-                       is now monitored.
+                       color, subject true color] in the same codes:
+                       counts of claims whose subject is now monitored.
+
+    The four per-node arrays are allocated once and kept up to date by
+    `ingest`; callers only read them.
     """
 
-    def __init__(self, start: int):
-        if start < 0:
-            raise ValueError(f"start node {start} is not a node id: ids are non-negative")
+    def __init__(self, start: int, n: int):
+        if not 0 <= start < n:
+            raise ValueError(f"start node {start} is not a node id in [0, {n})")
         self.start = start
         self.verified_counts = np.zeros((2, 2, 2), dtype=np.int64)
         self.reports: dict[int, MonitorReport] = {}
-        self.counts = NodeCounters(start + 1)
-        self.counts.frontier[start] = True
+        self.say = np.zeros((n, 4), dtype=np.int64)
+        self.triangles = np.zeros(n, dtype=np.int64)
+        self.color = np.full(n, -1, dtype=np.int8)
+        self.on_frontier = np.zeros(n, dtype=bool)
+        self.on_frontier[start] = True
 
     def frontier(self) -> np.ndarray:
         """Observed-but-unmonitored node ids as a new ascending int array."""
-        return np.flatnonzero(self.counts.frontier)
+        return np.flatnonzero(self.on_frontier)
 
     def candidates(self) -> list[int]:
         """Observed-but-unmonitored node ids, ascending (the legal monitor targets)."""
@@ -135,36 +108,41 @@ class ObserverState:
         observed, its claims are counted, and the verified-claim table
         picks up both old claims about the target and new claims about
         already-monitored subjects. Ingesting the same target twice is an
-        error: a monitor placement spends budget once.
+        error: a monitor placement spends budget once. A report whose
+        statements do not pair up with its neighbors, or that names a
+        neighbor outside [0, n), is rejected before anything is written.
         """
         t = report.target
-        c = self.counts
-        inside = 0 <= t < len(c.color)
-        if inside and c.color[t] >= 0:
+        n = len(self.color)
+        inside = 0 <= t < n
+        if inside and self.color[t] >= 0:
             raise ValueError(f"node {t} is already monitored")
-        if not (inside and c.frontier[t]):
+        if not (inside and self.on_frontier[t]):
             raise ValueError(f"node {t} has not been observed; monitors go on observed nodes")
-        t_code = report.true_color.code
         nbrs, said = report.neighbors, report.statements
-        c.reserve(max(t, nbrs[-1]) if len(nbrs) else t)  # neighbors ascend
-        c.color[t] = t_code
-        c.frontier[t] = False
+        if len(said) != len(nbrs):
+            raise ValueError(f"report on node {t} has {len(said)} statements for {len(nbrs)} neighbors")
+        if len(nbrs) and not (nbrs[0] >= 0 and nbrs[-1] < n):  # neighbors ascend
+            raise ValueError(f"report on node {t} names a neighbor outside [0, {n})")
+        t_code = report.true_color.code
+        self.color[t] = t_code
+        self.on_frontier[t] = False
 
-        c.say[nbrs, 2 * t_code + said] += 1
-        subject = c.color[nbrs]
+        self.say[nbrs, 2 * t_code + said] += 1
+        subject = self.color[nbrs]
         if t_code == RED:
             # A monitored red neighbor r closes the red triangle (t, r, v)
             # at every v that both t and r touch; both arrays ascend uniquely.
             for r in nbrs[subject == RED].tolist():
-                c.triangles[np.intersect1d(nbrs, self.reports[r].neighbors, assume_unique=True)] += 1
-        c.frontier[nbrs[subject < 0]] = True
+                self.triangles[np.intersect1d(nbrs, self.reports[r].neighbors, assume_unique=True)] += 1
+        self.on_frontier[nbrs[subject < 0]] = True
 
         verified = self.verified_counts
         seen = subject >= 0
         verified[t_code] += np.bincount(2 * said[seen] + subject[seen], minlength=4).reshape(2, 2)
         # Every claim about t came from an already-monitored speaker, so
         # t's four claim counts are exactly the claims t's color verifies.
-        verified[:, :, t_code] += c.say[t].reshape(2, 2)
+        verified[:, :, t_code] += self.say[t].reshape(2, 2)
 
         self.reports[t] = report
         return self
@@ -172,7 +150,7 @@ class ObserverState:
     def trust(self) -> np.ndarray:
         """P(subject is red | speaker color, said color) as a 2x2 array, from verified claims.
 
-        Indexed [speaker color, said color] in the NodeCounters codes.
+        Indexed [speaker color, said color], 0 = red and 1 = blue.
         Add-one smoothed: (verified red subjects + 1) / (verified total + 2),
         so each cell is 0.5 before any evidence and approaches the raw
         verified ratio as counts grow.
@@ -197,24 +175,24 @@ class ObserverState:
         Columns follow FEATURE_NAMES. The first eight are non-negative
         counts over the node's monitored neighbors and their claims about
         it; `inferred_red` is the trust-weighted mean over those claims,
-        0.5 with none. The rows are gathered from `counts`, and the trust
-        table is computed once per call. An id that is not observed, or
-        that is monitored without `allow_monitored`, raises ValueError.
+        0.5 with none. The rows are gathered from the per-node arrays, and
+        the trust table is computed once per call. An id that is not
+        observed, or that is monitored without `allow_monitored`, raises
+        ValueError.
         """
         ids = np.asarray(nodes, dtype=np.intp)
-        c = self.counts
-        outside = (ids < 0) | (ids >= len(c.color))
+        outside = (ids < 0) | (ids >= len(self.color))
         if outside.any():
             raise ValueError(f"node {ids[outside][0]} has not been observed")
-        legal = c.frontier[ids] | (allow_monitored & (c.color[ids] >= 0))
+        legal = self.on_frontier[ids] | (allow_monitored & (self.color[ids] >= 0))
         if not legal.all():
             v = ids[~legal][0]
-            if c.color[v] >= 0:
+            if self.color[v] >= 0:
                 raise ValueError(f"node {v} is monitored; features are for candidates")
             raise ValueError(f"node {v} has not been observed")
-        say = c.say[ids].astype(float)
+        say = self.say[ids].astype(float)
         rsr, rsb, bsr, bsb = say.T
-        X = np.column_stack((rsr + rsb, bsr + bsb, c.triangles[ids], rsr + bsr, say,
+        X = np.column_stack((rsr + rsb, bsr + bsb, self.triangles[ids], rsr + bsr, say,
                              np.full(len(ids), 0.5)))
         total = rsr + rsb + bsr + bsb
         # Elementwise, in this order, so every row rounds exactly as the

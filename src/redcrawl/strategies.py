@@ -36,7 +36,7 @@ from .observer import BSR, RSB, RSR, ObserverState
 STRATEGY_NAMES = ("sr", "rs", "mrsr", "mrn", "redlearn")
 
 # Each counting strategy scores a candidate by the sum of these columns of
-# its claim counts (see NodeCounters.say); sr sums none, so every score is 0.
+# its claim counts (see ObserverState.say); sr sums none, so every score is 0.
 _SCORE_COLUMNS = {"sr": [], "rs": [RSR, BSR], "mrsr": [RSR], "mrn": [RSR, RSB]}
 
 
@@ -74,8 +74,7 @@ def pick(strategy: str, state: ObserverState, rng: random.Random,
     if strategy == "redlearn" and not model.fallback:
         scores = predict_many(model, state.features_matrix(cands))
     else:
-        say = state.counts.say
         scores = np.zeros(len(cands), dtype=np.int64)
         for col in _SCORE_COLUMNS["mrn" if strategy == "redlearn" else strategy]:
-            scores += say[cands, col]
+            scores += state.say[cands, col]
     return Decision(int(rng.choice(cands[scores == scores.max()])), cands, scores)

@@ -82,7 +82,7 @@ def flip(color) -> Color:
 
 def observed_of(state) -> set[int]:
     """Ids the state has seen: monitored, or on the frontier (the start from step 0)."""
-    return set(np.flatnonzero(state.counts.frontier | (state.counts.color >= 0)).tolist())
+    return set(np.flatnonzero(state.on_frontier | (state.color >= 0)).tolist())
 
 
 def monitored_of(state) -> dict:
@@ -90,12 +90,18 @@ def monitored_of(state) -> dict:
     return {t: rep.true_color for t, rep in state.reports.items()}
 
 
-def replay(start, reports) -> ObserverState:
-    """A fresh state that ingests `reports` in order."""
-    state = ObserverState(start)
+def replay(start, n, reports) -> ObserverState:
+    """A fresh state over ids [0, n) that ingests `reports` in order."""
+    state = ObserverState(start, n)
     for rep in reports:
         state.ingest(rep)
     return state
+
+
+def same_arrays(a, b) -> bool:
+    """Whether two states hold equal per-node arrays."""
+    return all(np.array_equal(getattr(a, f), getattr(b, f))
+               for f in ("say", "triangles", "color", "on_frontier"))
 
 
 def report_fields(rep) -> tuple:

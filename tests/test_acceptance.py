@@ -126,7 +126,7 @@ def test_criterion_3_observer_oracle_equivalence():
             oracle = Oracle(world, honesty, LyingScenario.LS1 if case % 2 else LyingScenario.LS2,
                             random.Random(case * 31 + 2))
             start = world.red_ids()[0]
-            state = ObserverState(start)
+            state = ObserverState(start, world.n)
             state.ingest(oracle.place_monitor(start))
             pick_rng = random.Random(case * 31 + 3)
             while len(state.reports) < 20:

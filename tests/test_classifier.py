@@ -46,7 +46,7 @@ def random_training_set(rng, n_rows, n_classes=2):
 def crawl_state(world, scenario, n_monitors, seed):
     oracle = Oracle(world, [0.5] * world.n, scenario, random.Random(seed))
     start = world.red_ids()[0]
-    state = ObserverState(start)
+    state = ObserverState(start, world.n)
     state.ingest(oracle.place_monitor(start))
     rng = random.Random(seed + 1)
     while len(state.reports) < n_monitors:
@@ -68,11 +68,10 @@ def separable_toy_set():
 
 class TestBuildTrainingSet:
     def test_first_monitor_has_empty_knowledge_row(self):
-        state = ObserverState(0)
         world = generate_synthetic(30, 0.2, "homophily", 1)
         oracle = Oracle(world, [0.5] * world.n, LyingScenario.LS1, random.Random(0))
         start = world.red_ids()[0]
-        state = ObserverState(start)
+        state = ObserverState(start, world.n)
         state.ingest(oracle.place_monitor(start))
         data = build_training_set(state)
         assert len(data.rows) == 1
@@ -114,7 +113,7 @@ class TestBuildTrainingSet:
 
     def test_empty_state_rejected(self):
         with pytest.raises(ValueError, match="no monitored"):
-            build_training_set(ObserverState(0))
+            build_training_set(ObserverState(0, 10))
 
 
 class TestLossAndGradient:

@@ -31,6 +31,14 @@ from redcrawl.cli import main as cli_main
 from helpers import brute_features, brute_knowledge, brute_verified, make_world, scores_of
 
 
+def assert_cli_error(capsys, argv, match):
+    """`redcrawl argv` exits 2 with one stderr line, `redcrawl: error: ...`, holding `match`."""
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("redcrawl: error: ") and err.count("\n") == 1
+    assert match in err
+
+
 def star_world():
     """Red clique 0-3; blues 4-9 hang off leaf reds only."""
     red_edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -363,20 +371,20 @@ class TestExperimentConfig:
         assert str(info.value).startswith(f"{path}:2: ")
         assert match in str(info.value)
 
-    def test_cli_budget_below_a_tier_rejected(self, tmp_path):
+    def test_cli_budget_below_a_tier_rejected(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"
         path.write_text("synthetic_mode = homophily\nsynthetic_n = 30\nruns = 2\nbudget_tiers = 0.1,0.5\n")
         out = tmp_path / "results"
-        with pytest.raises(ValueError, match="budget tier 0.5"):
-            cli_main(["run", "--config", str(path), "--budget-fraction", "0.1", "--out", str(out)])
+        assert_cli_error(capsys, ["run", "--config", str(path), "--budget-fraction", "0.1", "--out", str(out)],
+                         "budget tier 0.5")
         assert not out.exists()
 
-    def test_cli_strategy_override_with_repeat_rejected(self, tmp_path):
+    def test_cli_strategy_override_with_repeat_rejected(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"
         path.write_text("synthetic_mode = homophily\nsynthetic_n = 30\nruns = 2\n")
         out = tmp_path / "results"
-        with pytest.raises(ValueError, match="must not repeat"):
-            cli_main(["run", "--config", str(path), "--strategy", "mrn,mrn", "--out", str(out)])
+        assert_cli_error(capsys, ["run", "--config", str(path), "--strategy", "mrn,mrn", "--out", str(out)],
+                         "must not repeat")
         assert not out.exists()
 
 
@@ -554,6 +562,40 @@ class TestCli:
         )
         assert cli_main(["run", "--config", str(config_path)]) == 0
         assert (tmp_path / "res" / "summary.csv").is_file()
+
+
+    @pytest.mark.parametrize("flags, line, error", [
+        (["--scenario", "LS2"], "scenario = LS2", None),
+        (["--strategy", ""], "strategies =", "strategies must name at least one strategy"),
+        (["--out", ""], "output_dir =", None),
+        (["--runs", "two"], "runs = two", "bad value for runs: invalid literal for int"),
+        (["--remove-red-red"], "remove_red_red = true", None),
+    ], ids=["scenario_upper_case", "empty_strategy", "empty_out", "bad_int", "remove_red_red"])
+    def test_flag_parses_like_its_config_key(self, tmp_path, monkeypatch, capsys, flags, line, error):
+        monkeypatch.chdir(tmp_path)
+        base = ("synthetic_mode = homophily\nsynthetic_n = 30\nsynthetic_red_fraction = 0.2\n"
+                "strategies = mrn\nruns = 2\noutput_dir = res\n")
+        (tmp_path / "base.cfg").write_text(base)
+        (tmp_path / "keyed.cfg").write_text(f"{base}{line}\n")
+        if error is not None:
+            assert_cli_error(capsys, ["run", "--config", "base.cfg", *flags], error)
+            assert_cli_error(capsys, ["run", "--config", "keyed.cfg"], error)
+            assert not (tmp_path / "res").exists()
+            return
+        assert cli_main(["run", "--config", "base.cfg", *flags]) == 0
+        by_flag = capsys.readouterr().out
+        assert cli_main(["run", "--config", "keyed.cfg"]) == 0
+        assert capsys.readouterr().out == by_flag
+
+    @pytest.mark.parametrize("argv, match", [
+        (["run", "--config", "missing.cfg"], "No such file or directory: 'missing.cfg'"),
+        (["gen", "--n", "5", "--red-fraction", "0.1", "--mode", "homophily", "--seed", "1", "--out", "g"],
+         "n must be at least 10, got 5"),
+    ], ids=["missing_config", "gen_too_few_nodes"])
+    def test_input_error_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, argv, match):
+        monkeypatch.chdir(tmp_path)
+        assert_cli_error(capsys, argv, match)
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_budget_is_floor_of_fraction(tmp_path):

@@ -1,5 +1,6 @@
 """Observer state bookkeeping, trust table, and feature extraction."""
 
+import copy
 import random
 
 import numpy as np
@@ -9,6 +10,7 @@ from redcrawl import (
     FEATURE_NAMES,
     Color,
     LyingScenario,
+    MonitorReport,
     ObserverState,
     Oracle,
     generate_synthetic,
@@ -26,6 +28,7 @@ from helpers import (
     ordered_inferred_red,
     replay,
     report,
+    same_arrays,
     verified_dict,
 )
 
@@ -35,7 +38,7 @@ INFERRED_RED = FEATURE_NAMES.index("inferred_red")
 def crawl(world, honesty, scenario, start, n_monitors, seed):
     """Random legal crawl; returns the resulting state."""
     oracle = Oracle(world, honesty, scenario, random.Random(seed))
-    state = ObserverState(start)
+    state = ObserverState(start, world.n)
     state.ingest(oracle.place_monitor(start))
     rng = random.Random(seed + 1)
     while len(state.reports) < n_monitors:
@@ -48,7 +51,7 @@ def crawl(world, honesty, scenario, start, n_monitors, seed):
 
 class TestIngest:
     def test_start_report_bookkeeping(self):
-        state = ObserverState(0)
+        state = ObserverState(0, 10)
         state.ingest(report(0, Color.RED, {1: Color.RED, 2: Color.BLUE, 3: Color.BLUE}))
         assert observed_of(state) == {0, 1, 2, 3}
         _, edges, _, statements = brute_knowledge(0, state.reports.values())
@@ -60,30 +63,50 @@ class TestIngest:
     @pytest.mark.parametrize("start", [-1, -3])
     def test_negative_start_rejected(self, start):
         with pytest.raises(ValueError, match=rf"start node {start} is not a node id"):
-            ObserverState(start)
+            ObserverState(start, 10)
 
     def test_double_ingest_rejected(self):
-        state = ObserverState(0)
+        state = ObserverState(0, 10)
         state.ingest(report(0, Color.RED, {1: Color.BLUE}))
         with pytest.raises(ValueError, match="already monitored"):
             state.ingest(report(0, Color.RED, {1: Color.BLUE}))
 
     def test_unobserved_target_rejected(self):
-        state = ObserverState(0)
+        state = ObserverState(0, 10)
         state.ingest(report(0, Color.RED, {1: Color.BLUE}))
         with pytest.raises(ValueError, match="not been observed"):
             state.ingest(report(9, Color.BLUE, {0: Color.RED}))
 
     @pytest.mark.parametrize("target", [-1, 2, 10**6])
     def test_target_outside_the_arrays_rejected(self, target):
-        state = ObserverState(0)
+        state = ObserverState(0, 2)
         state.ingest(report(0, Color.RED, {1: Color.BLUE}))
         with pytest.raises(ValueError, match="has not been observed"):
             state.ingest(report(target, Color.BLUE, {0: Color.RED}))
         assert observed_of(state) == {0, 1}
 
+    @pytest.mark.parametrize("neighbors, statements, match", [
+        ([-1, 2], [RED, RED], r"names a neighbor outside \[0, 4\)"),
+        ([2, 4], [RED, RED], r"names a neighbor outside \[0, 4\)"),
+        ([0, 2], [RED], "has 1 statements for 2 neighbors"),
+    ], ids=["negative_neighbor", "neighbor_at_n", "short_statements"])
+    def test_malformed_report_rejected_before_any_write(self, neighbors, statements, match):
+        state = ObserverState(0, 4)
+        state.ingest(report(0, Color.RED, {1: Color.RED, 2: Color.BLUE}))
+        before = copy.deepcopy(state)
+        bad = MonitorReport(1, Color.RED, np.array(neighbors, dtype=np.intp),
+                            np.array(statements, dtype=np.int8))
+        with pytest.raises(ValueError, match=match):
+            state.ingest(bad)
+        assert same_arrays(state, before)
+        assert np.array_equal(state.verified_counts, before.verified_counts)
+        assert list(state.reports) == [0]
+        # nothing was half-written, so a well-formed report on 1 still goes in
+        state.ingest(report(1, Color.RED, {0: Color.RED, 2: Color.RED}))
+        assert list(state.reports) == [0, 1]
+
     def test_verification_when_subject_monitored_later(self):
-        state = ObserverState(0)
+        state = ObserverState(0, 10)
         state.ingest(report(0, Color.RED, {1: Color.RED, 2: Color.BLUE}))
         assert sum(verified_dict(state.verified_counts).values()) == 0
         # 1 turns out blue, so (red speaker, said red, blue subject) += 1
@@ -95,7 +118,7 @@ class TestIngest:
 
         # A blue speaker also claims 1 before 1 is monitored, so monitoring
         # 1 verifies claims from a red and a blue speaker at once.
-        state = ObserverState(0)
+        state = ObserverState(0, 10)
         state.ingest(report(0, Color.RED, {1: Color.RED, 2: Color.BLUE}))
         state.ingest(report(2, Color.BLUE, {0: Color.RED, 1: Color.RED}))
         before = verified_dict(state.verified_counts)
@@ -114,7 +137,7 @@ class TestIngest:
     def test_monotone_growth(self):
         world = generate_synthetic(50, 0.2, "homophily", 3)
         oracle = Oracle(world, [0.5] * world.n, LyingScenario.LS1, random.Random(0))
-        state = ObserverState(0)
+        state = ObserverState(0, world.n)
         prev_nodes, prev_edges, prev_stmts = 0, 0, 0
         rng = random.Random(1)
         state.ingest(oracle.place_monitor(0))
@@ -134,26 +157,26 @@ class TestIngest:
 
 class TestConditionalTrust:
     def test_symmetric_prior_with_no_evidence(self):
-        state = ObserverState(0)
+        state = ObserverState(0, 10)
         for speaker_color in Color:
             for said in Color:
                 assert state.trust()[speaker_color.code, said.code] == 0.5
 
     def test_smoothed_ratio(self):
-        state = ObserverState(0)
+        state = ObserverState(0, 10)
         state.verified_counts[RED, RED, RED] = 3
         state.verified_counts[RED, RED, BLUE] = 1
         assert state.trust()[RED, RED] == pytest.approx(2 / 3)
 
     def test_approaches_raw_ratio(self):
-        state = ObserverState(0)
+        state = ObserverState(0, 10)
         state.verified_counts[RED, RED, RED] = 100
         assert state.trust()[RED, RED] == pytest.approx(101 / 102)
         assert state.trust()[RED, RED] >= 0.99 * (101 / 102)
 
     def test_every_cell_equals_the_python_int_ratio_bit_for_bit(self):
         rng = random.Random(11)
-        state = ObserverState(0)
+        state = ObserverState(0, 10)
         for _ in range(200):
             counts = [rng.choice((0, 1, 7, rng.randrange(10**6), rng.randrange(2**40)))
                       for _ in range(8)]
@@ -169,16 +192,16 @@ class TestConditionalTrust:
 class TestInferredRedProbability:
     def test_no_statements_gives_half(self):
         # the start node is observed before any report names it
-        assert ObserverState(9).features(9)[INFERRED_RED] == 0.5
+        assert ObserverState(9, 10).features(9)[INFERRED_RED] == 0.5
 
     def test_single_statement_passes_trust_through(self):
-        state = ObserverState(0)
+        state = ObserverState(0, 10)
         state.ingest(report(0, Color.RED, {1: Color.RED}))
         expected = state.trust()[RED, RED]
         assert state.features(1)[INFERRED_RED] == pytest.approx(expected)
 
     def test_mean_of_two_trust_cells(self):
-        state = ObserverState(0)
+        state = ObserverState(0, 10)
         state.ingest(report(0, Color.RED, {1: Color.RED, 2: Color.RED}))
         state.ingest(report(2, Color.BLUE, {0: Color.BLUE, 1: Color.BLUE}))
         # craft the table so red-say-red trust is 0.8 and blue-say-blue is 0.4
@@ -192,7 +215,7 @@ class TestInferredRedProbability:
         assert state.features(1)[INFERRED_RED] == pytest.approx(0.6)
 
     def test_monitored_node_rejected(self):
-        state = ObserverState(0)
+        state = ObserverState(0, 10)
         state.ingest(report(0, Color.RED, {1: Color.RED}))
         with pytest.raises(ValueError, match="monitored"):
             state.features(0)
@@ -200,12 +223,12 @@ class TestInferredRedProbability:
 
 class TestFeatures:
     def test_unknown_candidate_all_defaults(self):
-        fv = ObserverState(5).features(5)
+        fv = ObserverState(5, 10).features(5)
         assert tuple(fv.tolist()) == (0, 0, 0, 0, 0, 0, 0, 0, 0.5)
 
     def test_two_red_neighbors_with_shared_edge(self):
         # candidate 3 adjacent to monitored reds 0 and 1; 0-1 edge observed
-        state = ObserverState(0)
+        state = ObserverState(0, 10)
         state.ingest(report(0, Color.RED, {1: Color.RED, 3: Color.RED}))
         state.ingest(report(1, Color.RED, {0: Color.RED, 3: Color.RED}))
         fv = named(state.features(3))
@@ -229,7 +252,7 @@ class TestFeatures:
             assert fv["blue_say_red"] + fv["blue_say_blue"] <= fv["blue_neighbors"]
 
     def test_features_error_cases(self):
-        state = ObserverState(0)
+        state = ObserverState(0, 10)
         state.ingest(report(0, Color.RED, {1: Color.RED}))
         with pytest.raises(ValueError, match="monitored"):
             state.features(0)
@@ -239,7 +262,7 @@ class TestFeatures:
 
     @pytest.mark.parametrize("nodes", [[-1], [0, 10**6], [1, -1], [1, 2]])
     def test_ids_outside_the_observed_set_rejected(self, nodes):
-        state = ObserverState(0)
+        state = ObserverState(0, 10)
         state.ingest(report(0, Color.RED, {1: Color.RED}))
         with pytest.raises(ValueError, match="has not been observed"):
             state.features_matrix(nodes)
@@ -296,10 +319,10 @@ class TestBruteForceEquivalence:
         world = generate_synthetic(40, 0.2, "homophily", 4)
         start = world.red_ids()[0]
         state = crawl(world, [0.5] * world.n, LyingScenario.LS2, start, 15, seed=5)
-        again = replay(start, state.reports.values())
+        again = replay(start, world.n, state.reports.values())
         assert observed_of(again) == observed_of(state)
         assert monitored_of(again) == monitored_of(state)
-        assert again.counts == state.counts
+        assert same_arrays(again, state)
         assert np.array_equal(again.verified_counts, state.verified_counts)
         for v in state.candidates():
             assert np.array_equal(again.features(v), state.features(v))
@@ -307,7 +330,8 @@ class TestBruteForceEquivalence:
 
 class TestRedTriangles:
     def test_init_stores_only_the_reports_and_counters(self):
-        assert set(vars(ObserverState(3))) == {"start", "reports", "counts", "verified_counts"}
+        assert set(vars(ObserverState(3, 10))) == {
+            "start", "reports", "say", "triangles", "color", "on_frontier", "verified_counts"}
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_triangles_match_recount_on_a_red_chasing_crawl(self, seed):
@@ -320,11 +344,11 @@ class TestRedTriangles:
         reports = state.reports
         nbrs = {t: set(r.neighbors.tolist()) for t, r in reports.items()}
         reds = [t for t, r in reports.items() if r.true_color is Color.RED]
-        want = np.zeros_like(state.counts.triangles)
+        want = np.zeros_like(state.triangles)
         for v in range(len(want)):
             mates = [r for r in reds if v in nbrs[r]]
             want[v] = sum(1 for i, u in enumerate(mates) for w in mates[i + 1:] if w in nbrs[u])
-        assert np.array_equal(state.counts.triangles, want)
+        assert np.array_equal(state.triangles, want)
         monitored = list(reports)
         assert want[monitored].max() >= 3 and want[state.candidates()].max() >= 3
 
@@ -332,7 +356,7 @@ class TestRedTriangles:
 def test_dump_report_log(tmp_path):
     import json
 
-    state = ObserverState(0)
+    state = ObserverState(0, 10)
     state.ingest(report(0, Color.RED, {1: Color.RED, 2: Color.BLUE}))
     path = tmp_path / "reports.jsonl"
     state.dump_report_log(path)
@@ -361,18 +385,18 @@ class TestIncrementalFrontier:
             world = generate_synthetic(60, 0.2, "homophily", seed)
             oracle = Oracle(world, [0.45] * world.n, scenario, random.Random(seed))
             start = world.red_ids()[-1]
-            state = ObserverState(start)
+            state = ObserverState(start, world.n)
             assert state.candidates() == [start]
             rng = random.Random(seed + 50)
             while len(state.reports) < 30 and state.candidates():
                 state.ingest(oracle.place_monitor(rng.choice(state.candidates())))
                 assert state.candidates() == brute_frontier(start, state.reports.values())
-            again = replay(start, state.reports.values())
+            again = replay(start, world.n, state.reports.values())
             assert again.candidates() == brute_frontier(start, state.reports.values())
-            assert again.counts == state.counts
+            assert same_arrays(again, state)
 
-    def test_ids_past_the_arrays_grow_them(self):
-        state = ObserverState(0)
+    def test_ids_up_to_n_minus_one_are_nodes(self):
+        state = ObserverState(0, 5001)
         state.ingest(report(0, Color.RED, {3: Color.BLUE, 1000: Color.RED}))
         state.ingest(report(1000, Color.RED, {0: Color.RED, 3: Color.RED, 5000: Color.BLUE}))
         assert state.candidates() == [3, 5000]
@@ -381,7 +405,7 @@ class TestIncrementalFrontier:
         for v, row in zip(state.candidates(), state.features_matrix(state.candidates()).tolist()):
             assert tuple(row) == pytest.approx(brute_features(v, edges, monitored, statements, verified))
         assert named(state.features(3))["red_triangles"] == 1
-        # a start id far past any other has a row, and reads as zeros
-        far = ObserverState(10**4)
+        # the last id has a row before any report names it, and reads as zeros
+        far = ObserverState(10**4, 10**4 + 1)
         assert tuple(far.features(10**4).tolist()) == (0, 0, 0, 0, 0, 0, 0, 0, 0.5)
         assert far.candidates() == [10**4]

@@ -35,14 +35,14 @@ from helpers import (
 
 @pytest.fixture
 def four_candidate_state():
-    state = ObserverState(0)
+    state = ObserverState(0, 10)
     state.ingest(report(0, Color.RED, {1: Color.RED, 2: Color.BLUE, 3: Color.BLUE, 4: Color.BLUE}))
     return state
 
 
 class TestSmartRandom:
     def test_single_candidate(self):
-        state = ObserverState(0)
+        state = ObserverState(0, 10)
         state.ingest(report(0, Color.RED, {1: Color.BLUE}))
         decision = pick("sr", state, random.Random(0))
         assert decision.chosen == 1
@@ -57,7 +57,7 @@ class TestSmartRandom:
             assert abs(counts[v] / 10_000 - 0.25) < 0.015
 
     def test_exhausted_frontier_signals(self):
-        state = ObserverState(0)
+        state = ObserverState(0, 10)
         state.ingest(report(0, Color.RED, {}))
         with pytest.raises(ExplorationExhausted):
             pick("sr", state, random.Random(0))
@@ -65,7 +65,7 @@ class TestSmartRandom:
 
 class TestRedScore:
     def test_picks_highest_says_red_count(self):
-        state = ObserverState(0)
+        state = ObserverState(0, 10)
         state.ingest(report(0, Color.RED, {1: Color.RED, 2: Color.RED, 5: Color.BLUE}))
         state.ingest(report(1, Color.BLUE, {0: Color.BLUE, 2: Color.RED, 5: Color.RED}))
         state.ingest(report(5, Color.BLUE, {0: Color.BLUE, 1: Color.BLUE, 2: Color.RED}))
@@ -74,7 +74,7 @@ class TestRedScore:
         assert scores_of(decision)[2] == 3.0
 
     def test_all_zero_scores_fall_back_to_uniform(self, four_candidate_state):
-        state = ObserverState(0)
+        state = ObserverState(0, 10)
         state.ingest(report(0, Color.RED, {1: Color.BLUE, 2: Color.BLUE, 3: Color.BLUE}))
         rng = random.Random(3)
         counts = {v: 0 for v in (1, 2, 3)}
@@ -89,7 +89,7 @@ class TestRedScore:
         # maximal liars
         oracle = Oracle(world, [0.0] * world.n, LyingScenario.LS2, random.Random(0))
         blues = [v for v in range(world.n) if world.colors[v] is Color.BLUE]
-        state = ObserverState(blues[0])
+        state = ObserverState(blues[0], world.n)
         state.ingest(oracle.place_monitor(blues[0]))
         for v in blues[1:6]:
             if v in observed_of(state):
@@ -100,7 +100,7 @@ class TestRedScore:
 
 class TestMostRedSayRed:
     def test_counts_only_red_speakers_saying_red(self):
-        state = ObserverState(0)
+        state = ObserverState(0, 10)
         state.ingest(report(0, Color.RED, {1: Color.RED, 2: Color.RED, 3: Color.RED}))
         state.ingest(report(1, Color.RED, {0: Color.RED, 3: Color.RED}))
         state.ingest(report(2, Color.BLUE, {0: Color.BLUE, 3: Color.RED}))
@@ -110,7 +110,7 @@ class TestMostRedSayRed:
         assert scores_of(decision)[3] == 2.0
 
     def test_no_red_monitors_uniform(self):
-        state = ObserverState(0)
+        state = ObserverState(0, 10)
         state.ingest(report(0, Color.BLUE, {1: Color.RED, 2: Color.RED}))
         rng = random.Random(5)
         chosen = {pick("mrsr", state, rng).chosen for _ in range(200)}
@@ -119,7 +119,7 @@ class TestMostRedSayRed:
 
 class TestMostRedNeighbors:
     def test_picks_max_known_red_neighbors(self):
-        state = ObserverState(0)
+        state = ObserverState(0, 10)
         state.ingest(report(0, Color.RED, {3: Color.BLUE, 4: Color.BLUE}))
         state.ingest(report(3, Color.RED, {0: Color.RED, 4: Color.BLUE, 5: Color.BLUE}))
         # 4 is adjacent to both monitored reds, 5 to one
@@ -132,7 +132,7 @@ class TestMostRedNeighbors:
         world = generate_synthetic(80, 0.15, "no_homophily", 7)
         oracle = Oracle(world, [0.5] * world.n, LyingScenario.LS1, random.Random(0))
         start = max(world.red_ids(), key=lambda v: degree(world, v))
-        state = ObserverState(start)
+        state = ObserverState(start, world.n)
         state.ingest(oracle.place_monitor(start))
         rng = random.Random(2)
         for _ in range(10):
@@ -155,7 +155,7 @@ class TestRedLearnPick:
             assert abs(counts[v] / 8000 - 0.25) < 0.02
 
     def test_dominant_red_neighbor_weight_ranks_like_mrn(self):
-        state = ObserverState(0)
+        state = ObserverState(0, 10)
         state.ingest(report(0, Color.RED, {3: Color.BLUE, 4: Color.BLUE}))
         state.ingest(report(3, Color.RED, {0: Color.RED, 4: Color.BLUE, 5: Color.BLUE}))
         # weight large enough to dominate, small enough not to saturate
@@ -169,7 +169,7 @@ class TestRedLearnPick:
         assert ranked_l == ranked_g
 
     def test_fallback_model_behaves_as_mrn(self):
-        state = ObserverState(0)
+        state = ObserverState(0, 10)
         state.ingest(report(0, Color.RED, {3: Color.BLUE, 4: Color.BLUE}))
         state.ingest(report(3, Color.RED, {0: Color.RED, 4: Color.BLUE, 5: Color.BLUE}))
         fallback = TrainedModel(weights=None, bias=0.0, mean=None, scale=None, fallback=True)
@@ -190,7 +190,7 @@ class TestCommonContracts:
         world = generate_synthetic(50, 0.2, "homophily", 3)
         oracle = Oracle(world, [0.5] * world.n, LyingScenario.LS1, random.Random(0))
         start = world.red_ids()[0]
-        state = ObserverState(start)
+        state = ObserverState(start, world.n)
         state.ingest(oracle.place_monitor(start))
         for v in list(state.candidates())[:5]:
             state.ingest(oracle.place_monitor(v))
@@ -216,7 +216,7 @@ class TestCommonContracts:
             pick("bfs", four_candidate_state, random.Random(0))
 
     def test_bad_arguments_rejected_before_an_empty_frontier(self):
-        state = ObserverState(0)
+        state = ObserverState(0, 10)
         state.ingest(report(0, Color.RED, {}))
         with pytest.raises(ValueError, match="model"):
             pick("redlearn", state, random.Random(0))
@@ -226,7 +226,7 @@ class TestCommonContracts:
             pick("redlearn", state, random.Random(0), identity_model(np.zeros(9)))
 
     def test_tie_break_uniform_over_tied_subset_only(self):
-        state = ObserverState(0)
+        state = ObserverState(0, 10)
         state.ingest(report(0, Color.RED, {1: Color.RED, 2: Color.RED, 3: Color.BLUE}))
         state.ingest(report(1, Color.RED, {0: Color.RED, 2: Color.RED}))
         # node 2 has two says-red, 3 has... 0's claim only; check rs tie logic
@@ -265,7 +265,7 @@ class TestArrayPicksMatchScalarReference:
         world = generate_synthetic(70, 0.2, "homophily", 5)
         oracle = Oracle(world, assign_honesty(world, random.Random(1)), scenario, random.Random(2))
         start = world.red_ids()[0]
-        state = ObserverState(start)
+        state = ObserverState(start, world.n)
         state.ingest(oracle.place_monitor(start))
         rng = random.Random(3)
         for _ in range(30):
@@ -286,7 +286,7 @@ class TestDecisionScores:
         world = generate_synthetic(60, 0.2, "homophily", 9)
         oracle = Oracle(world, [0.4] * world.n, LyingScenario.LS1, random.Random(0))
         start = world.red_ids()[0]
-        state = ObserverState(start)
+        state = ObserverState(start, world.n)
         state.ingest(oracle.place_monitor(start))
         model = identity_model(np.ones(9) * 0.3, bias=-0.2)
         rng = random.Random(6)
