@@ -1,4 +1,4 @@
-"""Binary logistic regression over observer features, fit by gradient descent.
+"""Binary logistic regression over observer features, fit by Newton's method.
 
 The training set is rebuilt from scratch at every retrain: the observer's
 (k, 9) feature matrix over the k monitored nodes, recomputed against the
@@ -9,12 +9,15 @@ minimize the L2-regularized logistic loss
 
     mean_i log(1 + exp(-s_i * (w . x_i + b))) + 0.5 * l2 * |w|^2
 
-with s_i = +1 for red, -1 for blue and the bias unregularized. Training
-sets here are tiny (at most the monitor budget), so deterministic
-full-batch descent with backtracking beats anything stochastic: the same
-data always yields the same model. When every label is the same color
-there is nothing to fit and a fallback model is returned; the caller
-ranks by known-red neighbors instead.
+with s_i = +1 for red, -1 for blue and the bias unregularized. The
+problem has ten parameters, so `fit` solves it exactly by damped Newton
+steps (iteratively reweighted least squares; Hastie, Tibshirani and
+Friedman, The Elements of Statistical Learning, 2nd ed., section 4.4.1):
+each step solves the 10x10 Hessian system and backtracks until the loss
+drops, so it converges in a few steps and the same data always yields
+the same model. When every label is the same color there is nothing to
+fit and a fallback model is returned; the caller ranks by known-red
+neighbors instead.
 """
 
 from __future__ import annotations
@@ -59,9 +62,10 @@ class TrainingSet:
 class TrainedModel:
     """Standardizing logistic model; `fallback` means fitting was skipped.
 
-    `iterations` counts accepted descent steps. `converged` is False when
+    `iterations` counts accepted Newton steps. `converged` is False when
     `fit` stopped before the gradient fell below `grad_tol`: at `max_iter`,
-    or because no step along the gradient lowered the loss.
+    or because the Newton direction could not be solved for or no step
+    along it lowered the loss.
     """
 
     weights: np.ndarray | None
@@ -113,14 +117,33 @@ def gradient(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, l2: float) -
     return gw, gb
 
 
-def fit(data: TrainingSet, params: ClassifierParams = DEFAULT_PARAMS) -> TrainedModel:
-    """Fit by full-batch gradient descent with backtracking line search.
+def hessian(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, l2: float) -> np.ndarray:
+    """Exact Hessian of `loss` in (weights, bias), bias last.
 
-    Runs until the gradient max-norm drops below `grad_tol` or `max_iter`
-    steps, only ever accepting steps that decrease the loss. Features
-    with zero spread are mapped to 0 so constant columns cannot blow up
-    the standardization. Single-class or empty data yields a fallback
-    model.
+    With A = [X | 1] and p the predicted probabilities this is
+    A^T diag(p(1-p)) A / k, plus `l2` on the weight diagonal.
+    """
+    d = len(w)
+    H = np.zeros((d + 1, d + 1))
+    if len(y):
+        A = np.column_stack([X, np.ones(len(y))])
+        p = _sigmoid(X @ w + b)
+        H = (A.T * (p * (1.0 - p))) @ A / len(y)
+    H[np.arange(d), np.arange(d)] += l2
+    return H
+
+
+def fit(data: TrainingSet, params: ClassifierParams = DEFAULT_PARAMS) -> TrainedModel:
+    """Fit by damped Newton steps with Armijo backtracking.
+
+    Each step takes the gradient, stops if its max-norm is below
+    `grad_tol`, solves the Hessian system for the Newton direction and
+    backtracks from the full step until the loss drops enough, so the
+    loss never increases. At most `max_iter` steps are taken. Features
+    with zero spread are mapped to 0 and keep weight 0: they are left out
+    of the solve, so constant columns neither blow up the
+    standardization nor make the Hessian singular. Single-class or empty
+    data yields a fallback model.
     """
     X, y = data.rows, data.labels
     if len(y) == 0 or np.unique(y).size < 2:
@@ -131,32 +154,42 @@ def fit(data: TrainingSet, params: ClassifierParams = DEFAULT_PARAMS) -> Trained
     scale = np.zeros_like(sd)
     np.divide(1.0, sd, out=scale, where=sd > 0)
     Xs = (X - mu) * scale
+    # the parameters the solve moves: the non-constant columns, then the bias
+    free = np.append(np.flatnonzero(sd > 0), X.shape[1])
 
     w = np.zeros(X.shape[1])
     b = 0.0
     cur = loss(Xs, y, w, b, params.l2)
-    step = 1.0
     iterations = 0
     converged = False
     for _ in range(params.max_iter):
         gw, gb = gradient(Xs, y, w, b, params.l2)
-        if max(np.max(np.abs(gw)), abs(gb)) < params.grad_tol:
+        g = np.append(gw, gb)
+        if np.max(np.abs(g)) < params.grad_tol:
             converged = True
             break
-        gsq = float(gw @ gw) + gb * gb
-        t = step * 2.0
+        H = hessian(Xs, y, w, b, params.l2)
+        d = np.zeros_like(g)
+        try:
+            d[free] = np.linalg.solve(H[np.ix_(free, free)], g[free])
+        except np.linalg.LinAlgError:
+            break
+        slope = float(g @ d)
+        if not slope > 0:  # also catches a nan direction
+            break
+        t = 1.0
         accepted = False
         while t > 1e-14:
-            nw = w - t * gw
-            nb = b - t * gb
+            nw = w - t * d[:-1]
+            nb = b - t * float(d[-1])
             nl = loss(Xs, y, nw, nb, params.l2)
-            if nl <= cur - 1e-4 * t * gsq:
+            if nl <= cur - 1e-4 * t * slope:
                 accepted = True
                 break
             t *= 0.5
         if not accepted:
             break
-        w, b, cur, step = nw, nb, nl, t
+        w, b, cur = nw, nb, nl
         iterations += 1
     return TrainedModel(weights=w, bias=b, mean=mu, scale=scale, fallback=False,
                         iterations=iterations, converged=converged)

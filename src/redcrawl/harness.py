@@ -135,6 +135,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown strategy {s!r}: expected one of {STRATEGY_NAMES}")
         if len(set(self.strategies)) < len(self.strategies):
             raise ValueError(f"strategies must not repeat: {self.strategies}")
+        if not self.output_dir.strip():
+            raise ValueError("output_dir must name a directory, got an empty value")
         self.classifier_params()  # ClassifierParams checks l2, max_iter and grad_tol
 
     def classifier_params(self) -> ClassifierParams:
@@ -217,7 +219,8 @@ def run_single(
     the budget runs out or no candidate remains. The learning strategy
     refits after every `retrain_every` placements. `step_callback`, if
     given, is called as `(state, decision)` after each pick and before
-    the matching ingest.
+    the matching ingest. A learning run whose fits stopped before
+    `grad_tol` logs one warning with their count.
     """
     state = ObserverState(start, world.n)  # checks that start is a node id
     if world.colors[start] is not Color.RED:
@@ -235,10 +238,13 @@ def run_single(
 
     model = None
     placed_since_fit = 0
+    fits = unconverged = 0
     while len(steps) < budget:
         if strategy == "redlearn" and (model is None or placed_since_fit >= retrain_every):
             model = fit(build_training_set(state), classifier_params)
             placed_since_fit = 0
+            fits += 1
+            unconverged += not model.converged
         try:
             decision = pick(strategy, state, tiebreak_rng, model)
         except ExplorationExhausted:
@@ -257,6 +263,8 @@ def run_single(
             cum_red += 1
         steps.append(TraceStep(len(steps), decision.chosen, report.true_color, cum_red))
 
+    if unconverged:
+        logger.warning("run %d (%s): %d of %d fits stopped before grad_tol", run_id, strategy, unconverged, fits)
     if report_log_path is not None:
         state.dump_report_log(report_log_path)
     return RunTrace(run_id=run_id, strategy=strategy, seed=seed, steps=steps)

@@ -109,8 +109,9 @@ class ObserverState:
         picks up both old claims about the target and new claims about
         already-monitored subjects. Ingesting the same target twice is an
         error: a monitor placement spends budget once. A report whose
-        statements do not pair up with its neighbors, or that names a
-        neighbor outside [0, n), is rejected before anything is written.
+        statements do not pair up with its neighbors, whose neighbors do
+        not strictly ascend within [0, n), or that states a code other
+        than RED or BLUE, is rejected before anything is written.
         """
         t = report.target
         n = len(self.color)
@@ -122,8 +123,13 @@ class ObserverState:
         nbrs, said = report.neighbors, report.statements
         if len(said) != len(nbrs):
             raise ValueError(f"report on node {t} has {len(said)} statements for {len(nbrs)} neighbors")
-        if len(nbrs) and not (nbrs[0] >= 0 and nbrs[-1] < n):  # neighbors ascend
-            raise ValueError(f"report on node {t} names a neighbor outside [0, {n})")
+        if len(nbrs):
+            if (nbrs[1:] <= nbrs[:-1]).any():
+                raise ValueError(f"report on node {t} lists neighbors that do not strictly ascend")
+            if not (nbrs[0] >= 0 and nbrs[-1] < n):
+                raise ValueError(f"report on node {t} names a neighbor outside [0, {n})")
+            if said.tobytes().translate(None, b"\0\1"):  # int8 codes: a byte left is not 0 or 1
+                raise ValueError(f"report on node {t} has a statement code outside {{0, 1}}")
         t_code = report.true_color.code
         self.color[t] = t_code
         self.on_frontier[t] = False

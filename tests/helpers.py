@@ -23,6 +23,7 @@ from redcrawl import (
     TrainingSet,
     WorldGraph,
 )
+from redcrawl.classifier import gradient, hessian
 from redcrawl.graph import BLUE, RED
 
 NOORDIN_DIR = Path(os.environ.get(
@@ -250,3 +251,16 @@ def ordered_inferred_red(rsr, rsb, bsr, bsb, verified):
         + bsr * brute_trust(verified, Color.BLUE, Color.RED)
         + bsb * brute_trust(verified, Color.BLUE, Color.BLUE)
     ) / total
+
+
+def assert_hessian_matches_gradient(X, y, w, b, l2, h=1e-5) -> None:
+    """`hessian` against central differences of `gradient`, one column per parameter, bias last."""
+    H = hessian(X, y, w, b, l2)
+    d = len(w)
+    for j in range(d + 1):
+        e = np.zeros(d + 1)
+        e[j] = h
+        plus = np.append(*gradient(X, y, w + e[:d], b + e[d], l2))
+        minus = np.append(*gradient(X, y, w - e[:d], b - e[d], l2))
+        fd = (plus - minus) / (2 * h)
+        assert np.all(np.abs(H[:, j] - fd) <= 1e-5 * np.maximum(1.0, np.abs(fd))), f"column {j}"

@@ -30,6 +30,7 @@ from redcrawl import (
 from redcrawl.classifier import gradient, loss
 from redcrawl.cli import main as cli_main
 from helpers import (
+    assert_hessian_matches_gradient,
     brute_features,
     brute_knowledge,
     brute_verified,
@@ -154,7 +155,7 @@ def test_criterion_3_observer_oracle_equivalence():
 
 
 def test_criterion_4_classifier_correctness():
-    with criterion("criterion 4: gradient, separable fit, and sigmoid arithmetic"):
+    with criterion("criterion 4: gradient, Hessian, separable fit, and sigmoid arithmetic"):
         rng = np.random.default_rng(42)
         for _ in range(100):
             n = int(rng.integers(2, 40))
@@ -172,6 +173,7 @@ def test_criterion_4_classifier_correctness():
                 assert abs(gw[j] - fd) <= 1e-5 * max(1.0, abs(fd))
             fd_b = (loss(X, y, w, b + h, l2) - loss(X, y, w, b - h, l2)) / (2 * h)
             assert abs(gb - fd_b) <= 1e-5 * max(1.0, abs(fd_b))
+            assert_hessian_matches_gradient(X, y, w, b, l2)
 
         toy_rng = random.Random(0)
         rows = []

@@ -20,6 +20,7 @@ from redcrawl import (
 )
 from redcrawl.classifier import gradient, loss
 from helpers import (
+    assert_hessian_matches_gradient,
     brute_features,
     brute_knowledge,
     brute_verified,
@@ -117,7 +118,7 @@ class TestBuildTrainingSet:
 
 
 class TestLossAndGradient:
-    def test_gradient_matches_central_differences(self):
+    def test_gradient_and_hessian_match_central_differences(self):
         rng = np.random.default_rng(12)
         for _ in range(30):
             n = rng.integers(2, 30)
@@ -135,6 +136,7 @@ class TestLossAndGradient:
                 assert abs(gw[j] - fd) <= 1e-5 * max(1.0, abs(fd))
             fd_b = (loss(X, y, w, b + h, l2) - loss(X, y, w, b - h, l2)) / (2 * h)
             assert abs(gb - fd_b) <= 1e-5 * max(1.0, abs(fd_b))
+            assert_hessian_matches_gradient(X, y, w, b, l2)
 
     def test_gradient_zero_on_empty_data_without_regularization(self):
         X = np.zeros((0, 9))
@@ -217,30 +219,19 @@ class TestFit:
         model = fit(training_set(flipped))
         assert model.weights[0] < 0
 
-    def test_loss_never_increases_along_descent(self):
-        rng = random.Random(1)
-        data = random_training_set(rng, 30)
-        X = data.rows
-        y = data.labels
-        mu, sd = X.mean(0), X.std(0)
-        scale = np.where(sd > 0, 1 / np.where(sd > 0, sd, 1), 0.0)
-        Xs = (X - mu) * scale
-        w = np.zeros(9)
-        b = 0.0
-        losses = [loss(Xs, y, w, b, 1e-3)]
-        step = 1.0
-        for _ in range(100):
-            gw, gb = gradient(Xs, y, w, b, 1e-3)
-            gsq = float(gw @ gw) + gb * gb
-            t = step * 2
-            while t > 1e-14:
-                nl = loss(Xs, y, w - t * gw, b - t * gb, 1e-3)
-                if nl <= losses[-1] - 1e-4 * t * gsq:
-                    break
-                t /= 2
-            w, b, step = w - t * gw, b - t * gb, t
-            losses.append(loss(Xs, y, w, b, 1e-3))
+    # With 4 rows and no l2 some full Newton steps would raise the loss,
+    # so only the backtracking keeps the sequence from going up.
+    @pytest.mark.parametrize("n_rows, l2, converged", [(30, 1e-3, True), (4, 0.0, False)],
+                             ids=["regularized", "unregularized_4_rows"])
+    def test_loss_never_increases_over_newton_steps(self, n_rows, l2, converged):
+        data = random_training_set(random.Random(1), n_rows)
+        losses = [math.log(2.0)]  # zero weights and bias
+        for k in range(1, 13):
+            model = fit(data, ClassifierParams(l2=l2, max_iter=k))
+            Xs = (data.rows - model.mean) * model.scale
+            losses.append(loss(Xs, data.labels, model.weights, model.bias, l2))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+        assert model.converged is converged
 
     def test_deterministic(self):
         data = random_training_set(random.Random(7), 25)

@@ -10,6 +10,7 @@ import pytest
 
 from redcrawl import (
     FEATURE_NAMES,
+    ClassifierParams,
     Color,
     Decision,
     ExperimentConfig,
@@ -47,6 +48,19 @@ def star_world():
 
 
 class TestRunSingle:
+    @pytest.fixture
+    def recorded_fits(self, monkeypatch):
+        """Every model `run_single` fits, in order."""
+        models = []
+        real_fit = harness.fit
+
+        def recording_fit(*args, **kwargs):
+            models.append(real_fit(*args, **kwargs))
+            return models[-1]
+
+        monkeypatch.setattr(harness, "fit", recording_fit)
+        return models
+
     def test_budget_one_is_just_the_start(self):
         world = generate_synthetic(30, 0.2, "homophily", 1)
         start = world.red_ids()[0]
@@ -118,21 +132,14 @@ class TestRunSingle:
         assert seen == [s.node for s in trace.steps[1:]]
 
     @pytest.mark.parametrize("scenario", [LyingScenario.LS1, LyingScenario.LS2])
-    def test_redlearn_scores_match_per_candidate_rows(self, monkeypatch, scenario):
+    def test_redlearn_scores_match_per_candidate_rows(self, recorded_fits, scenario):
         # the one-matrix scoring path must give exactly the scores of
         # predict_many over rows stacked from per-candidate features(v)
-        models = []
-        real_fit = harness.fit
-
-        def recording_fit(*args, **kwargs):
-            models.append(real_fit(*args, **kwargs))
-            return models[-1]
-
         learned = []
 
         def audit(state, decision):
             cands = state.candidates()
-            model = models[-1]
+            model = recorded_fits[-1]
             if model.fallback:
                 _, edges, monitored, statements = brute_knowledge(state.start, state.reports.values())
                 verified = brute_verified(monitored, statements)
@@ -145,7 +152,6 @@ class TestRunSingle:
             assert list(scores_of(decision)) == cands
             assert list(scores_of(decision).values()) == want
 
-        monkeypatch.setattr(harness, "fit", recording_fit)
         world = generate_synthetic(80, 0.15, "homophily", 4)
         run_single(world, "redlearn", scenario, world.red_ids()[0], 17, budget=40,
                    retrain_every=3, step_callback=audit)
@@ -184,6 +190,26 @@ class TestRunSingle:
         # so the sparse run must mimic the mrn ranking
         mrn = run_single(world, "mrn", LyingScenario.LS1, start, 5, budget=20)
         assert [s.node for s in sparse.steps] == [s.node for s in mrn.steps]
+
+    def _structural_run(self, caplog, **kwargs):
+        world = generate_synthetic(500, 0.05, "structural_signal", 1)
+        with caplog.at_level(logging.WARNING, logger="redcrawl.harness"):
+            run_single(world, "redlearn", LyingScenario.LS1, world.red_ids()[0], 7, budget=250,
+                       retrain_every=10, run_id=3, **kwargs)
+        return [r.getMessage() for r in caplog.records if "grad_tol" in r.getMessage()]
+
+    def test_redlearn_fits_converge_without_warning(self, caplog, recorded_fits):
+        warnings = self._structural_run(caplog)
+        learned = [m for m in recorded_fits if not m.fallback]
+        assert len(learned) > 10
+        assert all(m.converged and m.iterations <= 20 for m in learned)
+        assert warnings == []
+
+    def test_fits_stopped_before_grad_tol_warn_once_per_run(self, caplog, recorded_fits):
+        warnings = self._structural_run(caplog, classifier_params=ClassifierParams(max_iter=1))
+        stopped = sum(not m.converged for m in recorded_fits)
+        assert stopped > 0
+        assert warnings == [f"run 3 (redlearn): {stopped} of {len(recorded_fits)} fits stopped before grad_tol"]
 
 
 class TestDeriveSeed:
@@ -310,6 +336,8 @@ class TestExperimentConfig:
             ExperimentConfig(synthetic_mode="homophily", strategies=[]).validate()
         with pytest.raises(ValueError, match="must not repeat"):
             ExperimentConfig(synthetic_mode="homophily", strategies=["mrn", "sr", "mrn"]).validate()
+        with pytest.raises(ValueError, match="output_dir must name a directory"):
+            ExperimentConfig(synthetic_mode="homophily", output_dir=" ").validate()
 
     @pytest.mark.parametrize("name", ["l2", "grad_tol"])
     @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, -math.inf])
@@ -567,7 +595,7 @@ class TestCli:
     @pytest.mark.parametrize("flags, line, error", [
         (["--scenario", "LS2"], "scenario = LS2", None),
         (["--strategy", ""], "strategies =", "strategies must name at least one strategy"),
-        (["--out", ""], "output_dir =", None),
+        (["--out", ""], "output_dir =", "output_dir must name a directory"),
         (["--runs", "two"], "runs = two", "bad value for runs: invalid literal for int"),
         (["--remove-red-red"], "remove_red_red = true", None),
     ], ids=["scenario_upper_case", "empty_strategy", "empty_out", "bad_int", "remove_red_red"])

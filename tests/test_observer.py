@@ -85,16 +85,22 @@ class TestIngest:
             state.ingest(report(target, Color.BLUE, {0: Color.RED}))
         assert observed_of(state) == {0, 1}
 
-    @pytest.mark.parametrize("neighbors, statements, match", [
-        ([-1, 2], [RED, RED], r"names a neighbor outside \[0, 4\)"),
-        ([2, 4], [RED, RED], r"names a neighbor outside \[0, 4\)"),
-        ([0, 2], [RED], "has 1 statements for 2 neighbors"),
-    ], ids=["negative_neighbor", "neighbor_at_n", "short_statements"])
-    def test_malformed_report_rejected_before_any_write(self, neighbors, statements, match):
+    @pytest.mark.parametrize("neighbors, statements, match, color", [
+        ([-1, 2], [RED, RED], r"names a neighbor outside \[0, 4\)", Color.RED),
+        ([2, 4], [RED, RED], r"names a neighbor outside \[0, 4\)", Color.RED),
+        ([0, 2], [RED], "has 1 statements for 2 neighbors", Color.RED),
+        ([3, -1, 2], [RED, RED, RED], "do not strictly ascend", Color.RED),
+        ([2, 2], [RED, RED], "do not strictly ascend", Color.RED),
+        ([0, 2], [RED, 2], r"statement code outside \{0, 1\}", Color.RED),
+        ([0, 2], [2, BLUE], r"statement code outside \{0, 1\}", Color.BLUE),
+        ([0, 2], [-1, RED], r"statement code outside \{0, 1\}", Color.BLUE),
+    ], ids=["negative_neighbor", "neighbor_at_n", "short_statements", "unsorted_with_negative",
+            "repeated_neighbor", "code_2_red_target", "code_2_blue_target", "negative_code"])
+    def test_malformed_report_rejected_before_any_write(self, neighbors, statements, match, color):
         state = ObserverState(0, 4)
         state.ingest(report(0, Color.RED, {1: Color.RED, 2: Color.BLUE}))
         before = copy.deepcopy(state)
-        bad = MonitorReport(1, Color.RED, np.array(neighbors, dtype=np.intp),
+        bad = MonitorReport(1, color, np.array(neighbors, dtype=np.intp),
                             np.array(statements, dtype=np.int8))
         with pytest.raises(ValueError, match=match):
             state.ingest(bad)
