@@ -14,6 +14,10 @@ ascending neighbor ids, an int8 color code per node and a float rank per
 node. Nothing can write to it, so every oracle and every run shares the
 same world; the loader, the generator and the red-red transform all end
 in that constructor.
+
+The synthetic generator flips one `random.Random` coin per node pair. It
+draws the coins in bulk from that same stream, bit for bit, so it builds
+the same graph as a loop of one `random()` call per pair.
 """
 
 from __future__ import annotations
@@ -346,6 +350,49 @@ def count_colors(g: WorldGraph) -> tuple[int, int]:
     return red, g.n - red
 
 
+# Coins drawn per `_uniforms` call in the pair passes: large enough that the
+# per-call overhead vanishes, small enough to leave peak memory unchanged.
+_COIN_CHUNK = 4096
+
+
+def _uniforms(rng: random.Random, k: int) -> np.ndarray:
+    """The next `k` values of `rng.random()`, as one float array, bit for bit.
+
+    CPython's `random()` takes two 32-bit Mersenne Twister words a, b and
+    returns ((a >> 5) * 2**26 + (b >> 6)) / 2**53; `getrandbits(64 * k)`
+    draws the same 2k words, least significant first. So the doubles are
+    identical and `rng` ends in the state that k `random()` calls leave.
+    """
+    words = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), dtype="<u4")
+    a = words[0::2] >> 5
+    b = words[1::2] >> 6
+    return (a * 67108864.0 + b) / 9007199254740992.0
+
+
+def _upper_pairs(flat: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Map positions in the row-by-row order of the pairs i < j < m to (i, j)."""
+    rows = np.arange(m, dtype=np.int64)
+    starts = rows * (2 * m - rows - 1) // 2  # position of (i, i + 1)
+    i = np.searchsorted(starts, flat, side="right") - 1
+    return i, flat - starts[i] + i + 1
+
+
+def _coin_pairs(rng: random.Random, m: int, p: float, coined=None) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j < m whose coin `rng.random() < p` lands, as aligned (i, j) arrays.
+
+    The pairs take their coins one each, in row order; `coined(i, j)`, if
+    given, masks the pairs that get one, and the rest are never drawn for.
+    """
+    total = m * (m - 1) // 2
+    hits = [np.zeros(0, dtype=np.int64)]
+    for t0 in range(0, total, _COIN_CHUNK):
+        flat = np.arange(t0, min(t0 + _COIN_CHUNK, total), dtype=np.int64)
+        if coined is not None:
+            flat = flat[coined(*_upper_pairs(flat, m))]
+        hits.append(flat[_uniforms(rng, len(flat)) < p])
+    return _upper_pairs(np.concatenate(hits), m)
+
+
 def generate_synthetic(n: int, red_fraction: float, mode: str, seed: int) -> WorldGraph:
     """Build a seeded random world graph for desk-scale experiments.
 
@@ -355,14 +402,21 @@ def generate_synthetic(n: int, red_fraction: float, mode: str, seed: int) -> Wor
                          pair, so reds form a visible community.
       no_homophily       The homophily graph with all red-red edges removed.
       structural_signal  No red-red edges at all, but each red node gets
-                         6 + 10 + 2 = 18 blue neighbors, so red and blue
-                         mean degrees differ by at least 10 and the
-                         structure alone identifies reds.
+                         min(blue count, 6 + 10 + 2 = 18) blue neighbors,
+                         so at the usual sizes red and blue mean degrees
+                         differ by at least 10 and the structure alone
+                         identifies reds.
 
-    Hierarchy scores are set to node degree (floored at 1 so isolated
-    nodes keep a valid positive score). The same arguments always produce
-    the identical graph.
+    Each pair's coin is one `random.Random(seed).random()` value, taken
+    pair by pair in row order; the coins are drawn in bulk (`_uniforms`)
+    from that same stream, so the graph is the one a per-pair loop of
+    `random()` calls gives. Hierarchy scores are set to node degree
+    (floored at 1 so isolated nodes keep a valid positive score). The
+    same arguments always produce the identical graph.
     """
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    n = int(n)  # a narrow numpy int would wrap in the pair counts
     if n < 10:
         raise ValueError(f"n must be at least 10, got {n}")
     if not 0.0 < red_fraction < 0.5:
@@ -372,36 +426,32 @@ def generate_synthetic(n: int, red_fraction: float, mode: str, seed: int) -> Wor
 
     rng = random.Random(seed)
     n_red = max(1, round(n * red_fraction))
-    red_set = set(rng.sample(range(n), n_red))
     codes = np.full(n, BLUE, dtype=np.int8)
-    codes[list(red_set)] = RED
-    edges: list[tuple[int, int]] = []
+    codes[rng.sample(range(n), n_red)] = RED
+    reds = np.flatnonzero(codes == RED)
     p_base = min(1.0, BASE_MEAN_DEGREE / (n - 1))
 
     if mode in ("homophily", "no_homophily"):
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < p_base:
-                    edges.append((u, v))
-        base = set(edges)
-        reds = sorted(red_set)
-        for i, u in enumerate(reds):
-            for v in reds[i + 1:]:
-                if (u, v) not in base and rng.random() < RED_RED_PROB:
-                    edges.append((u, v))
+        u, v = _coin_pairs(rng, n, p_base)
+        # The base keys ascend, since coins run in row order; n * n caps
+        # them and equals no pair's key, so every lookup lands in range.
+        base_keys = np.append(u * n + v, n * n)
+
+        def unlinked(i, j):
+            keys = reds[i] * n + reds[j]
+            return base_keys[np.searchsorted(base_keys, keys)] != keys
+
+        i, j = _coin_pairs(rng, len(reds), RED_RED_PROB, coined=unlinked)
+        pairs = np.column_stack((np.concatenate((u, reds[i])), np.concatenate((v, reds[j]))))
     else:
-        blues = [v for v in range(n) if v not in red_set]
-        for i, u in enumerate(blues):
-            for v in blues[i + 1:]:
-                if rng.random() < p_base:
-                    edges.append((u, v))
+        blues = np.flatnonzero(codes == BLUE)
+        i, j = _coin_pairs(rng, len(blues), p_base)
         # +2 absorbs the degree that red stubs add to the blue average.
         red_degree = min(len(blues), round(BASE_MEAN_DEGREE + DEGREE_OFFSET) + 2)
-        for u in sorted(red_set):
-            for v in rng.sample(blues, red_degree):
-                edges.append((u, v))
+        blue_list = blues.tolist()
+        stubs = [(u, v) for u in reds.tolist() for v in rng.sample(blue_list, red_degree)]
+        pairs = np.concatenate((np.column_stack((blues[i], blues[j])), np.array(stubs, dtype=np.int64)))
 
-    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
     hierarchy = np.maximum(1, np.bincount(pairs.ravel(), minlength=n)).astype(float)
     g = WorldGraph(codes, hierarchy, pairs, name=f"synthetic-{mode}-n{n}-seed{seed}")
     if mode == "no_homophily":

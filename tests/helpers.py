@@ -9,6 +9,7 @@ ObserverState.
 from __future__ import annotations
 
 import os
+import random
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,15 @@ from redcrawl import (
     WorldGraph,
 )
 from redcrawl.classifier import gradient, hessian
-from redcrawl.graph import BLUE, RED
+from redcrawl.graph import (
+    BASE_MEAN_DEGREE,
+    BLUE,
+    DEGREE_OFFSET,
+    RED,
+    RED_RED_PROB,
+    SYNTHETIC_MODES,
+    remove_red_red_edges,
+)
 
 NOORDIN_DIR = Path(os.environ.get(
     "REDCRAWL_NOORDIN_DIR",
@@ -60,6 +69,60 @@ def make_world(n, edges, red=(), hierarchy=None, name="test") -> WorldGraph:
     codes = np.full(n, BLUE, dtype=np.int8)
     codes[list(red)] = RED
     return WorldGraph(codes, [1.0] * n if hierarchy is None else hierarchy, edges, name=name)
+
+
+def reference_synthetic(n: int, red_fraction: float, mode: str, seed: int) -> WorldGraph:
+    """`generate_synthetic` as a per-pair loop: one `rng.random()` call per coin.
+
+    The generator's body before it drew its coins in bulk, kept verbatim
+    as the reference its worlds must equal.
+    """
+    if n < 10:
+        raise ValueError(f"n must be at least 10, got {n}")
+    if not 0.0 < red_fraction < 0.5:
+        raise ValueError(f"red_fraction must be in (0, 0.5), got {red_fraction}")
+    if mode not in SYNTHETIC_MODES:
+        raise ValueError(f"unknown mode {mode!r}: expected one of {SYNTHETIC_MODES}")
+
+    rng = random.Random(seed)
+    n_red = max(1, round(n * red_fraction))
+    red_set = set(rng.sample(range(n), n_red))
+    codes = np.full(n, BLUE, dtype=np.int8)
+    codes[list(red_set)] = RED
+    edges: list[tuple[int, int]] = []
+    p_base = min(1.0, BASE_MEAN_DEGREE / (n - 1))
+
+    if mode in ("homophily", "no_homophily"):
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p_base:
+                    edges.append((u, v))
+        base = set(edges)
+        reds = sorted(red_set)
+        for i, u in enumerate(reds):
+            for v in reds[i + 1:]:
+                if (u, v) not in base and rng.random() < RED_RED_PROB:
+                    edges.append((u, v))
+    else:
+        blues = [v for v in range(n) if v not in red_set]
+        for i, u in enumerate(blues):
+            for v in blues[i + 1:]:
+                if rng.random() < p_base:
+                    edges.append((u, v))
+        # +2 absorbs the degree that red stubs add to the blue average.
+        red_degree = min(len(blues), round(BASE_MEAN_DEGREE + DEGREE_OFFSET) + 2)
+        for u in sorted(red_set):
+            for v in rng.sample(blues, red_degree):
+                edges.append((u, v))
+
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    hierarchy = np.maximum(1, np.bincount(pairs.ravel(), minlength=n)).astype(float)
+    g = WorldGraph(codes, hierarchy, pairs, name=f"synthetic-{mode}-n{n}-seed{seed}")
+    if mode == "no_homophily":
+        # Exactly the homophily graph put through the edge removal; scores
+        # keep the pre-removal degrees.
+        g = remove_red_red_edges(g)
+    return g
 
 
 def report(target, color, neighbor_colors) -> MonitorReport:

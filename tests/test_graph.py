@@ -1,8 +1,13 @@
 """Graph model, loaders, transforms, and synthetic generators."""
 
+import hashlib
 import logging
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +24,35 @@ from redcrawl import (
     remove_red_red_edges,
     save_graph,
 )
-from helpers import degree, have_noordin, have_pokec, make_world, noordin_paths, pokec_paths
+from redcrawl.graph import _uniforms
+from helpers import (
+    degree,
+    have_noordin,
+    have_pokec,
+    make_world,
+    noordin_paths,
+    pokec_paths,
+    reference_synthetic,
+)
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+# sha256 of each world array's bytes, as the per-pair loop generator wrote
+# them: the benchmark's frontier world and its learn world.
+WORLD_DIGESTS = {
+    (5000, 0.05, "no_homophily", 1): {
+        "codes": "7eb9fbdf97211f81b6269e91acd2b63746d3c1b5ddab4d13de881696e43accd8",
+        "hierarchy": "801d14eb7859233a5ed86f1936432c4df2e81f81152681f2ae9024bbb37626f0",
+        "indptr": "ad9997764ed53ba8a8125fb37a06a4ab9c69b684d4f3f0981edd362fdc911fe9",
+        "indices": "beff9cd5aafcb08bd3ca579c91ae690c057f22aa09826f826658b9745c757d37",
+    },
+    (500, 0.05, "structural_signal", 1): {
+        "codes": "a1309b80ad51f3d49476c3253a02131e52b5d64d92cd3cbd3299c20f56d3b3cb",
+        "hierarchy": "c2f49947baa5c271ea9576a78d2aa49df0bd8d6c2ba07c48b75c2aa554ef5584",
+        "indptr": "a7b6a93d10cd4f6fa7be15db4fb17a1a3ef89a5e3de8438c32c28fd82ee70f74",
+        "indices": "cd20239fdff16e8d1ac569c75c1790a43507ff9cb1c0a2422cc64ce33574e3f3",
+    },
+}
 
 
 def write_graph_files(tmp_path, edge_text, node_text):
@@ -282,11 +315,58 @@ class TestGenerateSynthetic:
 
     @pytest.mark.parametrize(
         "n,frac,mode",
-        [(5, 0.1, "homophily"), (100, 0.0, "homophily"), (100, 0.5, "homophily"), (100, 0.1, "ring")],
+        [(5, 0.1, "homophily"), (20.0, 0.1, "homophily"), (100, 0.0, "homophily"),
+         (100, 0.5, "homophily"), (100, 0.1, "ring")],
     )
     def test_bad_parameters(self, n, frac, mode):
         with pytest.raises(ValueError):
             generate_synthetic(n, frac, mode, 0)
+
+    @pytest.mark.parametrize("mode", ["homophily", "no_homophily", "structural_signal"])
+    @pytest.mark.parametrize("n", [10, 11, 57, 300, 1000])
+    def test_matches_per_pair_reference(self, n, mode):
+        for frac in (0.05, 0.2, 0.45):
+            for seed in range(4):
+                g = generate_synthetic(n, frac, mode, seed)
+                ref = reference_synthetic(n, frac, mode, seed)
+                assert g.name == ref.name
+                for key in ("codes", "hierarchy", "indptr", "indices"):
+                    assert np.array_equal(getattr(g, key), getattr(ref, key)), (frac, seed, key)
+
+    @pytest.mark.parametrize("args", list(WORLD_DIGESTS))
+    def test_benchmark_worlds_are_pinned(self, args):
+        g = generate_synthetic(*args)
+        digests = {key: hashlib.sha256(getattr(g, key).tobytes()).hexdigest() for key in WORLD_DIGESTS[args]}
+        assert digests == WORLD_DIGESTS[args]
+
+    def test_does_not_import_numpy_random(self):
+        # Importing numpy.random adds about 2.6 MB of resident memory (33.1 ->
+        # 35.7 MB in a fresh interpreter, numpy 2.4), about 7% of a learn
+        # batch's peak, so the generator uses the standard library's stream.
+        code = ("import sys, redcrawl; redcrawl.generate_synthetic(60, 0.1, 'homophily', 1); "
+                "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'")
+        path = os.pathsep.join(filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH"))))
+        result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+
+
+class TestUniforms:
+    """`_uniforms(rng, k)` is k `rng.random()` calls, drawn in bulk."""
+
+    @pytest.mark.parametrize("k", [0, 1, 311, 312, 313, 4096, 4097])  # 312 doubles use one 624-word block
+    @pytest.mark.parametrize("skip", [0, 3])  # odd getrandbits(32) draws put the stream mid-block
+    def test_same_doubles_and_state(self, k, skip):
+        bulk, loop = random.Random(11), random.Random(11)
+        for rng in (bulk, loop):
+            for _ in range(skip):
+                rng.getrandbits(32)
+        drawn = _uniforms(bulk, k)
+        expected = [loop.random() for _ in range(k)]
+        assert drawn.dtype == np.float64
+        assert drawn.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+        assert bulk.getstate() == loop.getstate()
+        assert bulk.sample(range(1000), 5) == loop.sample(range(1000), 5)
 
 
 class TestConstruction:
