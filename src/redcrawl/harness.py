@@ -25,6 +25,7 @@ import logging
 import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -270,6 +271,16 @@ def run_single(
     return RunTrace(run_id=run_id, strategy=strategy, seed=seed, steps=steps)
 
 
+def _monitor_count(fraction: float, n: int) -> int:
+    """`floor(fraction * n)` monitors, at least 1, for `fraction` as written in decimal.
+
+    The float product can fall just short of a whole number (0.57 * 100
+    is 56.99999999999999), so the fraction is read back from its shortest
+    decimal text first: 0.57 of 100 nodes is 57 monitors.
+    """
+    return max(1, math.floor(Fraction(repr(float(fraction))) * n))
+
+
 class SummaryRow(NamedTuple):
     strategy: str
     tier: float
@@ -281,9 +292,10 @@ class SummaryRow(NamedTuple):
 def summarize(traces: list[RunTrace], tiers: list[float], total_reds: int, n_nodes: int) -> list[SummaryRow]:
     """Mean and std of the percentage of reds found at each budget tier.
 
-    A tier maps to `floor(tier * n_nodes)` monitors (the forced start
-    monitor counts as the first). Runs that ended before a tier
-    contribute their final value and are flagged in the log.
+    A tier maps to floor(tier * n_nodes) monitors, the tier read as
+    written (`_monitor_count`); the forced start monitor counts as the
+    first. Runs that ended before a tier contribute their final value and
+    are flagged in the log.
     """
     by_strategy: dict[str, list[RunTrace]] = {}
     for trace in traces:
@@ -291,7 +303,7 @@ def summarize(traces: list[RunTrace], tiers: list[float], total_reds: int, n_nod
     rows = []
     for strategy, group in by_strategy.items():
         for tier in tiers:
-            monitors = max(1, math.floor(tier * n_nodes))
+            monitors = _monitor_count(tier, n_nodes)
             short = sum(1 for t in group if len(t.steps) < monitors)
             if short:
                 logger.warning(
@@ -329,7 +341,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     if total_reds == 0:
         raise ValueError(f"graph {world.name!r} has no red nodes to start from")
     red_ids = world.red_ids()
-    budget = max(1, math.floor(config.budget_fraction * world.n))
+    budget = _monitor_count(config.budget_fraction, world.n)
 
     run_params = []
     for i in range(config.runs):

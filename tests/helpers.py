@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import random
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,9 @@ from redcrawl.graph import (
     RED,
     RED_RED_PROB,
     SYNTHETIC_MODES,
+    _UNIFORM_CHUNK,
     remove_red_red_edges,
+    save_graph,
 )
 
 NOORDIN_DIR = Path(os.environ.get(
@@ -71,11 +74,51 @@ def make_world(n, edges, red=(), hierarchy=None, name="test") -> WorldGraph:
     return WorldGraph(codes, [1.0] * n if hierarchy is None else hierarchy, edges, name=name)
 
 
-def reference_synthetic(n: int, red_fraction: float, mode: str, seed: int) -> WorldGraph:
-    """`generate_synthetic` as a per-pair loop: one `rng.random()` call per coin.
+def per_pair_coins(rng, pairs, p) -> list:
+    """The pairs whose own coin `rng.random() < p` lands, one call per pair in order."""
+    return [pair for pair in pairs if rng.random() < p]
 
-    The generator's body before it drew its coins in bulk, kept verbatim
-    as the reference its worlds must equal.
+
+def power_table(p) -> list[float]:
+    """The powers of 1 - p above 2**-53, descending, each the one before times 1 - p."""
+    q = 1.0 - p
+    table = []
+    power = 1.0
+    while (power := power * q) > 2.0 ** -53:
+        table.append(power)
+    return table
+
+
+def skip_coins(rng, pairs, p) -> list:
+    """The pairs that geometric skips with probability `p` land on, one uniform at a time.
+
+    The scalar reference for `_skip_pairs`: each uniform is one
+    `rng.random()` call, drawn `_UNIFORM_CHUNK` at a time, and each skip
+    is found by walking `power_table(p)` from its start.
+    """
+    table = power_table(p)
+    landed = []
+    position = -1
+    while position + 1 < len(pairs):
+        for u in [rng.random() for _ in range(_UNIFORM_CHUNK)]:
+            skip = 0
+            while skip < len(table) and table[skip] > u:
+                skip += 1
+            position += skip + 1
+            if position < len(pairs):
+                landed.append(pairs[position])
+    return landed
+
+
+def reference_synthetic(n: int, red_fraction: float, mode: str, seed: int, coins=per_pair_coins) -> WorldGraph:
+    """`generate_synthetic` as scalar loops over explicit pair lists.
+
+    With `per_pair_coins` (the default) this is the generator as it was
+    before geometric skips: one coin per pair, and red pairs that are
+    already base edges get none. It is the frozen world that the golden
+    output digests were recorded on. With `skip_coins` it is today's
+    generator: every red pair is skipped over and landed base edges are
+    dropped, so its worlds must equal `generate_synthetic`'s bit for bit.
     """
     if n < 10:
         raise ValueError(f"n must be at least 10, got {n}")
@@ -89,26 +132,19 @@ def reference_synthetic(n: int, red_fraction: float, mode: str, seed: int) -> Wo
     red_set = set(rng.sample(range(n), n_red))
     codes = np.full(n, BLUE, dtype=np.int8)
     codes[list(red_set)] = RED
-    edges: list[tuple[int, int]] = []
     p_base = min(1.0, BASE_MEAN_DEGREE / (n - 1))
 
     if mode in ("homophily", "no_homophily"):
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < p_base:
-                    edges.append((u, v))
+        edges = coins(rng, list(combinations(range(n), 2)), p_base)
         base = set(edges)
-        reds = sorted(red_set)
-        for i, u in enumerate(reds):
-            for v in reds[i + 1:]:
-                if (u, v) not in base and rng.random() < RED_RED_PROB:
-                    edges.append((u, v))
+        red_pairs = list(combinations(sorted(red_set), 2))
+        if coins is per_pair_coins:
+            edges += coins(rng, [pair for pair in red_pairs if pair not in base], RED_RED_PROB)
+        else:
+            edges += [pair for pair in coins(rng, red_pairs, RED_RED_PROB) if pair not in base]
     else:
         blues = [v for v in range(n) if v not in red_set]
-        for i, u in enumerate(blues):
-            for v in blues[i + 1:]:
-                if rng.random() < p_base:
-                    edges.append((u, v))
+        edges = coins(rng, list(combinations(blues, 2)), p_base)
         # +2 absorbs the degree that red stubs add to the blue average.
         red_degree = min(len(blues), round(BASE_MEAN_DEGREE + DEGREE_OFFSET) + 2)
         for u in sorted(red_set):
@@ -123,6 +159,13 @@ def reference_synthetic(n: int, red_fraction: float, mode: str, seed: int) -> Wo
         # keep the pre-removal degrees.
         g = remove_red_red_edges(g)
     return g
+
+
+def reference_world_config(tmp_path, n: int, red_fraction: float, mode: str, seed: int) -> dict:
+    """ExperimentConfig keys that load the frozen per-pair world from edge/node files in `tmp_path`."""
+    edges, nodes = tmp_path / "edges.txt", tmp_path / "nodes.csv"
+    save_graph(reference_synthetic(n, red_fraction, mode, seed), edges, nodes)
+    return {"edges": str(edges), "nodes": str(nodes), "synthetic_mode": None}
 
 
 def report(target, color, neighbor_colors) -> MonitorReport:

@@ -24,7 +24,15 @@ from redcrawl import (
     remove_red_red_edges,
     save_graph,
 )
-from redcrawl.graph import _uniforms
+from redcrawl.graph import (
+    BASE_MEAN_DEGREE,
+    RED,
+    RED_RED_PROB,
+    SYNTHETIC_MODES,
+    _skip_pairs,
+    _skip_table,
+    _uniforms,
+)
 from helpers import (
     degree,
     have_noordin,
@@ -32,25 +40,41 @@ from helpers import (
     make_world,
     noordin_paths,
     pokec_paths,
+    power_table,
     reference_synthetic,
+    skip_coins,
 )
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
-# sha256 of each world array's bytes, as the per-pair loop generator wrote
-# them: the benchmark's frontier world and its learn world.
+# Environment settings that each select other CPU kernels in a child
+# process: numpy's baseline SIMD, generic OpenBLAS kernels, and glibc
+# without its AVX and FMA paths.
+CPU_SETTINGS = {
+    "default": {},
+    "baseline_simd": {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+    "generic_blas": {"OPENBLAS_CORETYPE": "Prescott"},
+    "no_avx_libc": {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F,-AVX"},
+}
+# Worlds built under each setting: every mode, and pair passes of one and
+# of many uniform blocks.
+PORTABLE_WORLDS = [(5000, 0.05, "no_homophily", 1), (500, 0.05, "structural_signal", 1),
+                   (2000, 0.3, "homophily", 2), (26220, 0.05, "structural_signal", 1)]
+
+# sha256 of each world array's bytes, as the geometric skip generator
+# writes them: the benchmark's frontier world and its learn world.
 WORLD_DIGESTS = {
     (5000, 0.05, "no_homophily", 1): {
         "codes": "7eb9fbdf97211f81b6269e91acd2b63746d3c1b5ddab4d13de881696e43accd8",
-        "hierarchy": "801d14eb7859233a5ed86f1936432c4df2e81f81152681f2ae9024bbb37626f0",
-        "indptr": "ad9997764ed53ba8a8125fb37a06a4ab9c69b684d4f3f0981edd362fdc911fe9",
-        "indices": "beff9cd5aafcb08bd3ca579c91ae690c057f22aa09826f826658b9745c757d37",
+        "hierarchy": "a38c52015eef18388f3b0e9df41901d4c88fa934115ace2eacfae0704115a37f",
+        "indptr": "c10171c2ab6032304d55a95c67cf30675e18335c47e7177f1e6ccbd135e9efd5",
+        "indices": "1324458d3cd5812f1d0f8b79105cd4846eeae3c9be7a4437107fef9ed19048b6",
     },
     (500, 0.05, "structural_signal", 1): {
         "codes": "a1309b80ad51f3d49476c3253a02131e52b5d64d92cd3cbd3299c20f56d3b3cb",
-        "hierarchy": "c2f49947baa5c271ea9576a78d2aa49df0bd8d6c2ba07c48b75c2aa554ef5584",
-        "indptr": "a7b6a93d10cd4f6fa7be15db4fb17a1a3ef89a5e3de8438c32c28fd82ee70f74",
-        "indices": "cd20239fdff16e8d1ac569c75c1790a43507ff9cb1c0a2422cc64ce33574e3f3",
+        "hierarchy": "2fdfde7c9bc05387f68762b9b9b14fa9a02f2fb1c3fa6a3a7eeae80be50ad0d8",
+        "indptr": "f9bacbc20ad401050d3031899fe2207a22683a6eaf8b542a20d655a8ed681bf8",
+        "indices": "7504f46b461c8635d4a06109d80ff7595e3849ee77aebfb5d5a1c7b519d7a1fe",
     },
 }
 
@@ -322,16 +346,77 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             generate_synthetic(n, frac, mode, 0)
 
-    @pytest.mark.parametrize("mode", ["homophily", "no_homophily", "structural_signal"])
+    @pytest.mark.parametrize("mode", SYNTHETIC_MODES)
     @pytest.mark.parametrize("n", [10, 11, 57, 300, 1000])
-    def test_matches_per_pair_reference(self, n, mode):
+    def test_matches_scalar_skip_reference(self, n, mode):
         for frac in (0.05, 0.2, 0.45):
             for seed in range(4):
                 g = generate_synthetic(n, frac, mode, seed)
-                ref = reference_synthetic(n, frac, mode, seed)
+                ref = reference_synthetic(n, frac, mode, seed, coins=skip_coins)
                 assert g.name == ref.name
                 for key in ("codes", "hierarchy", "indptr", "indices"):
                     assert np.array_equal(getattr(g, key), getattr(ref, key)), (frac, seed, key)
+
+    @pytest.mark.parametrize("mode", SYNTHETIC_MODES)
+    def test_every_pair_is_an_edge_at_its_probability(self, mode):
+        # Over many seeds, each pair's edge count is within 5 sigma of the sum
+        # of its per-seed edge probabilities, which depend on the pair's colors.
+        n, frac, seeds = 30, 0.2, 1000
+        n_red = round(n * frac)
+        p = BASE_MEAN_DEGREE / (n - 1)
+        red_red = {"homophily": p + (1 - p) * RED_RED_PROB, "no_homophily": 0.0, "structural_signal": 0.0}[mode]
+        red_blue = 18 / (n - n_red) if mode == "structural_signal" else p  # 18 stubs per red
+        upper = np.triu_indices(n, 1)
+        per_pair = np.zeros((3, len(upper[0])))  # edge count, mean and variance of each pair
+        per_class = np.zeros((3, 3))  # the same summed over red-red, red-blue and blue-blue pairs
+        for seed in range(seeds):
+            g = generate_synthetic(n, frac, mode, seed)
+            edge = np.zeros((n, n))
+            edge[np.repeat(np.arange(n), np.diff(g.indptr)), g.indices] = 1
+            reds = (g.codes == RED).astype(int)
+            pair_class = (2 - reds[:, None] - reds[None, :])[upper]
+            prob = np.array([red_red, red_blue, p])[pair_class]
+            stats = np.array([edge[upper], prob, prob * (1 - prob)])
+            per_pair += stats
+            per_class += [np.bincount(pair_class, weights=row, minlength=3) for row in stats]
+        for count, mean, var in (per_pair, per_class):
+            assert np.all(np.abs(count - mean) <= 5 * np.sqrt(var))
+
+    @pytest.mark.parametrize("p", [0.01, RED_RED_PROB, 0.9, 1.0])
+    def test_skip_pairs_land_at_p(self, p):
+        rng = random.Random(5)
+        m, draws = 40, 400
+        counts = np.zeros(m * (m - 1) // 2)
+        for _ in range(draws):
+            i, j = _skip_pairs(rng, m, p)
+            assert np.all(i < j) and np.all(np.diff(i * m + j) > 0)
+            np.add.at(counts, i * (2 * m - i - 1) // 2 + j - i - 1, 1)
+        sigma = math.sqrt(draws * p * (1 - p))
+        assert np.all(np.abs(counts - draws * p) <= 5 * sigma)
+        assert abs(counts.sum() - draws * p * len(counts)) <= 5 * sigma * math.sqrt(len(counts))
+
+    def test_skip_table_is_a_running_product(self):
+        for p in (6 / 4999, RED_RED_PROB, 6 / 9):
+            assert _skip_table(p).tobytes() == np.array(power_table(p)[::-1]).tobytes()
+        assert len(_skip_table(1.0)) == 0
+
+    @pytest.mark.parametrize("setting", list(CPU_SETTINGS))
+    def test_worlds_are_the_same_on_every_cpu_kernel(self, setting):
+        # Each setting makes numpy, OpenBLAS or glibc pick other machine code
+        # paths in a child process; the worlds must keep every bit.
+        code = ("import hashlib, redcrawl\n"
+                f"for args in {PORTABLE_WORLDS!r}:\n"
+                "    g = redcrawl.generate_synthetic(*args)\n"
+                "    print(*(hashlib.sha256(getattr(g, k).tobytes()).hexdigest()"
+                " for k in ('codes', 'hierarchy', 'indptr', 'indices')))\n")
+        path = os.pathsep.join(filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path, **CPU_SETTINGS[setting]}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        expected = [" ".join(hashlib.sha256(getattr(g, k).tobytes()).hexdigest()
+                             for k in ("codes", "hierarchy", "indptr", "indices"))
+                    for g in (generate_synthetic(*args) for args in PORTABLE_WORLDS)]
+        assert result.stdout.splitlines() == expected
 
     @pytest.mark.parametrize("args", list(WORLD_DIGESTS))
     def test_benchmark_worlds_are_pinned(self, args):

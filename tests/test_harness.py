@@ -29,7 +29,14 @@ from redcrawl import (
     summarize,
 )
 from redcrawl.cli import main as cli_main
-from helpers import brute_features, brute_knowledge, brute_verified, make_world, scores_of
+from helpers import (
+    brute_features,
+    brute_knowledge,
+    brute_verified,
+    make_world,
+    reference_world_config,
+    scores_of,
+)
 
 
 def assert_cli_error(capsys, argv, match):
@@ -264,6 +271,12 @@ class TestSummarize:
         # floor(0.39 * 10) = 3 monitors -> cum_red 1 -> 50%
         assert rows[0].mean_pct_red == pytest.approx(50.0)
 
+    def test_tier_is_floored_as_written(self):
+        # 0.29 * 100 is 28.999999999999996 in floats; the tier means 29 monitors
+        trace = self._trace("sr", [1] * 28 + [2, 2])
+        rows = summarize([trace], [0.29], total_reds=2, n_nodes=100)
+        assert rows[0].mean_pct_red == pytest.approx(100.0)
+
 
 class TestExperimentConfig:
     def test_parse_full_file(self, tmp_path):
@@ -487,21 +500,25 @@ class TestRunExperiment:
         )
 
     def test_dump_reports(self, tmp_path):
-        config = self.small_config(tmp_path / "out", runs=1, dump_reports=True)
+        world = reference_world_config(tmp_path, 40, 0.2, "homophily", 6)
+        config = self.small_config(tmp_path / "out", runs=1, dump_reports=True, **world)
         run_experiment(config)
         logs = sorted((tmp_path / "out").glob("reports_*_run0.jsonl"))
         assert [p.name for p in logs] == ["reports_mrn_run0.jsonl", "reports_sr_run0.jsonl"]
-        # sha256 of the mrn log for this config: a refactor leaves the dump's bytes as they are
+        # sha256 of the mrn log for this config on the frozen per-pair world:
+        # a refactor leaves the dump's bytes as they are
         assert hashlib.sha256(logs[0].read_bytes()).hexdigest() == (
             "28a40b80eeefbf8b4699edd50b48d53c3df15dbdc4c4fe7cc4f7b3c822a4ca76"
         )
 
-    # sha256 of traces.csv and summary.csv for the config below. A refactor
-    # must leave them as they are; a deliberate behaviour change records
-    # them again and says why. redlearn is left out: its scores go through
-    # BLAS, whose summation order can differ by CPU, so its bytes are
-    # pinned only by perfbench's digests on one machine. The four counting
-    # strategies use integer counts and the random streams alone.
+    # sha256 of traces.csv and summary.csv for the config below, on the
+    # frozen per-pair world read from files, so a new generator leaves them
+    # as they are. A refactor must leave them as they are; a deliberate
+    # behaviour change records them again and says why. redlearn is left
+    # out: its scores go through BLAS, whose summation order can differ by
+    # CPU, so its bytes are pinned only by perfbench's digests on one
+    # machine. The four counting strategies use integer counts and the
+    # random streams alone.
     GOLDEN = {
         LyingScenario.LS1: ("a19628cb737e7ef53cdeee8eea98b6c27682a85a5e7d81d737169a87caf9b1b4",
                             "307afcd2e8758335a5ec68976b390e63f8d1e52af6fe151bb0d57694cb4b50fe"),
@@ -513,9 +530,7 @@ class TestRunExperiment:
     def test_counting_strategies_outputs_match_golden_digests(self, tmp_path, caplog, scenario):
         config = self.small_config(
             tmp_path / "out",
-            synthetic_n=300,
-            synthetic_red_fraction=0.05,
-            synthetic_seed=1,
+            **reference_world_config(tmp_path, 300, 0.05, "homophily", 1),
             scenario=scenario,
             strategies=["sr", "rs", "mrsr", "mrn"],
             runs=3,
@@ -624,6 +639,22 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert_cli_error(capsys, argv, match)
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fraction, n, budget", [(0.57, 100, 57), (0.58, 100, 58), (0.41, 300, 123),
+                                                (0.69, 5000, 3450), (0.5, 45, 22), (0.001, 100, 1)])
+def test_budget_floors_the_fraction_as_written(fraction, n, budget):
+    assert math.floor(fraction * n) in (budget - 1, budget)  # the float product can fall short
+    assert harness._monitor_count(fraction, n) == budget
+
+
+def test_run_budget_floors_the_fraction_as_written(tmp_path):
+    config = ExperimentConfig(
+        synthetic_mode="homophily", synthetic_n=100, synthetic_red_fraction=0.2,
+        synthetic_seed=1, strategies=["sr"], runs=1, budget_fraction=0.57,
+        budget_tiers=[0.29], output_dir=str(tmp_path / "o"),
+    )
+    assert run_experiment(config)["budget"] == 57
 
 
 def test_budget_is_floor_of_fraction(tmp_path):
