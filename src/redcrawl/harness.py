@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 from .classifier import DEFAULT_PARAMS, ClassifierParams, build_training_set, fit
 from .graph import (
-    Color,
+    RED,
     SYNTHETIC_MODES,
     WorldGraph,
     count_colors,
@@ -60,15 +60,13 @@ def derive_seed(master_seed: int, *parts) -> int:
 
 
 class TraceStep(NamedTuple):
-    step: int
     node: int
-    true_color: Color
     cum_red: int
 
 
 @dataclass
 class RunTrace:
-    """Per-step record of one seeded run; step 0 is the forced start monitor."""
+    """Per-step record of one seeded run: `steps[i]` is placement i, `steps[0]` the forced start."""
 
     run_id: int
     strategy: str
@@ -224,7 +222,7 @@ def run_single(
     `grad_tol` logs one warning with their count.
     """
     state = ObserverState(start, world.n)  # checks that start is a node id
-    if world.colors[start] is not Color.RED:
+    if world.codes[start] != RED:
         raise ValueError(f"start node {start} is not red")
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -235,7 +233,7 @@ def run_single(
     oracle = Oracle(world, assign_honesty(world, honesty_rng), scenario, lies_rng)
     state.ingest(oracle.place_monitor(start))
     cum_red = 1
-    steps = [TraceStep(0, start, Color.RED, cum_red)]
+    steps = [TraceStep(start, cum_red)]
 
     model = None
     placed_since_fit = 0
@@ -260,9 +258,8 @@ def run_single(
         report = oracle.place_monitor(decision.chosen)
         state.ingest(report)
         placed_since_fit += 1
-        if report.true_color is Color.RED:
-            cum_red += 1
-        steps.append(TraceStep(len(steps), decision.chosen, report.true_color, cum_red))
+        cum_red += report.color == RED
+        steps.append(TraceStep(decision.chosen, cum_red))
 
     if unconverged:
         logger.warning("run %d (%s): %d of %d fits stopped before grad_tol", run_id, strategy, unconverged, fits)
@@ -376,16 +373,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     with open(traces_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
-        for trace in traces:
-            for step in trace.steps:
-                writer.writerow([
-                    trace.run_id,
-                    trace.strategy,
-                    step.step,
-                    world.labels[step.node],
-                    step.true_color.value,
-                    step.cum_red,
-                ])
+        writer.writerows([t.run_id, t.strategy, i, world.labels[node], world.colors[node].value, cum_red]
+                         for t in traces for i, (node, cum_red) in enumerate(t.steps))
 
     rows = summarize(traces, config.budget_tiers, total_reds, world.n)
     summary_path = out_dir / "summary.csv"

@@ -23,12 +23,12 @@ every monitored neighbor makes exactly one claim about a node. A red
 target's new triangles are read from the record: each monitored red
 neighbor's report says which of the target's neighbors it also touches.
 Colors are coded graph.RED (0) and graph.BLUE (1) throughout the
-arrays, the verified table included; a report's statements arrive in
-the same codes, so ingest indexes the counters with a report's two
-arrays as they are. `features_matrix` gathers one float row per node
-from the arrays, computing the trust table once; `features(v)` is that
-matrix's single row. The test suite checks the rows against a
-from-scratch recount of the reports.
+arrays, the verified table included; a report's color and statements
+arrive in the same codes, checked when the report was built, so ingest
+indexes the counters with them as they are. `features_matrix` gathers
+one float row per node from the arrays, computing the trust table
+once; `features(v)` is that matrix's single row. The test suite checks
+the rows against a from-scratch recount of the reports.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ class ObserverState:
     """Mutable crawl knowledge for one run over the node ids [0, n).
 
     Stored, each fact once:
-      start            the initially known node.
       reports          monitored node id -> its MonitorReport, in monitor
                        order: the claims and the known edges.
       say              (n, 4) int array: claims about each node by
@@ -82,9 +81,8 @@ class ObserverState:
     """
 
     def __init__(self, start: int, n: int):
-        if not 0 <= start < n:
+        if not (isinstance(start, (int, np.integer)) and 0 <= start < n):
             raise ValueError(f"start node {start} is not a node id in [0, {n})")
-        self.start = start
         self.verified_counts = np.zeros((2, 2, 2), dtype=np.int64)
         self.reports: dict[int, MonitorReport] = {}
         self.say = np.zeros((n, 4), dtype=np.int64)
@@ -107,11 +105,10 @@ class ObserverState:
         The target is recorded with its true color, its neighbors become
         observed, its claims are counted, and the verified-claim table
         picks up both old claims about the target and new claims about
-        already-monitored subjects. Ingesting the same target twice is an
-        error: a monitor placement spends budget once. A report whose
-        statements do not pair up with its neighbors, whose neighbors do
-        not strictly ascend within [0, n), or that states a code other
-        than RED or BLUE, is rejected before anything is written.
+        already-monitored subjects. A report is well formed once built;
+        ingest checks, before writing anything, only what needs the state:
+        the target must be observed and unmonitored (a placement spends
+        budget once), and every neighbor must lie in [0, n).
         """
         t = report.target
         n = len(self.color)
@@ -120,17 +117,9 @@ class ObserverState:
             raise ValueError(f"node {t} is already monitored")
         if not (inside and self.on_frontier[t]):
             raise ValueError(f"node {t} has not been observed; monitors go on observed nodes")
-        nbrs, said = report.neighbors, report.statements
-        if len(said) != len(nbrs):
-            raise ValueError(f"report on node {t} has {len(said)} statements for {len(nbrs)} neighbors")
-        if len(nbrs):
-            if (nbrs[1:] <= nbrs[:-1]).any():
-                raise ValueError(f"report on node {t} lists neighbors that do not strictly ascend")
-            if not (nbrs[0] >= 0 and nbrs[-1] < n):
-                raise ValueError(f"report on node {t} names a neighbor outside [0, {n})")
-            if said.tobytes().translate(None, b"\0\1"):  # int8 codes: a byte left is not 0 or 1
-                raise ValueError(f"report on node {t} has a statement code outside {{0, 1}}")
-        t_code = report.true_color.code
+        nbrs, said, t_code = report.neighbors, report.statements, report.color
+        if len(nbrs) and not (nbrs[0] >= 0 and nbrs[-1] < n):  # they ascend, so the ends bound them
+            raise ValueError(f"report on node {t} names a neighbor outside [0, {n})")
         self.color[t] = t_code
         self.on_frontier[t] = False
 
@@ -182,11 +171,14 @@ class ObserverState:
         counts over the node's monitored neighbors and their claims about
         it; `inferred_red` is the trust-weighted mean over those claims,
         0.5 with none. The rows are gathered from the per-node arrays, and
-        the trust table is computed once per call. An id that is not
-        observed, or that is monitored without `allow_monitored`, raises
-        ValueError.
+        the trust table is computed once per call. An id that is not an
+        integer, not observed, or monitored without `allow_monitored`,
+        raises ValueError.
         """
-        ids = np.asarray(nodes, dtype=np.intp)
+        ids = np.asarray(nodes)
+        if ids.size and ids.dtype.kind not in "iu":
+            raise ValueError(f"node ids must be integers, got {ids.dtype} values")
+        ids = ids.astype(np.intp, copy=False)
         outside = (ids < 0) | (ids >= len(self.color))
         if outside.any():
             raise ValueError(f"node {ids[outside][0]} has not been observed")
@@ -214,8 +206,8 @@ class ObserverState:
             for report in self.reports.values():
                 neighbors = report.neighbors.tolist()
                 fh.write(json.dumps({
-                    "target": report.target,
-                    "true_color": report.true_color.value,
+                    "target": int(report.target),
+                    "true_color": Color.from_code(report.color).value,
                     "neighbors": neighbors,
                     "statements": [
                         {"subject": v, "said": Color.from_code(said).value}

@@ -34,7 +34,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .graph import BLUE, Color, WorldGraph
+from .graph import BLUE, RED, WorldGraph
 
 HONESTY_MEAN = 0.5
 HONESTY_SD = 0.125
@@ -57,18 +57,38 @@ class LyingScenario(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class MonitorReport:
-    """Everything one monitor placement reveals.
+    """Everything one monitor placement reveals, checked when built.
 
-    `neighbors` is the target's true neighbor ids as an ascending int
-    array, and `statements[i]` the int8 color code the target states for
-    `neighbors[i]`. The oracle hands both out read-only. Reports have no
-    `==`, since arrays do not compare to one bool.
+    `color` is the target's true color code, `neighbors` its true
+    neighbor ids as a flat, strictly ascending integer array, and
+    `statements[i]` the int8 code (0 or 1) the target states for
+    `neighbors[i]`. Any other shape raises ValueError; both arrays are
+    then made read-only. Reports have no `==`, since arrays do not
+    compare to one bool.
     """
 
     target: int
-    true_color: Color
+    color: int
     neighbors: np.ndarray
     statements: np.ndarray
+
+    def __post_init__(self) -> None:
+        t, nbrs, said = self.target, self.neighbors, self.statements
+        if not isinstance(t, (int, np.integer)):
+            raise ValueError(f"report target {t!r} is not an integer node id")
+        if not (isinstance(self.color, (int, np.integer)) and self.color in (RED, BLUE)):
+            raise ValueError(f"report on node {t} has color {self.color!r}, not a code {RED} or {BLUE}")
+        if not (isinstance(nbrs, np.ndarray) and nbrs.ndim == 1 and nbrs.dtype.kind in "iu"
+                and isinstance(said, np.ndarray) and said.ndim == 1 and said.dtype == np.int8):
+            raise ValueError(f"report on node {t} needs flat arrays: integer neighbors, int8 statements")
+        if len(said) != len(nbrs):
+            raise ValueError(f"report on node {t} has {len(said)} statements for {len(nbrs)} neighbors")
+        if np.count_nonzero(nbrs[1:] <= nbrs[:-1]):
+            raise ValueError(f"report on node {t} lists neighbors that do not strictly ascend")
+        if said.tobytes().translate(None, b"\0\1"):  # int8 codes: a byte left is not 0 or 1
+            raise ValueError(f"report on node {t} has a statement code outside {{0, 1}}")
+        nbrs.setflags(write=False)
+        said.setflags(write=False)
 
 
 def assign_honesty(world: WorldGraph, rng: random.Random) -> list[float]:
@@ -113,9 +133,9 @@ class Oracle:
         below 1, so `draw < min(p, 1)` exactly when `draw < p`.
         """
         world = self.world
-        if not 0 <= target < world.n:
+        if not (isinstance(target, (int, np.integer)) and 0 <= target < world.n):
             raise ValueError(f"unknown node id {target}")
-        true_color = world.colors[target]
+        color = world.codes.item(target)
         neighbors = world.adjacency[target]
         subjects = neighbors.tolist()
         issued = self.issued
@@ -125,7 +145,7 @@ class Oracle:
             said = world.codes[neighbors]
             # One rng.random() per claim, in ascending subject order; random() never returns 1.0.
             draws = np.fromiter(iter(self.rng.random, 1.0), dtype=float, count=len(subjects))
-            if true_color is Color.BLUE and self.scenario is LyingScenario.LS2:
+            if color == BLUE and self.scenario is LyingScenario.LS2:
                 said.fill(BLUE)  # calls every neighbor blue, after the same draws
             else:
                 dishonesty = 1.0 - self.honesty[target]
@@ -135,5 +155,4 @@ class Oracle:
                 np.putmask(p, said, dishonesty)  # the codes are 1 where the subject is blue
                 said ^= draws < p
             issued.update(zip(zip(repeat(target), subjects), said.tolist()))
-        said.setflags(write=False)
-        return MonitorReport(target=target, true_color=true_color, neighbors=neighbors, statements=said)
+        return MonitorReport(target=target, color=color, neighbors=neighbors, statements=said)

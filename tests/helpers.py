@@ -173,7 +173,7 @@ def report(target, color, neighbor_colors) -> MonitorReport:
     neighbors = sorted(neighbor_colors)
     return MonitorReport(
         target=target,
-        true_color=color,
+        color=color.code,
         neighbors=np.array(neighbors, dtype=np.intp),
         statements=np.array([neighbor_colors[v].code for v in neighbors], dtype=np.int8),
     )
@@ -194,7 +194,7 @@ def observed_of(state) -> set[int]:
 
 def monitored_of(state) -> dict:
     """Monitored id -> true Color, in monitor order."""
-    return {t: rep.true_color for t, rep in state.reports.items()}
+    return {t: Color.from_code(rep.color) for t, rep in state.reports.items()}
 
 
 def replay(start, n, reports) -> ObserverState:
@@ -213,7 +213,7 @@ def same_arrays(a, b) -> bool:
 
 def report_fields(rep) -> tuple:
     """A report's fields as plain values; reports have no `==` of their own."""
-    return rep.target, rep.true_color, rep.neighbors.tolist(), rep.statements.tolist()
+    return rep.target, rep.color, rep.neighbors.tolist(), rep.statements.tolist()
 
 
 def lie_probability(speaker: int, subject: int, world: WorldGraph, honesty: list[float],
@@ -282,7 +282,7 @@ def brute_knowledge(start, reports):
     monitored = {}
     statements = {}
     for rep in reports:
-        monitored[rep.target] = rep.true_color
+        monitored[rep.target] = Color.from_code(rep.color)
         observed.add(rep.target)
         neighbors = rep.neighbors.tolist()
         for v in neighbors:

@@ -103,11 +103,12 @@ class TestBuildTrainingSet:
         world = generate_synthetic(50, 0.25, "homophily", 3)
         state = crawl_state(world, LyingScenario.LS1, 15, seed=9)
         data = build_training_set(state)
-        _, _, monitored_full, statements_full = brute_knowledge(state.start, state.reports.values())
+        start = world.red_ids()[0]  # crawl_state's start
+        _, _, monitored_full, statements_full = brute_knowledge(start, state.reports.values())
         verified = brute_verified(monitored_full, statements_full)
         for features, label, m in zip(data.rows, data.labels, state.reports):
             masked = [rep for rep in state.reports.values() if rep.target != m]
-            _, edges, monitored, statements = brute_knowledge(state.start, masked)
+            _, edges, monitored, statements = brute_knowledge(start, masked)
             expected = brute_features(m, edges, monitored, statements, verified)
             assert tuple(features.tolist()) == pytest.approx(expected)
             assert (Color.RED if label else Color.BLUE) is monitored_full[m]

@@ -10,6 +10,7 @@ import pytest
 from redcrawl import (
     Color,
     LyingScenario,
+    MonitorReport,
     Oracle,
     assign_honesty,
     generate_synthetic,
@@ -88,13 +89,47 @@ class TestLieProbability:
             lie_probability(0, 2, g, [0.5] * 3, LyingScenario.LS1)
 
 
+class TestMonitorReport:
+    NEIGHBORS = np.array([1, 3], dtype=np.intp)
+    SAID = np.array([BLUE, RED], dtype=np.int8)
+
+    @pytest.mark.parametrize("target, color, match", [
+        (1.0, RED, "not an integer node id"),
+        ("1", RED, "not an integer node id"),
+        (None, RED, "not an integer node id"),
+        (1, 2, "has color 2"),
+        (1, -1, "has color -1"),
+        (1, 0.0, "has color 0.0"),
+        (1, Color.RED, "has color"),
+    ])
+    def test_bad_target_or_color_rejected(self, target, color, match):
+        with pytest.raises(ValueError, match=match):
+            MonitorReport(target, color, self.NEIGHBORS.copy(), self.SAID.copy())
+
+    @pytest.mark.parametrize("neighbors, statements", [
+        ([1, 3], SAID),
+        (NEIGHBORS, [BLUE, RED]),
+        (NEIGHBORS, SAID.astype(bool)),
+        (NEIGHBORS, SAID.astype(np.uint8)),
+        (NEIGHBORS, SAID.reshape(2, 1)),
+    ])
+    def test_arrays_of_another_type_or_shape_rejected(self, neighbors, statements):
+        with pytest.raises(ValueError, match="needs flat arrays"):
+            MonitorReport(1, RED, neighbors, statements)
+
+    def test_numpy_ints_and_empty_arrays_are_a_report(self):
+        rep = MonitorReport(np.int64(4), np.int8(BLUE), np.array([], dtype=np.uint32),
+                            np.array([], dtype=np.int8))
+        assert (rep.target, rep.color, len(rep.neighbors), len(rep.statements)) == (4, BLUE, 0, 0)
+
+
 class TestPlaceMonitor:
     def test_honest_world_reports_truth(self):
         g = generate_synthetic(60, 0.2, "homophily", 2)
         oracle = Oracle(g, [1.0] * g.n, LyingScenario.LS1, random.Random(0))
         for target in range(g.n):
             report = oracle.place_monitor(target)
-            assert report.true_color is g.colors[target]
+            assert report.color == g.codes[target]
             assert report.neighbors.tolist() == sorted(g.adjacency[target])
             assert report.statements.tolist() == [g.colors[v].code for v in report.neighbors]
 
@@ -138,7 +173,7 @@ class TestPlaceMonitor:
         again = oracle.place_monitor(5)
         assert oracle.rng.getstate() == state
         assert again.target == first.target
-        assert again.true_color is first.true_color
+        assert again.color == first.color
         assert np.array_equal(again.neighbors, first.neighbors)
         assert np.array_equal(again.statements, first.statements)
         assert again.statements.dtype == first.statements.dtype == np.int8
@@ -146,7 +181,11 @@ class TestPlaceMonitor:
     def test_report_arrays_are_read_only(self):
         g = generate_synthetic(40, 0.2, "homophily", 8)
         oracle = Oracle(g, [0.3] * g.n, LyingScenario.LS1, random.Random(4))
-        for report in (oracle.place_monitor(5), oracle.place_monitor(5)):
+        neighbors, said = np.array([1, 3], dtype=np.intp), np.array([BLUE, RED], dtype=np.int8)
+        by_hand = MonitorReport(0, RED, neighbors, said)
+        # a hand-built report takes its arrays as they are and locks them
+        assert by_hand.neighbors is neighbors and by_hand.statements is said
+        for report in (oracle.place_monitor(5), oracle.place_monitor(5), by_hand):
             assert len(report.neighbors) > 0
             with pytest.raises(ValueError, match="read-only"):
                 report.neighbors[0] = 1
@@ -155,11 +194,13 @@ class TestPlaceMonitor:
             with pytest.raises(ValueError, match="read-only"):
                 report.statements.fill(RED)
 
-    def test_unknown_node_rejected(self):
+    @pytest.mark.parametrize("target", [17, 2, -1, 1.5, 1.0, "1"])
+    def test_unknown_node_rejected(self, target):
         g, h = two_node_world(Color.RED, Color.BLUE, 0.5)
         oracle = Oracle(g, h, LyingScenario.LS1, random.Random(0))
-        with pytest.raises(ValueError, match="unknown"):
-            oracle.place_monitor(17)
+        with pytest.raises(ValueError, match="unknown node id"):
+            oracle.place_monitor(target)
+        assert oracle.issued == {}
 
     def test_oracle_requires_honesty(self):
         g = make_world(2, [(0, 1)])

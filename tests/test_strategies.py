@@ -243,10 +243,11 @@ REFERENCE_COLUMN = {
 }
 
 
-def reference_pick(strategy, state, rng):
-    """Scalar pick from the report log: brute-force scores over the sorted
-    frontier, then one rng.choice over the ascending tied list."""
-    observed, edges, monitored, statements = brute_knowledge(state.start, state.reports.values())
+def reference_pick(strategy, start, state, rng):
+    """Scalar pick from the report log of a crawl from `start`: brute-force
+    scores over the sorted frontier, then one rng.choice over the ascending
+    tied list."""
+    observed, edges, monitored, statements = brute_knowledge(start, state.reports.values())
     verified = brute_verified(monitored, statements)
     cands = sorted(observed - set(monitored))
     col = REFERENCE_COLUMN[strategy]
@@ -271,7 +272,7 @@ class TestArrayPicksMatchScalarReference:
         for _ in range(30):
             ref_rng = random.Random()
             ref_rng.setstate(rng.getstate())
-            want_chosen, want_scores = reference_pick(strategy, state, ref_rng)
+            want_chosen, want_scores = reference_pick(strategy, start, state, ref_rng)
             decision = pick(strategy, state, rng)
             assert decision.chosen == want_chosen
             assert type(decision.chosen) is int
@@ -295,7 +296,7 @@ class TestDecisionScores:
             if strategy == "redlearn":
                 want = dict(zip(cands, predict_many(model, state.features_matrix(cands)).tolist()))
             else:
-                want = reference_pick(strategy, state, random.Random(0))[1]
+                want = reference_pick(strategy, start, state, random.Random(0))[1]
             decision = pick(strategy, state, rng, model=model)
             assert len(decision.scores) == len(cands)
             state.ingest(oracle.place_monitor(decision.chosen))
