@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .graph import SYNTHETIC_MODES, count_colors, generate_synthetic, save_graph
-from .harness import _CONFIG_PARSERS, parse_config, run_experiment
+from .harness import parse_config, run_experiment, set_config_value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,13 +48,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     config = parse_config(args.config)
-    # Every override flag's dest is the config key it sets.
+    # Every other run flag is an override whose dest is the config key it sets.
     for key, text in vars(args).items():
-        if key in _CONFIG_PARSERS and text is not None:
-            try:
-                setattr(config, key, _CONFIG_PARSERS[key](text))
-            except ValueError as exc:
-                raise ValueError(f"bad value for {key}: {exc}") from None
+        if key not in ("command", "verbose", "config") and text is not None:
+            set_config_value(config, key, text)
     result = run_experiment(config)
     world = result["world"]
     reds, blues = count_colors(world)

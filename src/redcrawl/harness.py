@@ -29,10 +29,12 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .classifier import DEFAULT_PARAMS, ClassifierParams, build_training_set, fit
+from .classifier import build_training_set, fit
 from .graph import (
+    BLUE,
     RED,
     SYNTHETIC_MODES,
+    Color,
     WorldGraph,
     count_colors,
     generate_synthetic,
@@ -103,9 +105,6 @@ class ExperimentConfig:
     remove_red_red: bool = False
     output_dir: str = "out"
     dump_reports: bool = False
-    l2: float = DEFAULT_PARAMS.l2
-    max_iter: int = DEFAULT_PARAMS.max_iter
-    grad_tol: float = DEFAULT_PARAMS.grad_tol
 
     def validate(self) -> None:
         if (self.edges is None) != (self.nodes is None):
@@ -136,10 +135,6 @@ class ExperimentConfig:
             raise ValueError(f"strategies must not repeat: {self.strategies}")
         if not self.output_dir.strip():
             raise ValueError("output_dir must name a directory, got an empty value")
-        self.classifier_params()  # ClassifierParams checks l2, max_iter and grad_tol
-
-    def classifier_params(self) -> ClassifierParams:
-        return ClassifierParams(l2=self.l2, max_iter=self.max_iter, grad_tol=self.grad_tol)
 
 
 _CONFIG_PARSERS: dict[str, Callable[[str], object]] = {
@@ -159,9 +154,6 @@ _CONFIG_PARSERS: dict[str, Callable[[str], object]] = {
     "remove_red_red": lambda v: _parse_bool(v),
     "output_dir": str,
     "dump_reports": lambda v: _parse_bool(v),
-    "l2": float,
-    "max_iter": int,
-    "grad_tol": float,
 }
 
 
@@ -172,6 +164,16 @@ def _parse_bool(value: str) -> bool:
     if lowered in ("false", "no", "0", "off"):
         return False
     raise ValueError(f"expected a boolean, got {value!r}")
+
+
+def set_config_value(config: ExperimentConfig, key: str, text: str) -> None:
+    """Parse `text` as config key `key` would be in a file and set it on `config`."""
+    if key not in _CONFIG_PARSERS:
+        raise ValueError(f"unknown config key {key!r}")
+    try:
+        setattr(config, key, _CONFIG_PARSERS[key](text))
+    except ValueError as exc:
+        raise ValueError(f"bad value for {key}: {exc}") from None
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -185,14 +187,10 @@ def parse_config(path) -> ExperimentConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{line_num}: expected 'key = value', got {line!r}")
             key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _CONFIG_PARSERS:
-                raise ValueError(f"{path}:{line_num}: unknown config key {key!r}")
             try:
-                setattr(config, key, _CONFIG_PARSERS[key](value))
+                set_config_value(config, key.strip(), value.strip())
             except ValueError as exc:
-                raise ValueError(f"{path}:{line_num}: bad value for {key}: {exc}") from None
+                raise ValueError(f"{path}:{line_num}: {exc}") from None
     config.validate()
     return config
 
@@ -207,7 +205,6 @@ def run_single(
     retrain_every: int = 1,
     *,
     run_id: int = 0,
-    classifier_params: ClassifierParams = DEFAULT_PARAMS,
     report_log_path=None,
     step_callback=None,
 ) -> RunTrace:
@@ -240,7 +237,7 @@ def run_single(
     fits = unconverged = 0
     while len(steps) < budget:
         if strategy == "redlearn" and (model is None or placed_since_fit >= retrain_every):
-            model = fit(build_training_set(state), classifier_params)
+            model = fit(build_training_set(state))
             placed_since_fit = 0
             fits += 1
             unconverged += not model.converged
@@ -363,18 +360,20 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 budget,
                 config.retrain_every,
                 run_id=i,
-                classifier_params=config.classifier_params(),
                 report_log_path=report_log_path,
             )
             traces.append(trace)
         logger.info("strategy %s: %d runs done", strategy, config.runs)
 
     traces_path = out_dir / "traces.csv"
+    color_text = {code: Color.from_code(code).value for code in (RED, BLUE)}
     with open(traces_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
-        writer.writerows([t.run_id, t.strategy, i, world.labels[node], world.colors[node].value, cum_red]
-                         for t in traces for i, (node, cum_red) in enumerate(t.steps))
+        for t in traces:
+            codes = world.codes[[node for node, _ in t.steps]].tolist()
+            writer.writerows([t.run_id, t.strategy, i, world.labels[node], color_text[code], cum_red]
+                             for i, ((node, cum_red), code) in enumerate(zip(t.steps, codes)))
 
     rows = summarize(traces, config.budget_tiers, total_reds, world.n)
     summary_path = out_dir / "summary.csv"

@@ -81,7 +81,8 @@ class ObserverState:
     """
 
     def __init__(self, start: int, n: int):
-        if not (isinstance(start, (int, np.integer)) and 0 <= start < n):
+        # a bool is an int, but as an index it masks the whole array
+        if not (isinstance(start, (int, np.integer)) and not isinstance(start, bool) and 0 <= start < n):
             raise ValueError(f"start node {start} is not a node id in [0, {n})")
         self.verified_counts = np.zeros((2, 2, 2), dtype=np.int64)
         self.reports: dict[int, MonitorReport] = {}

@@ -74,9 +74,11 @@ class MonitorReport:
 
     def __post_init__(self) -> None:
         t, nbrs, said = self.target, self.neighbors, self.statements
-        if not isinstance(t, (int, np.integer)):
+        # a bool is an int, but as an index it masks a whole array
+        if not isinstance(t, (int, np.integer)) or isinstance(t, bool):
             raise ValueError(f"report target {t!r} is not an integer node id")
-        if not (isinstance(self.color, (int, np.integer)) and self.color in (RED, BLUE)):
+        if not (isinstance(self.color, (int, np.integer)) and not isinstance(self.color, bool)
+                and self.color in (RED, BLUE)):
             raise ValueError(f"report on node {t} has color {self.color!r}, not a code {RED} or {BLUE}")
         if not (isinstance(nbrs, np.ndarray) and nbrs.ndim == 1 and nbrs.dtype.kind in "iu"
                 and isinstance(said, np.ndarray) and said.ndim == 1 and said.dtype == np.int8):
@@ -133,7 +135,7 @@ class Oracle:
         below 1, so `draw < min(p, 1)` exactly when `draw < p`.
         """
         world = self.world
-        if not (isinstance(target, (int, np.integer)) and 0 <= target < world.n):
+        if not (isinstance(target, (int, np.integer)) and not isinstance(target, bool) and 0 <= target < world.n):
             raise ValueError(f"unknown node id {target}")
         color = world.codes.item(target)
         neighbors = world.adjacency[target]

@@ -189,14 +189,25 @@ class TestFit:
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
+        ({"max_iter": -3}, "max_iter must be at least 1, got -3"),
         ({"l2": -1.0}, "l2 must be finite and non-negative, got -1.0"),
         ({"l2": math.nan}, "l2 must be finite and non-negative, got nan"),
+        ({"l2": math.inf}, "l2 must be finite and non-negative, got inf"),
+        ({"l2": -math.inf}, "l2 must be finite and non-negative, got -inf"),
+        ({"grad_tol": -1e-6}, "grad_tol must be finite and non-negative, got -1e-06"),
         ({"grad_tol": math.nan}, "grad_tol must be finite and non-negative, got nan"),
-    ], ids=["max_iter_zero", "l2_negative", "l2_nan", "grad_tol_nan"])
+        ({"grad_tol": math.inf}, "grad_tol must be finite and non-negative, got inf"),
+        ({"grad_tol": -math.inf}, "grad_tol must be finite and non-negative, got -inf"),
+    ], ids=["max_iter_zero", "max_iter_negative", "l2_negative", "l2_nan", "l2_inf", "l2_minus_inf",
+            "grad_tol_negative", "grad_tol_nan", "grad_tol_inf", "grad_tol_minus_inf"])
     def test_params_that_fit_cannot_use_rejected(self, kwargs, match):
         # without the check these fit nothing, diverge or never stop early
         with pytest.raises(ValueError, match=match):
             ClassifierParams(**kwargs)
+
+    def test_zero_l2_and_grad_tol_accepted(self):
+        params = ClassifierParams(l2=0.0, grad_tol=0.0)
+        assert (params.l2, params.grad_tol) == (0.0, 0.0)
 
     def test_single_class_routes_to_fallback(self):
         rows = [(fv(1, 0, 0, 0, 0, 0, 0, 0, 0.5), Color.RED) for _ in range(5)]

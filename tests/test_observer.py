@@ -68,7 +68,8 @@ class TestIngest:
         assert len(statements) == 3
         assert state.candidates() == [1, 2, 3]
 
-    @pytest.mark.parametrize("start", [-1, -3, 1.5])
+    # as an index a bool masks the whole array: True would put every node on the frontier
+    @pytest.mark.parametrize("start", [-1, -3, 1.5, True, np.True_])
     def test_negative_start_rejected(self, start):
         with pytest.raises(ValueError, match=rf"start node {start} is not a node id"):
             ObserverState(start, 10)

@@ -97,10 +97,14 @@ class TestMonitorReport:
         (1.0, RED, "not an integer node id"),
         ("1", RED, "not an integer node id"),
         (None, RED, "not an integer node id"),
+        # as an index a bool masks a whole array: ingest would write many nodes, not one
+        (True, RED, "not an integer node id"),
+        (np.True_, RED, "not an integer node id"),
         (1, 2, "has color 2"),
         (1, -1, "has color -1"),
         (1, 0.0, "has color 0.0"),
         (1, Color.RED, "has color"),
+        (1, True, "has color True"),
     ])
     def test_bad_target_or_color_rejected(self, target, color, match):
         with pytest.raises(ValueError, match=match):
@@ -194,7 +198,7 @@ class TestPlaceMonitor:
             with pytest.raises(ValueError, match="read-only"):
                 report.statements.fill(RED)
 
-    @pytest.mark.parametrize("target", [17, 2, -1, 1.5, 1.0, "1"])
+    @pytest.mark.parametrize("target", [17, 2, -1, 1.5, 1.0, "1", True, np.True_])
     def test_unknown_node_rejected(self, target):
         g, h = two_node_world(Color.RED, Color.BLUE, 0.5)
         oracle = Oracle(g, h, LyingScenario.LS1, random.Random(0))
