@@ -348,6 +348,30 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="output_dir must name a directory"):
             ExperimentConfig(synthetic_mode="homophily", output_dir=" ").validate()
 
+    @pytest.mark.parametrize("key, text, want", [
+        ("runs", "3", 3),
+        ("scenario", "ls2", LyingScenario.LS2),
+        ("strategies", "mrn, sr", ["mrn", "sr"]),
+        ("remove_red_red", "true", True),
+    ])
+    def test_set_config_value_parses_like_a_file_line(self, key, text, want):
+        config = ExperimentConfig()
+        harness.set_config_value(config, key, text)
+        assert getattr(config, key) == want
+
+    @pytest.mark.parametrize("key, text, error", [
+        ("l2", "0.01", "unknown config key 'l2'"),
+        ("runs", "two", "bad value for runs: invalid literal for int() with base 10: 'two'"),
+        ("dump_reports", "maybe", "bad value for dump_reports: expected a boolean, got 'maybe'"),
+    ], ids=["unknown_key", "bad_int", "bad_bool"])
+    def test_set_config_value_error_leaves_config_unchanged(self, key, text, error):
+        # no path:line prefix here; parse_config adds it and the CLI shows the bare message
+        config = ExperimentConfig()
+        with pytest.raises(ValueError) as info:
+            harness.set_config_value(config, key, text)
+        assert str(info.value) == error
+        assert config == ExperimentConfig()
+
     @pytest.mark.parametrize("key, value", [("l2", "0.01"), ("max_iter", "200"), ("grad_tol", "1e-5")])
     def test_classifier_fit_settings_are_not_config_keys(self, tmp_path, capsys, key, value):
         # the fit settings are classifier.DEFAULT_PARAMS; a file naming one is rejected, not ignored
