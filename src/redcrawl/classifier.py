@@ -60,7 +60,7 @@ class TrainingSet:
 
 @dataclass
 class TrainedModel:
-    """Standardizing logistic model; `fallback` means fitting was skipped.
+    """Standardizing logistic model; `fallback` (`weights` is None) means fitting was skipped.
 
     `iterations` counts accepted Newton steps. `converged` is False when
     `fit` stopped before the gradient fell below `grad_tol`: at `max_iter`,
@@ -72,9 +72,12 @@ class TrainedModel:
     bias: float
     mean: np.ndarray | None
     scale: np.ndarray | None
-    fallback: bool
     iterations: int = 0
     converged: bool = True
+
+    @property
+    def fallback(self) -> bool:
+        return self.weights is None
 
 
 def build_training_set(state: ObserverState) -> TrainingSet:
@@ -88,7 +91,7 @@ def build_training_set(state: ObserverState) -> TrainingSet:
     if not ids:
         raise ValueError("cannot build a training set with no monitored nodes")
     labels = (state.color[ids] == RED).astype(float)
-    return TrainingSet(rows=state.features_matrix(ids, allow_monitored=True), labels=labels)
+    return TrainingSet(rows=state.features_matrix(ids), labels=labels)
 
 
 def _sigmoid(z):
@@ -147,7 +150,7 @@ def fit(data: TrainingSet, params: ClassifierParams = DEFAULT_PARAMS) -> Trained
     """
     X, y = data.rows, data.labels
     if len(y) == 0 or np.unique(y).size < 2:
-        return TrainedModel(weights=None, bias=0.0, mean=None, scale=None, fallback=True)
+        return TrainedModel(weights=None, bias=0.0, mean=None, scale=None)
 
     mu = X.mean(axis=0)
     sd = X.std(axis=0)
@@ -191,8 +194,7 @@ def fit(data: TrainingSet, params: ClassifierParams = DEFAULT_PARAMS) -> Trained
             break
         w, b, cur = nw, nb, nl
         iterations += 1
-    return TrainedModel(weights=w, bias=b, mean=mu, scale=scale, fallback=False,
-                        iterations=iterations, converged=converged)
+    return TrainedModel(weights=w, bias=b, mean=mu, scale=scale, iterations=iterations, converged=converged)
 
 
 def predict_many(model: TrainedModel, X) -> np.ndarray:

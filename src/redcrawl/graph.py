@@ -84,8 +84,14 @@ class Color(enum.Enum):
 _COLOR_OF_CODE = {RED: Color.RED, BLUE: Color.BLUE}
 
 
+def is_integer(value) -> bool:
+    """Whether `value` has a node id's or color code's type: an int or numpy integer, not a bool."""
+    # a bool is an int, but as an index it masks a whole array
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class _NodeView:
-    """`view[v]` for a node id `v` in [0, n), read from the world's arrays; IndexError otherwise."""
+    """`view[v]` for an integer node id `v` in [0, n), read from the world's arrays; IndexError otherwise."""
 
     __slots__ = ("_n", "_read")
 
@@ -97,7 +103,7 @@ class _NodeView:
         return self._n
 
     def __getitem__(self, v: int):
-        if not 0 <= v < self._n:
+        if not (is_integer(v) and 0 <= v < self._n):
             raise IndexError(f"node id {v} out of range [0, {self._n})")
         return self._read(v)
 
@@ -223,7 +229,7 @@ def load_graph(edge_file, node_file) -> WorldGraph:
     codes: list[int] = []
     hierarchy: list[float] = []
 
-    with open(node_file, newline="", encoding="utf-8") as fh:
+    with open(node_file, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "id" not in reader.fieldnames or "color" not in reader.fieldnames:
             raise GraphLoadError(f"{node_file}: node file needs 'id' and 'color' columns")
@@ -269,7 +275,7 @@ def _read_edges(edge_file, label_to_id: dict[str, int]) -> np.ndarray:
     that counts each.
     """
     ends = array("q")  # the endpoint ids of every edge line, two per line
-    with open(edge_file, encoding="utf-8") as fh:
+    with open(edge_file, encoding="utf-8-sig") as fh:
         for line_num, line in enumerate(fh, start=1):
             line = line.split(EDGE_COMMENT_CHAR, 1)[0].strip()
             if not line:
@@ -343,9 +349,13 @@ def remove_red_red_edges(g: WorldGraph) -> WorldGraph:
     Models reds concealing their mutual ties. Colors, scores, and all
     blue-incident edges are untouched; the operation is idempotent.
     """
-    u, v = g._pairs()
-    keep = (g.codes[u] != RED) | (g.codes[v] != RED)
-    return WorldGraph(g.codes, g.hierarchy, np.column_stack((u[keep], v[keep])), name=g.name, labels=g.labels)
+    pairs = _without_red_red(g.codes, np.column_stack(g._pairs()))
+    return WorldGraph(g.codes, g.hierarchy, pairs, name=g.name, labels=g.labels)
+
+
+def _without_red_red(codes: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """The rows of the (m, 2) id array `pairs` with at least one blue end."""
+    return pairs[(codes[pairs] != RED).any(axis=1)]
 
 
 def count_colors(g: WorldGraph) -> tuple[int, int]:
@@ -432,7 +442,7 @@ def generate_synthetic(n: int, red_fraction: float, mode: str, seed: int) -> Wor
       homophily          Erdos-Renyi base graph (mean degree 6) plus extra
                          red-red edges drawn with probability 0.3 per red
                          pair, so reds form a visible community.
-      no_homophily       The homophily graph with all red-red edges removed.
+      no_homophily       The homophily graph, its red-red pairs dropped before the build.
       structural_signal  No red-red edges at all, but each red node gets
                          min(blue count, 6 + 10 + 2 = 18) blue neighbors,
                          so at the usual sizes red and blue mean degrees
@@ -487,9 +497,8 @@ def generate_synthetic(n: int, red_fraction: float, mode: str, seed: int) -> Wor
         pairs = np.concatenate((np.column_stack((blues[i], blues[j])), np.array(stubs, dtype=np.int64)))
 
     hierarchy = np.maximum(1, np.bincount(pairs.ravel(), minlength=n)).astype(float)
-    g = WorldGraph(codes, hierarchy, pairs, name=f"synthetic-{mode}-n{n}-seed{seed}")
     if mode == "no_homophily":
-        # Exactly the homophily graph put through the edge removal; scores
-        # keep the pre-removal degrees.
-        g = remove_red_red_edges(g)
-    return g
+        # Exactly the homophily graph put through remove_red_red_edges;
+        # scores keep the pre-removal degrees.
+        pairs = _without_red_red(codes, pairs)
+    return WorldGraph(codes, hierarchy, pairs, name=f"synthetic-{mode}-n{n}-seed{seed}")

@@ -124,6 +124,8 @@ class ExperimentConfig:
         for tier in self.budget_tiers:
             if not 0.0 < tier <= self.budget_fraction:
                 raise ValueError(f"budget tier {tier:g} outside (0, budget_fraction = {self.budget_fraction:g}]")
+        if len(set(self.budget_tiers)) < len(self.budget_tiers):
+            raise ValueError(f"budget_tiers must not repeat: {self.budget_tiers}")
         if self.retrain_every < 1:
             raise ValueError("retrain_every must be at least 1")
         if not self.strategies:
@@ -177,7 +179,7 @@ def set_config_value(config: ExperimentConfig, key: str, text: str) -> None:
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Read a `key = value` config file (# starts a comment)."""
+    """Read a `key = value` config file (# starts a comment); `run_experiment` checks it after any CLI overrides."""
     config = ExperimentConfig()
     with open(path, encoding="utf-8") as fh:
         for line_num, line in enumerate(fh, start=1):
@@ -191,7 +193,6 @@ def parse_config(path) -> ExperimentConfig:
                 set_config_value(config, key.strip(), value.strip())
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_num}: {exc}") from None
-    config.validate()
     return config
 
 
@@ -215,8 +216,8 @@ def run_single(
     the budget runs out or no candidate remains. The learning strategy
     refits after every `retrain_every` placements. `step_callback`, if
     given, is called as `(state, decision)` after each pick and before
-    the matching ingest. A learning run whose fits stopped before
-    `grad_tol` logs one warning with their count.
+    the matching ingest, which rejects a pick that is not a candidate. A
+    learning run whose fits stopped before `grad_tol` logs their count.
     """
     state = ObserverState(start, world.n)  # checks that start is a node id
     if world.codes[start] != RED:
@@ -248,10 +249,6 @@ def run_single(
             break
         if step_callback is not None:
             step_callback(state, decision)
-        if 0 <= decision.chosen < world.n and state.color[decision.chosen] >= 0:
-            raise ValueError(
-                f"strategy {strategy!r} picked node {decision.chosen}, which is already monitored"
-            )
         report = oracle.place_monitor(decision.chosen)
         state.ingest(report)
         placed_since_fit += 1

@@ -6,7 +6,7 @@ has been monitored, and a color is known only for monitored nodes. The
 state keeps a (2, 2, 2) int array of verified claims (speaker color x
 said color x subject's true color), filled in whenever a claim's subject
 gets monitored, and `trust()` smooths it into a 2x2 array. From these it
-derives, for any candidate node, the nine-entry feature row the learning
+derives, for any observed node, the nine-entry feature row the learning
 strategy consumes, whose last entry is the trust-weighted probability
 that the candidate is red.
 
@@ -37,7 +37,7 @@ import json
 
 import numpy as np
 
-from .graph import RED, Color
+from .graph import RED, Color, is_integer
 from .oracle import MonitorReport
 
 FEATURE_NAMES = (
@@ -81,8 +81,7 @@ class ObserverState:
     """
 
     def __init__(self, start: int, n: int):
-        # a bool is an int, but as an index it masks the whole array
-        if not (isinstance(start, (int, np.integer)) and not isinstance(start, bool) and 0 <= start < n):
+        if not (is_integer(start) and 0 <= start < n):
             raise ValueError(f"start node {start} is not a node id in [0, {n})")
         self.verified_counts = np.zeros((2, 2, 2), dtype=np.int64)
         self.reports: dict[int, MonitorReport] = {}
@@ -154,27 +153,21 @@ class ObserverState:
         v = self.verified_counts
         return (v[..., RED] + 1) / (v.sum(-1) + 2)
 
-    def features(self, v: int, allow_monitored: bool = False) -> np.ndarray:
-        """Feature row of node `v` from current knowledge: `features_matrix([v])[0]`.
+    def features(self, v: int) -> np.ndarray:
+        """Feature row of the observed node `v` from current knowledge: `features_matrix([v])[0]`."""
+        return self.features_matrix([v])[0]
 
-        By default `v` must be a candidate. Training-set assembly passes
-        `allow_monitored=True` to compute the same row for a monitored
-        node; nothing a node's own report reveals feeds back into its own
-        counts, so the row matches what a candidate in its position
-        would show.
-        """
-        return self.features_matrix([v], allow_monitored)[0]
-
-    def features_matrix(self, nodes, allow_monitored: bool = False) -> np.ndarray:
+    def features_matrix(self, nodes) -> np.ndarray:
         """Feature rows of `nodes` as a (len(nodes), 9) float array, in one pass.
 
         Columns follow FEATURE_NAMES. The first eight are non-negative
         counts over the node's monitored neighbors and their claims about
         it; `inferred_red` is the trust-weighted mean over those claims,
         0.5 with none. The rows are gathered from the per-node arrays, and
-        the trust table is computed once per call. An id that is not an
-        integer, not observed, or monitored without `allow_monitored`,
-        raises ValueError.
+        the trust table is computed once per call. Every observed node
+        has a row, monitored ones too: a node's own report adds nothing to
+        its own counts, so its row is what a candidate in its place would
+        show. An id that is not an integer or not observed raises ValueError.
         """
         ids = np.asarray(nodes)
         if ids.size and ids.dtype.kind not in "iu":
@@ -183,12 +176,9 @@ class ObserverState:
         outside = (ids < 0) | (ids >= len(self.color))
         if outside.any():
             raise ValueError(f"node {ids[outside][0]} has not been observed")
-        legal = self.on_frontier[ids] | (allow_monitored & (self.color[ids] >= 0))
-        if not legal.all():
-            v = ids[~legal][0]
-            if self.color[v] >= 0:
-                raise ValueError(f"node {v} is monitored; features are for candidates")
-            raise ValueError(f"node {v} has not been observed")
+        observed = self.on_frontier[ids] | (self.color[ids] >= 0)
+        if not observed.all():
+            raise ValueError(f"node {ids[~observed][0]} has not been observed")
         say = self.say[ids].astype(float)
         rsr, rsb, bsr, bsb = say.T
         X = np.column_stack((rsr + rsb, bsr + bsb, self.triangles[ids], rsr + bsr, say,

@@ -34,7 +34,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .graph import BLUE, RED, WorldGraph
+from .graph import BLUE, RED, WorldGraph, is_integer
 
 HONESTY_MEAN = 0.5
 HONESTY_SD = 0.125
@@ -74,11 +74,9 @@ class MonitorReport:
 
     def __post_init__(self) -> None:
         t, nbrs, said = self.target, self.neighbors, self.statements
-        # a bool is an int, but as an index it masks a whole array
-        if not isinstance(t, (int, np.integer)) or isinstance(t, bool):
+        if not is_integer(t):
             raise ValueError(f"report target {t!r} is not an integer node id")
-        if not (isinstance(self.color, (int, np.integer)) and not isinstance(self.color, bool)
-                and self.color in (RED, BLUE)):
+        if not (is_integer(self.color) and self.color in (RED, BLUE)):
             raise ValueError(f"report on node {t} has color {self.color!r}, not a code {RED} or {BLUE}")
         if not (isinstance(nbrs, np.ndarray) and nbrs.ndim == 1 and nbrs.dtype.kind in "iu"
                 and isinstance(said, np.ndarray) and said.ndim == 1 and said.dtype == np.int8):
@@ -135,7 +133,7 @@ class Oracle:
         below 1, so `draw < min(p, 1)` exactly when `draw < p`.
         """
         world = self.world
-        if not (isinstance(target, (int, np.integer)) and not isinstance(target, bool) and 0 <= target < world.n):
+        if not (is_integer(target) and 0 <= target < world.n):
             raise ValueError(f"unknown node id {target}")
         color = world.codes.item(target)
         neighbors = world.adjacency[target]

@@ -246,7 +246,7 @@ def scores_of(decision) -> dict:
 def identity_model(weights, bias=0.0) -> TrainedModel:
     """Model with pass-through standardization for hand-built score checks."""
     w = np.asarray(weights, dtype=float)
-    return TrainedModel(weights=w, bias=bias, mean=np.zeros(9), scale=np.ones(9), fallback=False)
+    return TrainedModel(weights=w, bias=bias, mean=np.zeros(9), scale=np.ones(9))
 
 
 def training_set(pairs) -> TrainingSet:

@@ -12,6 +12,7 @@ from redcrawl import (
     LyingScenario,
     ObserverState,
     Oracle,
+    TrainedModel,
     TrainingSet,
     build_training_set,
     fit,
@@ -93,7 +94,7 @@ class TestBuildTrainingSet:
         world = generate_synthetic(60, 0.25, "homophily", 2)
         state = crawl_state(world, LyingScenario.LS2, 25, seed=8)
         data = build_training_set(state)
-        want = state.features_matrix(list(state.reports), allow_monitored=True)
+        want = state.features_matrix(list(state.reports))
         assert np.array_equal(data.rows, want)
         assert data.labels.tolist() == [float(c is Color.RED) for c in monitored_of(state).values()]
 
@@ -217,6 +218,14 @@ class TestFit:
             predict_many(model, [rows[0][0]])
         model = fit(TrainingSet(rows=np.zeros((0, 9)), labels=np.zeros(0)))
         assert model.fallback
+
+    def test_fallback_means_no_weights(self):
+        # one stored fact: a model without weights is the fallback, and predicts nothing
+        model = TrainedModel(weights=None, bias=0.0, mean=None, scale=None)
+        assert model.fallback
+        with pytest.raises(ValueError, match="fallback model cannot predict"):
+            predict_many(model, np.zeros((1, 9)))
+        assert not identity_model(np.zeros(9)).fallback
 
     def test_weight_sign_matches_correlation(self):
         # single informative feature, balanced labels

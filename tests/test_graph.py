@@ -104,6 +104,18 @@ class TestLoadGraph:
         assert g.adjacency[b].tolist() == sorted([a, c])
         assert g.hierarchy[a] == 2.0
 
+    @pytest.mark.parametrize("bom_file", ["nodes", "edges", "both"])
+    def test_byte_order_mark_ignored(self, tmp_path, bom_file):
+        # spreadsheet exports start a UTF-8 CSV with a byte-order mark
+        edge_path, node_path = write_graph_files(tmp_path, "a b\nb c\n", "id,color\na,red\nb,blue\nc,blue\n")
+        for path, name in ((node_path, "nodes"), (edge_path, "edges")):
+            if bom_file in (name, "both"):
+                path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        g = load_graph(edge_path, node_path)
+        assert g.labels == ("a", "b", "c")
+        assert g.edges() == [(0, 1), (1, 2)]
+        assert count_colors(g) == (1, 2)
+
     def test_hierarchy_column_optional(self, tmp_path):
         edge_path, node_path = write_graph_files(
             tmp_path, "x y\n", "id,color\nx,red\ny,blue\n"
@@ -509,8 +521,9 @@ class TestConstruction:
         with pytest.raises(IndexError):
             g.adjacency[-1]
 
-    @pytest.mark.parametrize("v", [-1, 3])
+    @pytest.mark.parametrize("v", [-1, 3, True, False, 1.0])
     def test_views_check_bounds(self, v):
+        # a bool is an int, but as an index it would mask the whole array
         g = make_world(3, [(0, 1), (1, 2)], red={2})
         for view in (g.colors.__getitem__, g.adjacency.__getitem__):
             with pytest.raises(IndexError, match=f"node id {v} out of range"):

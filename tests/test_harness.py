@@ -167,7 +167,7 @@ class TestRunSingle:
         world = star_world()
         monkeypatch.setattr(harness, "pick", lambda strategy, state, rng, model=None:
                             Decision(0, np.array([0]), np.array([0.0])))
-        with pytest.raises(ValueError, match="'mrn' picked node 0, which is already monitored"):
+        with pytest.raises(ValueError, match="node 0 is already monitored"):
             run_single(world, "mrn", LyingScenario.LS1, 0, seed=3, budget=5)
 
     def test_start_must_be_red(self):
@@ -345,6 +345,9 @@ class TestExperimentConfig:
             ExperimentConfig(synthetic_mode="homophily", strategies=[]).validate()
         with pytest.raises(ValueError, match="must not repeat"):
             ExperimentConfig(synthetic_mode="homophily", strategies=["mrn", "sr", "mrn"]).validate()
+        # a repeated tier would write its summary rows twice
+        with pytest.raises(ValueError, match=r"budget_tiers must not repeat: \[0.1, 0.25, 0.1\]"):
+            ExperimentConfig(synthetic_mode="homophily", budget_tiers=[0.1, 0.25, 0.1]).validate()
         with pytest.raises(ValueError, match="output_dir must name a directory"):
             ExperimentConfig(synthetic_mode="homophily", output_dir=" ").validate()
 
@@ -383,21 +386,32 @@ class TestExperimentConfig:
         assert_cli_error(capsys, ["run", "--config", str(path)], str(info.value))
 
     @pytest.mark.parametrize("line", ["strategies =", "strategies = mrn,mrn"])
-    def test_config_file_with_empty_or_repeated_strategies_rejected(self, tmp_path, line):
-        path = tmp_path / "exp.cfg"
-        path.write_text(f"synthetic_mode = homophily\n{line}\nruns = 2\n")
-        with pytest.raises(ValueError, match="strateg"):
-            parse_config(path)
+    def test_config_file_with_empty_or_repeated_strategies_rejected(self, tmp_path, monkeypatch, capsys, line):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "exp.cfg").write_text(f"synthetic_mode = homophily\n{line}\nruns = 2\n")
+        assert_cli_error(capsys, ["run", "--config", "exp.cfg"], "strateg")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("lines, match", [
         ("budget_fraction = 0.1\nbudget_tiers = 0.1,0.5", "budget tier 0.5"),
         ("budget_tiers =", "at least one tier"),
-    ], ids=["tier_above_budget", "no_tiers"])
-    def test_config_file_with_bad_tiers_rejected(self, tmp_path, lines, match):
+        ("budget_tiers = 0.1,0.1", "budget_tiers must not repeat: [0.1, 0.1]"),
+    ], ids=["tier_above_budget", "no_tiers", "repeated_tier"])
+    def test_config_file_with_bad_tiers_rejected(self, tmp_path, monkeypatch, capsys, lines, match):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "exp.cfg").write_text(f"synthetic_mode = homophily\n{lines}\n")
+        assert_cli_error(capsys, ["run", "--config", "exp.cfg"], match)
+        assert not (tmp_path / "out").exists()
+
+    def test_parse_config_leaves_the_check_to_run_experiment(self, tmp_path):
+        # the file is checked as a whole only once any CLI overrides are in
         path = tmp_path / "exp.cfg"
-        path.write_text(f"synthetic_mode = homophily\n{lines}\n")
-        with pytest.raises(ValueError, match=match):
-            parse_config(path)
+        path.write_text(f"synthetic_mode = homophily\nruns = 0\noutput_dir = {tmp_path / 'out'}\n")
+        config = parse_config(path)
+        assert config.runs == 0
+        with pytest.raises(ValueError, match="runs must be at least 1"):
+            run_experiment(config)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line, match", [
         ("synthetic_mode homophily", "expected 'key = value'"),
@@ -630,6 +644,23 @@ class TestCli:
         by_flag = capsys.readouterr().out
         assert cli_main(["run", "--config", "keyed.cfg"]) == 0
         assert capsys.readouterr().out == by_flag
+
+    @pytest.mark.parametrize("line, flags", [
+        ("runs = 0", ["--runs", "2"]),
+        ("budget_fraction = 0.05", ["--budget-fraction", "0.5"]),  # below the default 0.5 tier
+    ], ids=["runs", "budget_fraction"])
+    def test_flag_repairs_a_file_value(self, tmp_path, monkeypatch, capsys, line, flags):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "exp.cfg").write_text(
+            f"synthetic_mode = homophily\nsynthetic_n = 30\nsynthetic_red_fraction = 0.2\n"
+            f"strategies = mrn\nruns = 2\n{line}\n"
+        )
+        assert cli_main(["run", "--config", "exp.cfg", *flags]) == 0
+        assert capsys.readouterr().err == ""
+        with open(tmp_path / "out" / "traces.csv", newline="") as fh:
+            assert {row[0] for row in list(csv.reader(fh))[1:]} == {"0", "1"}
+        with open(tmp_path / "out" / "summary.csv", newline="") as fh:
+            assert len(list(csv.reader(fh))) == 1 + 3  # header, then mrn at the three default tiers
 
     @pytest.mark.parametrize("argv, match", [
         (["run", "--config", "missing.cfg"], "No such file or directory: 'missing.cfg'"),

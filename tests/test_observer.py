@@ -232,12 +232,6 @@ class TestInferredRedProbability:
         assert state.trust()[BLUE, BLUE] == pytest.approx(0.4)
         assert state.features(1)[INFERRED_RED] == pytest.approx(0.6)
 
-    def test_monitored_node_rejected(self):
-        state = ObserverState(0, 10)
-        state.ingest(report(0, Color.RED, {1: Color.RED}))
-        with pytest.raises(ValueError, match="monitored"):
-            state.features(0)
-
 
 class TestFeatures:
     def test_unknown_candidate_all_defaults(self):
@@ -272,11 +266,8 @@ class TestFeatures:
     def test_features_error_cases(self):
         state = ObserverState(0, 10)
         state.ingest(report(0, Color.RED, {1: Color.RED}))
-        with pytest.raises(ValueError, match="monitored"):
-            state.features(0)
         with pytest.raises(ValueError, match="observed"):
             state.features(42)
-        assert state.features(0, allow_monitored=True) is not None
 
     @pytest.mark.parametrize("nodes", [[-1], [0, 10**6], [1, -1], [1, 2], [1.9], [0, 1.0]])
     def test_ids_outside_the_observed_set_rejected(self, nodes):
@@ -285,8 +276,6 @@ class TestFeatures:
         state.ingest(report(0, Color.RED, {1: Color.RED}))
         with pytest.raises(ValueError, match=match):
             state.features_matrix(nodes)
-        with pytest.raises(ValueError, match=match):
-            state.features_matrix(nodes, allow_monitored=True)
         with pytest.raises(ValueError, match=match):
             state.features(nodes[-1])
 

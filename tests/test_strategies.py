@@ -172,7 +172,7 @@ class TestRedLearnPick:
         state = ObserverState(0, 10)
         state.ingest(report(0, Color.RED, {3: Color.BLUE, 4: Color.BLUE}))
         state.ingest(report(3, Color.RED, {0: Color.RED, 4: Color.BLUE, 5: Color.BLUE}))
-        fallback = TrainedModel(weights=None, bias=0.0, mean=None, scale=None, fallback=True)
+        fallback = TrainedModel(weights=None, bias=0.0, mean=None, scale=None)
         got = pick("redlearn", state, random.Random(7), fallback)
         want = pick("mrn", state, random.Random(7))
         assert got.chosen == want.chosen
