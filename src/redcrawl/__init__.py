@@ -20,7 +20,6 @@ from .graph import (
     Color,
     GraphLoadError,
     WorldGraph,
-    count_colors,
     generate_synthetic,
     load_graph,
     remove_red_red_edges,
@@ -74,7 +73,6 @@ __all__ = [
     "WorldGraph",
     "assign_honesty",
     "build_training_set",
-    "count_colors",
     "derive_seed",
     "fit",
     "generate_synthetic",

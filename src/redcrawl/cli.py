@@ -13,7 +13,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .graph import SYNTHETIC_MODES, count_colors, generate_synthetic, save_graph
+from .graph import SYNTHETIC_MODES, generate_synthetic, save_graph
 from .harness import parse_config, run_experiment, set_config_value
 
 
@@ -54,8 +54,8 @@ def _cmd_run(args) -> int:
             set_config_value(config, key, text)
     result = run_experiment(config)
     world = result["world"]
-    reds, blues = count_colors(world)
-    print(f"{world.name}: {world.n} nodes, {world.num_edges()} edges, {reds} red / {blues} blue")
+    reds = result["total_reds"]
+    print(f"{world.name}: {world.n} nodes, {world.num_edges()} edges, {reds} red / {world.n - reds} blue")
     print(f"budget {result['budget']} monitors, {config.runs} run(s), scenario {config.scenario}")
     print(f"{'strategy':<10} {'tier':>6} {'mean%red':>9} {'std':>7}")
     for row in result["summary"]:
@@ -72,8 +72,7 @@ def _cmd_gen(args) -> int:
     edge_path = out_dir / "edges.txt"
     node_path = out_dir / "nodes.csv"
     save_graph(g, edge_path, node_path)
-    reds, blues = count_colors(g)
-    print(f"wrote {edge_path} and {node_path}: {g.n} nodes, {g.num_edges()} edges, {reds} red")
+    print(f"wrote {edge_path} and {node_path}: {g.n} nodes, {g.num_edges()} edges, {len(g.red_ids())} red")
     return 0
 
 

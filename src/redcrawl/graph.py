@@ -358,12 +358,6 @@ def _without_red_red(codes: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return pairs[(codes[pairs] != RED).any(axis=1)]
 
 
-def count_colors(g: WorldGraph) -> tuple[int, int]:
-    """Return (red_count, blue_count)."""
-    red = int(np.count_nonzero(g.codes == RED))
-    return red, g.n - red
-
-
 # Uniforms drawn per `_uniforms` call in the pair passes: large enough that
 # the per-call overhead vanishes, small enough to leave peak memory unchanged.
 _UNIFORM_CHUNK = 4096

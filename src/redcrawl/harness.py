@@ -26,6 +26,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -36,7 +37,6 @@ from .graph import (
     SYNTHETIC_MODES,
     Color,
     WorldGraph,
-    count_colors,
     generate_synthetic,
     load_graph,
     remove_red_red_edges,
@@ -181,7 +181,7 @@ def set_config_value(config: ExperimentConfig, key: str, text: str) -> None:
 def parse_config(path) -> ExperimentConfig:
     """Read a `key = value` config file (# starts a comment); `run_experiment` checks it after any CLI overrides."""
     config = ExperimentConfig()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_num, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -214,10 +214,13 @@ def run_single(
     Honesty is drawn from the run seed, the start node takes the first
     monitor, and then the loop of pick / answer / ingest continues until
     the budget runs out or no candidate remains. The learning strategy
-    refits after every `retrain_every` placements. `step_callback`, if
-    given, is called as `(state, decision)` after each pick and before
-    the matching ingest, which rejects a pick that is not a candidate. A
-    learning run whose fits stopped before `grad_tol` logs their count.
+    refits once `retrain_every` placements have joined the observer's
+    record since its last fit. `step_callback`, if given, is called as
+    `(state, decision)` after each pick and before the matching ingest,
+    which rejects a pick that is not a candidate. A learning run whose
+    fits stopped before `grad_tol` logs their count. The trace is read
+    from that record when the loop ends: the monitored nodes in monitor
+    order, each with the running count of reds among them.
     """
     state = ObserverState(start, world.n)  # checks that start is a node id
     if world.codes[start] != RED:
@@ -230,35 +233,30 @@ def run_single(
 
     oracle = Oracle(world, assign_honesty(world, honesty_rng), scenario, lies_rng)
     state.ingest(oracle.place_monitor(start))
-    cum_red = 1
-    steps = [TraceStep(start, cum_red)]
 
     model = None
-    placed_since_fit = 0
-    fits = unconverged = 0
-    while len(steps) < budget:
-        if strategy == "redlearn" and (model is None or placed_since_fit >= retrain_every):
+    fitted_at = fits = unconverged = 0
+    while len(state.reports) < budget:
+        if strategy == "redlearn" and (model is None or len(state.reports) - fitted_at >= retrain_every):
             model = fit(build_training_set(state))
-            placed_since_fit = 0
+            fitted_at = len(state.reports)
             fits += 1
             unconverged += not model.converged
         try:
             decision = pick(strategy, state, tiebreak_rng, model)
         except ExplorationExhausted:
-            logger.debug("run %d (%s): frontier exhausted after %d monitors", run_id, strategy, len(steps))
+            logger.debug("run %d (%s): frontier exhausted after %d monitors", run_id, strategy, len(state.reports))
             break
         if step_callback is not None:
             step_callback(state, decision)
-        report = oracle.place_monitor(decision.chosen)
-        state.ingest(report)
-        placed_since_fit += 1
-        cum_red += report.color == RED
-        steps.append(TraceStep(decision.chosen, cum_red))
+        state.ingest(oracle.place_monitor(decision.chosen))
 
     if unconverged:
         logger.warning("run %d (%s): %d of %d fits stopped before grad_tol", run_id, strategy, unconverged, fits)
     if report_log_path is not None:
         state.dump_report_log(report_log_path)
+    reds = accumulate(int(report.color == RED) for report in state.reports.values())
+    steps = [TraceStep(node, cum_red) for node, cum_red in zip(state.reports, reds)]
     return RunTrace(run_id=run_id, strategy=strategy, seed=seed, steps=steps)
 
 
@@ -328,10 +326,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
     if config.remove_red_red:
         world = remove_red_red_edges(world)
 
-    total_reds, _ = count_colors(world)
+    red_ids = world.red_ids()
+    total_reds = len(red_ids)
     if total_reds == 0:
         raise ValueError(f"graph {world.name!r} has no red nodes to start from")
-    red_ids = world.red_ids()
     budget = _monitor_count(config.budget_fraction, world.n)
 
     run_params = []

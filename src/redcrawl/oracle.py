@@ -130,13 +130,13 @@ class Oracle:
         The lie probabilities follow the module docstring, computed
         elementwise in the scalar formula's order, so each claim's float
         matches it bit for bit. No clamp to 1 is needed: every draw is
-        below 1, so `draw < min(p, 1)` exactly when `draw < p`.
+        below 1, so `draw < min(p, 1)` exactly when `draw < p`. A target
+        that is not a node id raises the world view's IndexError before
+        any claim is drawn.
         """
         world = self.world
-        if not (is_integer(target) and 0 <= target < world.n):
-            raise ValueError(f"unknown node id {target}")
-        color = world.codes.item(target)
         neighbors = world.adjacency[target]
+        color = world.codes.item(target)
         subjects = neighbors.tolist()
         issued = self.issued
         if subjects and (target, subjects[0]) in issued:

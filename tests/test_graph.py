@@ -18,7 +18,6 @@ from redcrawl import (
     LyingScenario,
     Oracle,
     WorldGraph,
-    count_colors,
     generate_synthetic,
     load_graph,
     remove_red_red_edges,
@@ -97,7 +96,7 @@ class TestLoadGraph:
         g = load_graph(edge_path, node_path)
         assert g.n == 3
         assert g.num_edges() == 2
-        assert count_colors(g) == (1, 2)
+        assert g.red_ids() == [0]
         assert g.labels == ("a", "b", "c")
         # a-b-c path under the id mapping
         a, b, c = (g.labels.index(x) for x in "abc")
@@ -114,7 +113,7 @@ class TestLoadGraph:
         g = load_graph(edge_path, node_path)
         assert g.labels == ("a", "b", "c")
         assert g.edges() == [(0, 1), (1, 2)]
-        assert count_colors(g) == (1, 2)
+        assert g.red_ids() == [0]
 
     def test_hierarchy_column_optional(self, tmp_path):
         edge_path, node_path = write_graph_files(
@@ -173,7 +172,7 @@ class TestLoadGraph:
             tmp_path, "a b\n", "id,color\na,RED\nb,Blue\n"
         )
         g = load_graph(edge_path, node_path)
-        assert count_colors(g) == (1, 1)
+        assert g.red_ids() == [0]
 
     def test_non_positive_hierarchy_rejected(self, tmp_path):
         edge_path, node_path = write_graph_files(
@@ -267,23 +266,18 @@ class TestRemoveRedRedEdges:
             if out.colors[u] is Color.RED and out.colors[v] is Color.RED
         )
         assert red_red == 0
-        assert count_colors(out)[0] == 18
+        assert len(out.red_ids()) == 18
 
 
 class TestCountColors:
     def test_empty_graph(self):
         g = WorldGraph(codes=[], hierarchy=[], edges=[])
-        assert count_colors(g) == (0, 0)
-
-    def test_red_plus_blue_is_n(self):
-        g = generate_synthetic(50, 0.3, "homophily", 1)
-        red, blue = count_colors(g)
-        assert red + blue == g.n
+        assert g.red_ids() == []
 
     @pytest.mark.skipif(not have_noordin(2), reason="Noordin fixture not supplied")
     def test_noordin_coms2_reds(self):
         g = load_graph(*noordin_paths(2))
-        assert count_colors(g)[0] == 5
+        assert len(g.red_ids()) == 5
 
     @pytest.mark.skipif(not have_noordin(1), reason="Noordin fixture not supplied")
     def test_noordin_size(self):
@@ -295,7 +289,7 @@ class TestCountColors:
     def test_pokec_age_reds(self):
         g = load_graph(*pokec_paths("age"))
         assert g.n == 26_220
-        assert count_colors(g)[0] == 1736
+        assert len(g.red_ids()) == 1736
 
 
 class TestGenerateSynthetic:
@@ -347,7 +341,7 @@ class TestGenerateSynthetic:
 
     def test_red_count(self):
         g = generate_synthetic(200, 0.1, "homophily", 4)
-        assert count_colors(g)[0] == 20
+        assert len(g.red_ids()) == 20
 
     @pytest.mark.parametrize(
         "n,frac,mode",

@@ -17,7 +17,6 @@ from redcrawl import (
     LyingScenario,
     RunTrace,
     TraceStep,
-    count_colors,
     derive_seed,
     generate_synthetic,
     harness,
@@ -101,12 +100,16 @@ class TestRunSingle:
     def test_cum_red_non_decreasing_and_consistent(self):
         world = generate_synthetic(80, 0.2, "homophily", 5)
         start = world.red_ids()[0]
-        trace = run_single(world, "rs", LyingScenario.LS1, start, 13, budget=40)
+        seen = []
+        trace = run_single(world, "rs", LyingScenario.LS1, start, 13, budget=40,
+                           step_callback=lambda state, decision: seen.append(state))
         reds = 0
         for step in trace.steps:
             if world.colors[step.node] is Color.RED:
                 reds += 1
             assert step.cum_red == reds
+        (state,) = set(seen)  # one observer for the whole run
+        assert [s.node for s in trace.steps] == list(state.reports)
 
     def test_early_termination_when_frontier_empties(self):
         # start's component has 3 nodes; the other component is unreachable
@@ -196,6 +199,20 @@ class TestRunSingle:
         # so the sparse run must mimic the mrn ranking
         mrn = run_single(world, "mrn", LyingScenario.LS1, start, 5, budget=20)
         assert [s.node for s in sparse.steps] == [s.node for s in mrn.steps]
+
+    def test_redlearn_refits_every_retrain_every_placements(self, monkeypatch):
+        rows_per_fit = []
+        real_fit = harness.fit
+
+        def sized_fit(data, *args, **kwargs):
+            rows_per_fit.append(len(data.rows))
+            return real_fit(data, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "fit", sized_fit)
+        world = generate_synthetic(500, 0.05, "structural_signal", 1)
+        run_single(world, "redlearn", LyingScenario.LS1, world.red_ids()[0], 7, budget=60, retrain_every=10)
+        # one row per monitored node: the start's fit, then one every ten placements
+        assert rows_per_fit == [1, 11, 21, 31, 41, 51]
 
     def _structural_run(self, caplog):
         world = generate_synthetic(500, 0.05, "structural_signal", 1)
@@ -578,7 +595,7 @@ class TestCli:
         ]) == 0
         g = load_graph(out / "edges.txt", out / "nodes.csv")
         assert g.n == 40
-        assert count_colors(g)[0] == 8
+        assert len(g.red_ids()) == 8
         assert "40 nodes" in capsys.readouterr().out
 
     def test_run_with_overrides(self, tmp_path, capsys):
@@ -644,6 +661,20 @@ class TestCli:
         by_flag = capsys.readouterr().out
         assert cli_main(["run", "--config", "keyed.cfg"]) == 0
         assert capsys.readouterr().out == by_flag
+
+    def test_config_with_byte_order_mark_runs(self, tmp_path, monkeypatch, capsys):
+        # Windows Notepad starts a UTF-8 file with a byte-order mark
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "exp.cfg").write_bytes(
+            b"\xef\xbb\xbfsynthetic_mode = homophily\nsynthetic_n = 30\n"
+            b"synthetic_red_fraction = 0.2\nstrategies = mrn\nruns = 2\n"
+        )
+        assert cli_main(["run", "--config", "exp.cfg"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines()[0].endswith(" 6 red / 24 blue")
+        with open(tmp_path / "out" / "traces.csv", newline="") as fh:
+            assert {row[1] for row in list(csv.reader(fh))[1:]} == {"mrn"}
 
     @pytest.mark.parametrize("line, flags", [
         ("runs = 0", ["--runs", "2"]),

@@ -202,7 +202,7 @@ class TestPlaceMonitor:
     def test_unknown_node_rejected(self, target):
         g, h = two_node_world(Color.RED, Color.BLUE, 0.5)
         oracle = Oracle(g, h, LyingScenario.LS1, random.Random(0))
-        with pytest.raises(ValueError, match="unknown node id"):
+        with pytest.raises(IndexError, match="out of range"):
             oracle.place_monitor(target)
         assert oracle.issued == {}
 
