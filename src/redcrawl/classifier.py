@@ -100,19 +100,14 @@ def _sigmoid(z):
 
 
 def loss(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, l2: float) -> float:
-    """Regularized logistic loss on already-scaled features."""
-    reg = 0.5 * l2 * float(w @ w)
-    if len(y) == 0:
-        return reg
+    """Regularized logistic loss on already-scaled features, over at least one row."""
     z = X @ w + b
     s = 2.0 * y - 1.0
-    return float(np.mean(np.logaddexp(0.0, -s * z))) + reg
+    return float(np.mean(np.logaddexp(0.0, -s * z))) + 0.5 * l2 * float(w @ w)
 
 
 def gradient(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, l2: float) -> tuple[np.ndarray, float]:
     """Exact analytic gradient of `loss` in (weights, bias)."""
-    if len(y) == 0:
-        return l2 * w, 0.0
     p = _sigmoid(X @ w + b)
     resid = p - y
     gw = X.T @ resid / len(y) + l2 * w
@@ -126,12 +121,10 @@ def hessian(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, l2: float) ->
     With A = [X | 1] and p the predicted probabilities this is
     A^T diag(p(1-p)) A / k, plus `l2` on the weight diagonal.
     """
+    A = np.column_stack([X, np.ones(len(y))])
+    p = _sigmoid(X @ w + b)
+    H = (A.T * (p * (1.0 - p))) @ A / len(y)
     d = len(w)
-    H = np.zeros((d + 1, d + 1))
-    if len(y):
-        A = np.column_stack([X, np.ones(len(y))])
-        p = _sigmoid(X @ w + b)
-        H = (A.T * (p * (1.0 - p))) @ A / len(y)
     H[np.arange(d), np.arange(d)] += l2
     return H
 
@@ -149,7 +142,7 @@ def fit(data: TrainingSet, params: ClassifierParams = DEFAULT_PARAMS) -> Trained
     data yields a fallback model.
     """
     X, y = data.rows, data.labels
-    if len(y) == 0 or np.unique(y).size < 2:
+    if np.unique(y).size < 2:
         return TrainedModel(weights=None, bias=0.0, mean=None, scale=None)
 
     mu = X.mean(axis=0)

@@ -233,7 +233,6 @@ def load_graph(edge_file, node_file) -> WorldGraph:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "id" not in reader.fieldnames or "color" not in reader.fieldnames:
             raise GraphLoadError(f"{node_file}: node file needs 'id' and 'color' columns")
-        has_hierarchy = "hierarchy" in reader.fieldnames
         for row_num, row in enumerate(reader, start=2):
             label = (row["id"] or "").strip()
             if not label:
@@ -249,7 +248,7 @@ def load_graph(edge_file, node_file) -> WorldGraph:
                 color = Color.parse(row["color"] or "")
             except ValueError as exc:
                 raise GraphLoadError(f"{node_file}:{row_num}: {exc}") from None
-            raw_h = (row.get("hierarchy") or "").strip() if has_hierarchy else ""
+            raw_h = (row.get("hierarchy") or "").strip()
             if raw_h:
                 try:
                     h = float(raw_h)
@@ -284,19 +283,11 @@ def _read_edges(edge_file, label_to_id: dict[str, int]) -> np.ndarray:
             if len(parts) != 2:
                 raise GraphLoadError(f"{edge_file}:{line_num}: expected two ids per line, got {line!r}")
             try:
-                u = label_to_id[parts[0]]
-            except KeyError:
+                ends.extend((label_to_id[parts[0]], label_to_id[parts[1]]))
+            except KeyError as exc:
                 raise GraphLoadError(
-                    f"{edge_file}:{line_num}: edge references unknown node id {parts[0]!r}"
+                    f"{edge_file}:{line_num}: edge references unknown node id {exc.args[0]!r}"
                 ) from None
-            try:
-                v = label_to_id[parts[1]]
-            except KeyError:
-                raise GraphLoadError(
-                    f"{edge_file}:{line_num}: edge references unknown node id {parts[1]!r}"
-                ) from None
-            ends.append(u)
-            ends.append(v)
 
     n = len(label_to_id)
     pairs = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)

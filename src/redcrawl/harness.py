@@ -139,6 +139,15 @@ class ExperimentConfig:
             raise ValueError("output_dir must name a directory, got an empty value")
 
 
+def _parse_bool(value: str) -> bool:
+    lowered = value.strip().lower()
+    if lowered in ("true", "yes", "1", "on"):
+        return True
+    if lowered in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {value!r}")
+
+
 _CONFIG_PARSERS: dict[str, Callable[[str], object]] = {
     "edges": str,
     "nodes": str,
@@ -153,19 +162,10 @@ _CONFIG_PARSERS: dict[str, Callable[[str], object]] = {
     "budget_tiers": lambda v: [float(t) for t in v.split(",") if t.strip()],
     "retrain_every": int,
     "master_seed": int,
-    "remove_red_red": lambda v: _parse_bool(v),
+    "remove_red_red": _parse_bool,
     "output_dir": str,
-    "dump_reports": lambda v: _parse_bool(v),
+    "dump_reports": _parse_bool,
 }
-
-
-def _parse_bool(value: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
 
 
 def set_config_value(config: ExperimentConfig, key: str, text: str) -> None:

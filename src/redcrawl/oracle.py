@@ -60,11 +60,11 @@ class MonitorReport:
     """Everything one monitor placement reveals, checked when built.
 
     `color` is the target's true color code, `neighbors` its true
-    neighbor ids as a flat, strictly ascending integer array, and
-    `statements[i]` the int8 code (0 or 1) the target states for
-    `neighbors[i]`. Any other shape raises ValueError; both arrays are
-    then made read-only. Reports have no `==`, since arrays do not
-    compare to one bool.
+    neighbor ids as a flat, strictly ascending integer array that does
+    not hold `target`, and `statements[i]` the int8 code (0 or 1) the
+    target states for `neighbors[i]`. Any other shape raises
+    ValueError; both arrays are then made read-only. Reports have no
+    `==`, since arrays do not compare to one bool.
     """
 
     target: int
@@ -85,6 +85,9 @@ class MonitorReport:
             raise ValueError(f"report on node {t} has {len(said)} statements for {len(nbrs)} neighbors")
         if np.count_nonzero(nbrs[1:] <= nbrs[:-1]):
             raise ValueError(f"report on node {t} lists neighbors that do not strictly ascend")
+        i = nbrs.searchsorted(t)  # they ascend, so t can only sit at i
+        if i < len(nbrs) and nbrs[i] == t:
+            raise ValueError(f"report on node {t} lists the node itself among its neighbors")
         if said.tobytes().translate(None, b"\0\1"):  # int8 codes: a byte left is not 0 or 1
             raise ValueError(f"report on node {t} has a statement code outside {{0, 1}}")
         nbrs.setflags(write=False)
@@ -121,6 +124,9 @@ class Oracle:
     issued: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.scenario, LyingScenario):
+            raise ValueError(f"scenario {self.scenario!r} is not a LyingScenario; "
+                             f"LyingScenario.parse reads one from text")
         if len(self.honesty) != self.world.n or not all(0.0 <= h <= 1.0 for h in self.honesty):
             raise ValueError(f"honesty needs one value in [0, 1] for each of the {self.world.n} nodes")
 

@@ -140,14 +140,6 @@ class TestLossAndGradient:
             assert abs(gb - fd_b) <= 1e-5 * max(1.0, abs(fd_b))
             assert_hessian_matches_gradient(X, y, w, b, l2)
 
-    def test_gradient_zero_on_empty_data_without_regularization(self):
-        X = np.zeros((0, 9))
-        y = np.zeros(0)
-        w = np.ones(9)
-        gw, gb = gradient(X, y, w, 0.5, 0.0)
-        assert np.all(gw == 0.0) and gb == 0.0
-        assert loss(X, y, w, 0.5, 0.0) == 0.0
-
     def test_gradient_near_zero_at_converged_optimum(self):
         # noisy labels keep the optimum finite so descent can reach it
         rng = np.random.default_rng(3)

@@ -153,11 +153,12 @@ class TestLoadGraph:
         assert g.num_edges() == 1
         assert "2 duplicate edge" in caplog.text
 
-    def test_edge_referencing_unknown_node(self, tmp_path):
+    @pytest.mark.parametrize("line", ["a ghost", "ghost a"], ids=["second_id", "first_id"])
+    def test_edge_referencing_unknown_node(self, tmp_path, line):
         edge_path, node_path = write_graph_files(
-            tmp_path, "a ghost\n", "id,color\na,red\n"
+            tmp_path, f"# header\na b\n{line}\n", "id,color\na,red\nb,blue\n"
         )
-        with pytest.raises(GraphLoadError, match="ghost"):
+        with pytest.raises(GraphLoadError, match=r"edges\.txt:3: edge references unknown node id 'ghost'$"):
             load_graph(edge_path, node_path)
 
     def test_bad_color_rejected(self, tmp_path):

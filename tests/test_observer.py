@@ -98,6 +98,8 @@ class TestIngest:
         (ids(-1, 2), codes(RED, RED), r"names a neighbor outside \[0, 4\)", RED),
         (ids(2, 4), codes(RED, RED), r"names a neighbor outside \[0, 4\)", RED),
         (ids(0, 2), codes(RED), "has 1 statements for 2 neighbors", RED),
+        (ids(0, 1), codes(RED, RED), "lists the node itself among its neighbors", RED),
+        (ids(0, 1), codes(BLUE, BLUE), "lists the node itself among its neighbors", BLUE),
         (ids(3, -1, 2), codes(RED, RED, RED), "do not strictly ascend", RED),
         (ids(2, 2), codes(RED, RED), "do not strictly ascend", RED),
         (ids(0, 2), codes(RED, 2), r"statement code outside \{0, 1\}", RED),
@@ -106,8 +108,9 @@ class TestIngest:
         (np.array([0.0, 2.0]), codes(RED, RED), "flat arrays", RED),
         (ids(0, 2).reshape(2, 1), codes(RED, RED), "flat arrays", RED),
         (ids(0, 2), np.array([256, RED], dtype=np.int64), "flat arrays", RED),
-    ], ids=["negative_neighbor", "neighbor_at_n", "short_statements", "unsorted_with_negative",
-            "repeated_neighbor", "code_2_red_target", "code_2_blue_target", "negative_code",
+    ], ids=["negative_neighbor", "neighbor_at_n", "short_statements", "red_lists_itself",
+            "blue_lists_itself", "unsorted_with_negative", "repeated_neighbor",
+            "code_2_red_target", "code_2_blue_target", "negative_code",
             "float_neighbors", "2d_neighbors", "int64_code_256"])
     def test_malformed_report_rejected_before_any_write(self, neighbors, statements, match, color):
         state = ObserverState(0, 4)

@@ -213,6 +213,13 @@ class TestPlaceMonitor:
         with pytest.raises(ValueError, match="honesty"):
             Oracle(g, [0.5, 1.5], LyingScenario.LS1, random.Random(0))
 
+    @pytest.mark.parametrize("scenario", ["ls2", "LS2", None])
+    def test_oracle_requires_a_lying_scenario(self, scenario):
+        # the text "ls2" is not LyingScenario.LS2, and would silently take LS1's path
+        g = make_world(2, [(0, 1)])
+        with pytest.raises(ValueError, match=r"not a LyingScenario; LyingScenario\.parse"):
+            Oracle(g, [0.5, 0.5], scenario, random.Random(0))
+
     def test_lie_frequency_matches_probability(self):
         # red speaker about blue subject with H=0.5 lies half the time
         flips = 0
