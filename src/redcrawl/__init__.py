@@ -29,7 +29,6 @@ from .harness import (
     ExperimentConfig,
     RunTrace,
     SummaryRow,
-    TraceStep,
     derive_seed,
     parse_config,
     run_experiment,
@@ -67,7 +66,6 @@ __all__ = [
     "RunTrace",
     "STRATEGY_NAMES",
     "SummaryRow",
-    "TraceStep",
     "TrainedModel",
     "TrainingSet",
     "WorldGraph",

@@ -13,7 +13,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .graph import SYNTHETIC_MODES, generate_synthetic, save_graph
+from .graph import SYNTHETIC_MODES, float_text, generate_synthetic, save_graph
 from .harness import parse_config, run_experiment, set_config_value
 
 
@@ -59,7 +59,7 @@ def _cmd_run(args) -> int:
     print(f"budget {result['budget']} monitors, {config.runs} run(s), scenario {config.scenario}")
     print(f"{'strategy':<10} {'tier':>6} {'mean%red':>9} {'std':>7}")
     for row in result["summary"]:
-        print(f"{row.strategy:<10} {row.tier:>6g} {row.mean_pct_red:>9.1f} {row.std_pct_red:>7.1f}")
+        print(f"{row.strategy:<10} {float_text(row.tier):>6} {row.mean_pct_red:>9.1f} {row.std_pct_red:>7.1f}")
     print(f"traces: {result['traces_csv']}")
     print(f"summary: {result['summary_csv']}")
     return 0

@@ -325,10 +325,10 @@ def save_graph(g: WorldGraph, edge_file, node_file) -> None:
         writer = csv.writer(fh)
         writer.writerow(["id", "color", "hierarchy"])
         for v, h in enumerate(g.hierarchy.tolist()):
-            writer.writerow([g.labels[v], g.colors[v].value, _float_text(h)])
+            writer.writerow([g.labels[v], g.colors[v].value, float_text(h)])
 
 
-def _float_text(x: float) -> str:
+def float_text(x: float) -> str:
     """Short text for `x` ("12" for 12.0) that float() reads back exactly."""
     text = f"{x:g}"
     return text if float(text) == x else repr(x)

@@ -9,7 +9,9 @@ master seed and the run index only. Because neither the start node nor
 the world streams depend on the strategy, every strategy in an
 experiment faces the same sequence of worlds: a paired comparison.
 
-Results land in two CSVs, a per-step trace (`run,strategy,step,node,
+A run's trace is its monitored node ids in monitor order; every red
+count is read from the world's true colors where it is needed. Results
+land in two CSVs, a per-step trace (`run,strategy,step,node,
 true_color,cum_red`) and a budget-tier summary (`strategy,tier,
 mean_pct_red,std_pct_red,runs`). The same config always reproduces both
 files byte for byte. "Reds found" counts monitored nodes whose true
@@ -26,9 +28,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
 from pathlib import Path
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .classifier import build_training_set, fit
 from .graph import (
@@ -37,6 +40,7 @@ from .graph import (
     SYNTHETIC_MODES,
     Color,
     WorldGraph,
+    float_text,
     generate_synthetic,
     load_graph,
     remove_red_red_edges,
@@ -61,28 +65,17 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
-class TraceStep(NamedTuple):
-    node: int
-    cum_red: int
-
-
-@dataclass
+@dataclass(eq=False)
 class RunTrace:
-    """Per-step record of one seeded run: `steps[i]` is placement i, `steps[0]` the forced start."""
+    """One seeded run's monitored node ids in monitor order: `nodes[0]` is the forced start.
+
+    Reds are not stored: a prefix's count is read from `world.codes[nodes]`.
+    """
 
     run_id: int
     strategy: str
     seed: int
-    steps: list[TraceStep]
-
-    def reds_at(self, monitors: int) -> int:
-        """Cumulative confirmed reds after `monitors` placements.
-
-        A run that exhausted its frontier early reports its final value.
-        """
-        if monitors < 1:
-            return 0
-        return self.steps[min(monitors, len(self.steps)) - 1].cum_red
+    nodes: np.ndarray
 
 
 @dataclass
@@ -123,7 +116,8 @@ class ExperimentConfig:
             raise ValueError("budget_tiers must name at least one tier")
         for tier in self.budget_tiers:
             if not 0.0 < tier <= self.budget_fraction:
-                raise ValueError(f"budget tier {tier:g} outside (0, budget_fraction = {self.budget_fraction:g}]")
+                raise ValueError(f"budget tier {float_text(tier)} outside "
+                                 f"(0, budget_fraction = {float_text(self.budget_fraction)}]")
         if len(set(self.budget_tiers)) < len(self.budget_tiers):
             raise ValueError(f"budget_tiers must not repeat: {self.budget_tiers}")
         if self.retrain_every < 1:
@@ -219,8 +213,8 @@ def run_single(
     `(state, decision)` after each pick and before the matching ingest,
     which rejects a pick that is not a candidate. A learning run whose
     fits stopped before `grad_tol` logs their count. The trace is read
-    from that record when the loop ends: the monitored nodes in monitor
-    order, each with the running count of reds among them.
+    from that record when the loop ends: the monitored node ids in
+    monitor order.
     """
     state = ObserverState(start, world.n)  # checks that start is a node id
     if world.codes[start] != RED:
@@ -255,9 +249,8 @@ def run_single(
         logger.warning("run %d (%s): %d of %d fits stopped before grad_tol", run_id, strategy, unconverged, fits)
     if report_log_path is not None:
         state.dump_report_log(report_log_path)
-    reds = accumulate(int(report.color == RED) for report in state.reports.values())
-    steps = [TraceStep(node, cum_red) for node, cum_red in zip(state.reports, reds)]
-    return RunTrace(run_id=run_id, strategy=strategy, seed=seed, steps=steps)
+    nodes = np.fromiter(state.reports, dtype=np.int64, count=len(state.reports))
+    return RunTrace(run_id=run_id, strategy=strategy, seed=seed, nodes=nodes)
 
 
 def _monitor_count(fraction: float, n: int) -> int:
@@ -278,28 +271,31 @@ class SummaryRow(NamedTuple):
     runs: int
 
 
-def summarize(traces: list[RunTrace], tiers: list[float], total_reds: int, n_nodes: int) -> list[SummaryRow]:
-    """Mean and std of the percentage of reds found at each budget tier.
+def summarize(traces: list[RunTrace], tiers: list[float], world: WorldGraph) -> list[SummaryRow]:
+    """Mean and std of the percentage of `world`'s reds found at each budget tier.
 
-    A tier maps to floor(tier * n_nodes) monitors, the tier read as
+    A tier maps to floor(tier * world.n) monitors, the tier read as
     written (`_monitor_count`); the forced start monitor counts as the
-    first. Runs that ended before a tier contribute their final value and
-    are flagged in the log.
+    first. A tier's reds are the true reds among a trace's first that
+    many nodes. Runs that ended before a tier contribute their final
+    value and are flagged in the log.
     """
+    total_reds = len(world.red_ids())
     by_strategy: dict[str, list[RunTrace]] = {}
     for trace in traces:
         by_strategy.setdefault(trace.strategy, []).append(trace)
     rows = []
     for strategy, group in by_strategy.items():
         for tier in tiers:
-            monitors = _monitor_count(tier, n_nodes)
-            short = sum(1 for t in group if len(t.steps) < monitors)
+            monitors = _monitor_count(tier, world.n)
+            short = sum(1 for t in group if len(t.nodes) < monitors)
             if short:
                 logger.warning(
-                    "%s tier %g: %d/%d run(s) exhausted candidates before %d monitors; using final values",
-                    strategy, tier, short, len(group), monitors,
+                    "%s tier %s: %d/%d run(s) exhausted candidates before %d monitors; using final values",
+                    strategy, float_text(tier), short, len(group), monitors,
                 )
-            pcts = [100.0 * t.reds_at(monitors) / total_reds for t in group]
+            reds = [int(np.count_nonzero(world.codes[t.nodes[:monitors]] == RED)) for t in group]
+            pcts = [100.0 * r / total_reds for r in reds]
             mean = sum(pcts) / len(pcts)
             var = sum((p - mean) ** 2 for p in pcts) / len(pcts)
             rows.append(SummaryRow(strategy, tier, mean, math.sqrt(var), len(group)))
@@ -366,11 +362,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
         for t in traces:
-            codes = world.codes[[node for node, _ in t.steps]].tolist()
+            codes = world.codes[t.nodes]
+            cum_reds = np.cumsum(codes == RED).tolist()
             writer.writerows([t.run_id, t.strategy, i, world.labels[node], color_text[code], cum_red]
-                             for i, ((node, cum_red), code) in enumerate(zip(t.steps, codes)))
+                             for i, (node, code, cum_red) in
+                             enumerate(zip(t.nodes.tolist(), codes.tolist(), cum_reds)))
 
-    rows = summarize(traces, config.budget_tiers, total_reds, world.n)
+    rows = summarize(traces, config.budget_tiers, world)
     summary_path = out_dir / "summary.csv"
     with open(summary_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -378,7 +376,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         for row in rows:
             writer.writerow([
                 row.strategy,
-                f"{row.tier:g}",
+                float_text(row.tier),
                 f"{row.mean_pct_red:.4f}",
                 f"{row.std_pct_red:.4f}",
                 row.runs,

@@ -16,7 +16,6 @@ from redcrawl import (
     ExperimentConfig,
     LyingScenario,
     RunTrace,
-    TraceStep,
     derive_seed,
     generate_synthetic,
     harness,
@@ -28,6 +27,7 @@ from redcrawl import (
     summarize,
 )
 from redcrawl.cli import main as cli_main
+from redcrawl.graph import RED
 from helpers import (
     brute_features,
     brute_knowledge,
@@ -71,16 +71,13 @@ class TestRunSingle:
         world = generate_synthetic(30, 0.2, "homophily", 1)
         start = world.red_ids()[0]
         trace = run_single(world, "sr", LyingScenario.LS1, start, 7, budget=1)
-        assert len(trace.steps) == 1
-        assert trace.steps[0] == TraceStep(start, 1)
+        assert trace.nodes.tolist() == [start]
 
     def test_mrn_sweeps_red_clique_before_blues(self):
         world = star_world()
         trace = run_single(world, "mrn", LyingScenario.LS1, 0, seed=3, budget=10)
-        assert [world.colors[s.node] for s in trace.steps[:4]] == [Color.RED] * 4
-        assert trace.steps[3].cum_red == 4
-        assert all(world.colors[s.node] is Color.BLUE for s in trace.steps[4:])
-        assert trace.steps[-1].cum_red == 4
+        assert (world.codes[trace.nodes[:4]] == RED).all()
+        assert not (world.codes[trace.nodes[4:]] == RED).any()
 
     def test_deterministic_given_seed(self):
         world = generate_synthetic(60, 0.15, "homophily", 2)
@@ -88,14 +85,15 @@ class TestRunSingle:
         for strategy in ("sr", "rs", "mrsr", "mrn", "redlearn"):
             a = run_single(world, strategy, LyingScenario.LS2, start, 11, budget=25)
             b = run_single(world, strategy, LyingScenario.LS2, start, 11, budget=25)
-            assert a == b
+            assert (a.run_id, a.strategy, a.seed) == (b.run_id, b.strategy, b.seed)
+            assert np.array_equal(a.nodes, b.nodes)
 
     def test_seed_changes_outcome(self):
         world = generate_synthetic(60, 0.15, "homophily", 2)
         start = world.red_ids()[0]
         a = run_single(world, "sr", LyingScenario.LS1, start, 1, budget=25)
         b = run_single(world, "sr", LyingScenario.LS1, start, 2, budget=25)
-        assert a.steps != b.steps
+        assert not np.array_equal(a.nodes, b.nodes)
 
     def test_cum_red_non_decreasing_and_consistent(self):
         world = generate_synthetic(80, 0.2, "homophily", 5)
@@ -103,25 +101,26 @@ class TestRunSingle:
         seen = []
         trace = run_single(world, "rs", LyingScenario.LS1, start, 13, budget=40,
                            step_callback=lambda state, decision: seen.append(state))
-        reds = 0
-        for step in trace.steps:
-            if world.colors[step.node] is Color.RED:
-                reds += 1
-            assert step.cum_red == reds
         (state,) = set(seen)  # one observer for the whole run
-        assert [s.node for s in trace.steps] == list(state.reports)
+        # the trace is the observer's record in monitor order, as CSR-dtype ids
+        assert trace.nodes.dtype == np.int64
+        assert trace.nodes.tolist() == list(state.reports)
+        # so the running red count read from the world's colors is the reports' own
+        reds = 0
+        for node, cum_red in zip(trace.nodes.tolist(), np.cumsum(world.codes[trace.nodes] == RED).tolist()):
+            reds += state.reports[node].color == RED
+            assert cum_red == reds
 
     def test_early_termination_when_frontier_empties(self):
         # start's component has 3 nodes; the other component is unreachable
         world = make_world(6, [(0, 1), (1, 2), (3, 4), (4, 5)], red={0, 3})
         trace = run_single(world, "sr", LyingScenario.LS1, 0, seed=1, budget=6)
-        assert len(trace.steps) == 3
-        assert {s.node for s in trace.steps} == {0, 1, 2}
+        assert sorted(trace.nodes.tolist()) == [0, 1, 2]
 
     def test_isolated_red_start_stops_immediately(self):
         world = make_world(5, [(1, 2), (2, 3), (3, 4)], red={0})
         trace = run_single(world, "mrn", LyingScenario.LS1, 0, seed=1, budget=5)
-        assert len(trace.steps) == 1
+        assert trace.nodes.tolist() == [0]
 
     def test_every_pick_was_a_legal_candidate(self):
         world = generate_synthetic(50, 0.2, "homophily", 8)
@@ -137,7 +136,7 @@ class TestRunSingle:
         trace = run_single(
             world, "redlearn", LyingScenario.LS1, start, 21, budget=20, step_callback=audit,
         )
-        assert seen == [s.node for s in trace.steps[1:]]
+        assert seen == trace.nodes[1:].tolist()
 
     @pytest.mark.parametrize("scenario", [LyingScenario.LS1, LyingScenario.LS2])
     def test_redlearn_scores_match_per_candidate_rows(self, recorded_fits, scenario):
@@ -194,11 +193,11 @@ class TestRunSingle:
         start = world.red_ids()[0]
         every = run_single(world, "redlearn", LyingScenario.LS1, start, 5, budget=20, retrain_every=1)
         sparse = run_single(world, "redlearn", LyingScenario.LS1, start, 5, budget=20, retrain_every=50)
-        assert len(every.steps) == len(sparse.steps) == 20
+        assert len(every.nodes) == len(sparse.nodes) == 20
         # with retrain_every beyond the budget only the fallback fit happens,
         # so the sparse run must mimic the mrn ranking
         mrn = run_single(world, "mrn", LyingScenario.LS1, start, 5, budget=20)
-        assert [s.node for s in sparse.steps] == [s.node for s in mrn.steps]
+        assert np.array_equal(sparse.nodes, mrn.nodes)
 
     def test_redlearn_refits_every_retrain_every_placements(self, monkeypatch):
         rows_per_fit = []
@@ -252,15 +251,23 @@ class TestDeriveSeed:
 
 
 class TestSummarize:
-    def _trace(self, strategy, cum, run_id=0):
-        steps = [TraceStep(i, c) for i, c in enumerate(cum)]
-        return RunTrace(run_id=run_id, strategy=strategy, seed=0, steps=steps)
+    def _world(self, n_nodes, total_reds):
+        """Reds are ids below `total_reds`; summarize reads colors only, so no edges."""
+        return make_world(n_nodes, [], red=range(total_reds))
+
+    def _trace(self, world, strategy, cum, run_id=0):
+        """A trace over `world` whose running count of reds is `cum`."""
+        reds = iter(world.red_ids())
+        blues = iter(np.flatnonzero(world.codes != RED).tolist())
+        nodes = [next(reds) if c > before else next(blues) for before, c in zip([0, *cum], cum)]
+        return RunTrace(run_id=run_id, strategy=strategy, seed=0, nodes=np.array(nodes, dtype=np.int64))
 
     def test_mean_over_runs(self):
         # 10 monitors at the 0.5 tier of a 20-node graph; 4 and 6 of 10 reds
-        a = self._trace("sr", [1, 1, 2, 2, 3, 3, 4, 4, 4, 4, 5], run_id=0)
-        b = self._trace("sr", [1, 2, 3, 4, 5, 5, 6, 6, 6, 6, 7], run_id=1)
-        rows = summarize([a, b], [0.5], total_reds=10, n_nodes=20)
+        world = self._world(20, 10)
+        a = self._trace(world, "sr", [1, 1, 2, 2, 3, 3, 4, 4, 4, 4, 5], run_id=0)
+        b = self._trace(world, "sr", [1, 2, 3, 4, 5, 5, 6, 6, 6, 6, 7], run_id=1)
+        rows = summarize([a, b], [0.5], world)
         assert len(rows) == 1
         assert rows[0].strategy == "sr"
         assert rows[0].tier == 0.5
@@ -269,29 +276,33 @@ class TestSummarize:
         assert rows[0].runs == 2
 
     def test_everything_found_early_gives_100_everywhere(self):
-        trace = self._trace("mrn", [1, 2, 3, 3, 3, 3, 3, 3, 3, 3])
-        rows = summarize([trace], [0.3, 0.6, 1.0], total_reds=3, n_nodes=10)
+        world = self._world(10, 3)
+        trace = self._trace(world, "mrn", [1, 2, 3, 3, 3, 3, 3, 3, 3, 3])
+        rows = summarize([trace], [0.3, 0.6, 1.0], world)
         assert [r.mean_pct_red for r in rows] == [100.0, 100.0, 100.0]
 
     def test_exhausted_run_contributes_final_value(self, caplog):
         import logging
 
-        trace = self._trace("sr", [1, 2])  # stopped after 2 monitors
+        world = self._world(20, 4)
+        trace = self._trace(world, "sr", [1, 2])  # stopped after 2 monitors
         with caplog.at_level(logging.WARNING, logger="redcrawl.harness"):
-            rows = summarize([trace], [0.5], total_reds=4, n_nodes=20)
+            rows = summarize([trace], [0.5], world)
         assert rows[0].mean_pct_red == pytest.approx(50.0)
         assert "exhausted" in caplog.text
 
     def test_tier_to_monitor_count_uses_floor(self):
-        trace = self._trace("sr", [1, 1, 1, 2, 2, 2, 2, 2, 2, 2])
-        rows = summarize([trace], [0.39], total_reds=2, n_nodes=10)
+        world = self._world(10, 2)
+        trace = self._trace(world, "sr", [1, 1, 1, 2, 2, 2, 2, 2, 2, 2])
+        rows = summarize([trace], [0.39], world)
         # floor(0.39 * 10) = 3 monitors -> cum_red 1 -> 50%
         assert rows[0].mean_pct_red == pytest.approx(50.0)
 
     def test_tier_is_floored_as_written(self):
         # 0.29 * 100 is 28.999999999999996 in floats; the tier means 29 monitors
-        trace = self._trace("sr", [1] * 28 + [2, 2])
-        rows = summarize([trace], [0.29], total_reds=2, n_nodes=100)
+        world = self._world(100, 2)
+        trace = self._trace(world, "sr", [1] * 28 + [2, 2])
+        rows = summarize([trace], [0.29], world)
         assert rows[0].mean_pct_red == pytest.approx(100.0)
 
 
@@ -356,6 +367,9 @@ class TestExperimentConfig:
         # a tier past the budget would repeat the last row as if runs ran short
         with pytest.raises(ValueError, match=r"budget tier 0.5 outside \(0, budget_fraction = 0.1\]"):
             ExperimentConfig(synthetic_mode="homophily", budget_fraction=0.1, budget_tiers=[0.1, 0.5]).validate()
+        # both numbers are written so that they read back, not rounded to six digits
+        with pytest.raises(ValueError, match=r"budget tier 0.1234564 outside \(0, budget_fraction = 0.1234561\]"):
+            ExperimentConfig(synthetic_mode="homophily", budget_fraction=0.1234561, budget_tiers=[0.1234564]).validate()
         with pytest.raises(ValueError, match="budget_tiers must name at least one tier"):
             ExperimentConfig(synthetic_mode="homophily", budget_tiers=[]).validate()
         with pytest.raises(ValueError, match="at least one strategy"):
@@ -496,7 +510,7 @@ class TestRunExperiment:
         result = run_experiment(self.small_config(tmp_path / "out"))
         starts = {}
         for trace in result["traces"]:
-            starts.setdefault(trace.run_id, set()).add(trace.steps[0].node)
+            starts.setdefault(trace.run_id, set()).add(trace.nodes[0])
         assert all(len(s) == 1 for s in starts.values())
         seeds = {}
         for trace in result["traces"]:
@@ -582,8 +596,8 @@ class TestRunExperiment:
         config = self.small_config(tmp_path / "out", runs=2)
         result = run_experiment(config)
         for trace in result["traces"]:
-            assert len(trace.steps) <= result["budget"]
-            assert trace.steps[-1].cum_red <= result["total_reds"]
+            assert len(trace.nodes) <= result["budget"]
+            assert np.count_nonzero(result["world"].codes[trace.nodes] == RED) <= result["total_reds"]
 
 
 class TestCli:
@@ -607,6 +621,7 @@ class TestCli:
             "synthetic_seed = 2\n"
             "strategies = sr\n"
             "runs = 5\n"
+            "budget_tiers = 0.1234561,0.1234564\n"
             "master_seed = 1\n"
         )
         out = tmp_path / "results"
@@ -619,7 +634,15 @@ class TestCli:
             rows = list(csv.reader(fh))[1:]
         assert {r[1] for r in rows} == {"sr", "mrn"}
         assert {r[0] for r in rows} == {"0", "1"}
-        assert "summary" in capsys.readouterr().out
+        # 0.1234561 and 0.1234564 are distinct tiers whose %g texts are both 0.123456:
+        # summary.csv and the printed table each give them two labels
+        with open(out / "summary.csv", newline="") as fh:
+            srows = list(csv.reader(fh))[1:]
+        assert [r[:2] for r in srows if r[0] == "mrn"] == [["mrn", "0.1234561"], ["mrn", "0.1234564"]]
+        out_text = capsys.readouterr().out
+        assert "summary" in out_text
+        assert [line.split()[:2] for line in out_text.splitlines() if line.startswith("mrn ")] == [
+            ["mrn", "0.1234561"], ["mrn", "0.1234564"]]
 
     def test_run_generated_files_round_trip(self, tmp_path):
         out = tmp_path / "g"
