@@ -47,7 +47,7 @@ from .graph import (
 )
 from .observer import ObserverState
 from .oracle import LyingScenario, Oracle, assign_honesty
-from .strategies import STRATEGY_NAMES, ExplorationExhausted, pick
+from .strategies import STRATEGY_NAMES, CountingScores, ExplorationExhausted, pick
 
 logger = logging.getLogger(__name__)
 
@@ -207,14 +207,18 @@ def run_single(
 
     Honesty is drawn from the run seed, the start node takes the first
     monitor, and then the loop of pick / answer / ingest continues until
-    the budget runs out or no candidate remains. The learning strategy
-    refits once `retrain_every` placements have joined the observer's
-    record since its last fit. `step_callback`, if given, is called as
+    the budget runs out or no candidate remains. A counting strategy
+    keeps its scores in a `CountingScores`, built once after the start's
+    ingest and updated from each report, so no step rescans the
+    frontier. The learning strategy calls `pick` at every step and refits
+    once `retrain_every` placements have joined the observer's record
+    since its last fit. `step_callback`, if given, is called as
     `(state, decision)` after each pick and before the matching ingest,
-    which rejects a pick that is not a candidate. A learning run whose
-    fits stopped before `grad_tol` logs their count. The trace is read
-    from that record when the loop ends: the monitored node ids in
-    monitor order.
+    which rejects a pick that is not a candidate; a counting run builds
+    that Decision from its kept scores only when a callback is set. A
+    learning run whose fits stopped before `grad_tol` logs their count.
+    The trace is read from that record when the loop ends: the monitored
+    node ids in monitor order.
     """
     state = ObserverState(start, world.n)  # checks that start is a node id
     if world.codes[start] != RED:
@@ -228,22 +232,30 @@ def run_single(
     oracle = Oracle(world, assign_honesty(world, honesty_rng), scenario, lies_rng)
     state.ingest(oracle.place_monitor(start))
 
+    counting = None if strategy == "redlearn" else CountingScores(strategy, state)
     model = None
     fitted_at = fits = unconverged = 0
     while len(state.reports) < budget:
-        if strategy == "redlearn" and (model is None or len(state.reports) - fitted_at >= retrain_every):
+        if counting is None and (model is None or len(state.reports) - fitted_at >= retrain_every):
             model = fit(build_training_set(state))
             fitted_at = len(state.reports)
             fits += 1
             unconverged += not model.converged
         try:
-            decision = pick(strategy, state, tiebreak_rng, model)
+            if counting is None:
+                decision = pick(strategy, state, tiebreak_rng, model)
+                chosen = decision.chosen
+            else:
+                chosen = counting.choose(tiebreak_rng)
         except ExplorationExhausted:
             logger.debug("run %d (%s): frontier exhausted after %d monitors", run_id, strategy, len(state.reports))
             break
         if step_callback is not None:
-            step_callback(state, decision)
-        state.ingest(oracle.place_monitor(decision.chosen))
+            step_callback(state, decision if counting is None else counting.decision(chosen))
+        report = oracle.place_monitor(chosen)
+        state.ingest(report)
+        if counting is not None:
+            counting.update(report)
 
     if unconverged:
         logger.warning("run %d (%s): %d of %d fits stopped before grad_tol", run_id, strategy, unconverged, fits)

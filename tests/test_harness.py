@@ -4,6 +4,7 @@ import csv
 import hashlib
 import logging
 import math
+import random
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from redcrawl import (
     harness,
     load_graph,
     parse_config,
+    pick,
     predict_many,
     run_experiment,
     run_single,
+    strategies,
     summarize,
 )
 from redcrawl.cli import main as cli_main
@@ -165,12 +168,42 @@ class TestRunSingle:
                    retrain_every=3, step_callback=audit)
         assert len(learned) > 20
 
+    @pytest.mark.parametrize("scenario", [LyingScenario.LS1, LyingScenario.LS2])
+    @pytest.mark.parametrize("strategy", ["sr", "rs", "mrsr", "mrn"])
+    def test_step_callback_sees_picks_decision_and_changes_nothing(self, strategy, scenario):
+        # a counting run builds its Decision from the kept scores only for a
+        # callback: it must be pick()'s, fixed at pick time, and change no draw
+        world = generate_synthetic(80, 0.15, "homophily", 4)
+        start = world.red_ids()[0]
+        seen = []
+
+        def audit(state, decision):
+            want = pick(strategy, state, random.Random(0))
+            assert np.array_equal(decision.candidates, want.candidates)
+            assert np.array_equal(decision.scores, want.scores)
+            assert decision.scores.dtype == want.scores.dtype
+            assert decision.scores[decision.candidates == decision.chosen] == want.scores.max()
+            seen.append((decision, decision.candidates.copy(), decision.scores.copy()))
+
+        quiet = run_single(world, strategy, scenario, start, 19, budget=40)
+        traced = run_single(world, strategy, scenario, start, 19, budget=40, step_callback=audit)
+        assert np.array_equal(quiet.nodes, traced.nodes)
+        assert [d.chosen for d, _, _ in seen] == traced.nodes[1:].tolist()
+        for decision, cands, scores in seen:
+            assert np.array_equal(decision.candidates, cands)
+            assert np.array_equal(decision.scores, scores)
+
     def test_pick_of_monitored_node_raises(self, monkeypatch):
+        # A counting run draws from its kept scores; redlearn goes through pick.
         world = star_world()
+        with monkeypatch.context() as m:
+            m.setattr(strategies.CountingScores, "choose", lambda self, rng: 0)
+            with pytest.raises(ValueError, match="node 0 is already monitored"):
+                run_single(world, "mrn", LyingScenario.LS1, 0, seed=3, budget=5)
         monkeypatch.setattr(harness, "pick", lambda strategy, state, rng, model=None:
                             Decision(0, np.array([0]), np.array([0.0])))
         with pytest.raises(ValueError, match="node 0 is already monitored"):
-            run_single(world, "mrn", LyingScenario.LS1, 0, seed=3, budget=5)
+            run_single(world, "redlearn", LyingScenario.LS1, 0, seed=3, budget=5)
 
     def test_start_must_be_red(self):
         world = make_world(3, [(0, 1), (1, 2)], red={0})

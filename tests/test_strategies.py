@@ -1,4 +1,4 @@
-"""Placement policies: scoring, argmax legality, tie-breaking, fallback."""
+"""Placement policies: scoring, argmax legality, tie-breaking, fallback, kept counting scores."""
 
 import copy
 import random
@@ -20,12 +20,15 @@ from redcrawl import (
     pick,
     predict_many,
 )
+from redcrawl.observer import BSR, RSB, RSR
+from redcrawl.strategies import CountingScores
 from helpers import (
     brute_features,
     brute_knowledge,
     brute_verified,
     degree,
     identity_model,
+    make_world,
     observed_of,
     report,
     report_fields,
@@ -308,3 +311,98 @@ class TestDecisionScores:
         with pytest.raises(FrozenInstanceError):
             decision.scores = np.zeros(4)
         assert scores_of(decision) == {1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0}
+
+
+SCAN_SCORES = {
+    "sr": lambda say: np.zeros(len(say), dtype=np.int64),
+    "rs": lambda say: say[:, RSR] + say[:, BSR],
+    "mrsr": lambda say: say[:, RSR],
+    "mrn": lambda say: say[:, RSR] + say[:, RSB],
+}
+
+
+def assert_kept_equals_scan(kept, strategy, state):
+    """The kept scores and top ids are what a from-scratch frontier scan gives."""
+    cands = state.frontier()
+    scores = SCAN_SCORES[strategy](state.say[cands])
+    want = np.full(len(state.color), -1, dtype=np.int64)
+    want[cands] = scores
+    assert kept.score.dtype == np.int64
+    assert np.array_equal(kept.score, want)
+    top = int(scores.max()) if len(cands) else -1
+    assert kept.top == top
+    assert kept.top_ids == cands[scores == top].tolist()
+    assert all(type(v) is int for v in kept.top_ids)
+
+
+def crawl_against_scan(world, strategy, scenario, start, steps, seed=0):
+    """Run `steps` kept-score picks from `start`, checking the kept scores
+    against a scan and each draw against `reference_pick` before it is
+    monitored; return the monitored ids."""
+    oracle = Oracle(world, assign_honesty(world, random.Random(seed)), scenario, random.Random(seed + 1))
+    state = ObserverState(start, world.n)
+    state.ingest(oracle.place_monitor(start))
+    kept = CountingScores(strategy, state)
+    rng = random.Random(seed + 2)
+    for _ in range(steps):
+        assert_kept_equals_scan(kept, strategy, state)
+        if not len(state.frontier()):
+            with pytest.raises(ExplorationExhausted):
+                kept.choose(rng)
+            break
+        ref_rng = random.Random()
+        ref_rng.setstate(rng.getstate())
+        want_chosen, _ = reference_pick(strategy, start, state, ref_rng)
+        chosen = kept.choose(rng)
+        assert chosen == want_chosen and type(chosen) is int
+        assert rng.getstate() == ref_rng.getstate()
+        report = oracle.place_monitor(chosen)
+        state.ingest(report)
+        kept.update(report)
+    return list(state.reports)
+
+
+class TestCountingScoresMatchScan:
+    @pytest.mark.parametrize("mode", ["homophily", "no_homophily", "structural_signal"])
+    @pytest.mark.parametrize("scenario", [LyingScenario.LS1, LyingScenario.LS2])
+    @pytest.mark.parametrize("strategy", ["sr", "rs", "mrsr", "mrn"])
+    def test_every_step_of_a_synthetic_crawl(self, strategy, scenario, mode):
+        world = generate_synthetic(50, 0.2, mode, 6)
+        start = world.red_ids()[1]
+        monitored = crawl_against_scan(world, strategy, scenario, start, steps=35, seed=11)
+        assert len(monitored) > 20
+
+    @pytest.mark.parametrize("strategy", ["sr", "rs", "mrsr", "mrn"])
+    def test_component_exhausts_before_the_budget(self, strategy):
+        # start 0's component is a red triangle with a blue tail; 6-9 are unreachable
+        world = make_world(10, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (6, 7), (8, 9)],
+                           red={0, 1, 2, 6})
+        monitored = crawl_against_scan(world, strategy, LyingScenario.LS1, 0, steps=10)
+        assert sorted(monitored) == [0, 1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("strategy", ["sr", "rs", "mrsr", "mrn"])
+    def test_start_without_neighbors(self, strategy):
+        world = make_world(4, [(1, 2), (2, 3)], red={0, 1})
+        assert crawl_against_scan(world, strategy, LyingScenario.LS2, 0, steps=3) == [0]
+
+    @pytest.mark.parametrize("strategy", ["redlearn", "bfs"])
+    def test_only_counting_strategies_are_kept(self, strategy, four_candidate_state):
+        with pytest.raises(ValueError, match="not a counting strategy"):
+            CountingScores(strategy, four_candidate_state)
+
+    def test_state_is_not_changed(self, four_candidate_state):
+        before = {k: v.copy() for k, v in vars(four_candidate_state).items() if isinstance(v, np.ndarray)}
+        kept = CountingScores("mrn", four_candidate_state)
+        kept.choose(random.Random(0))
+        kept.decision(1)
+        for k, v in before.items():
+            assert np.array_equal(getattr(four_candidate_state, k), v), k
+
+    def test_decision_is_a_snapshot(self, four_candidate_state):
+        kept = CountingScores("mrn", four_candidate_state)
+        decision = kept.decision(kept.choose(random.Random(0)))
+        report_on_2 = report(2, Color.RED, {0: Color.RED, 5: Color.RED})
+        four_candidate_state.ingest(report_on_2)
+        kept.update(report_on_2)
+        assert scores_of(decision) == {1: 1, 2: 1, 3: 1, 4: 1}
+        assert scores_of(kept.decision(5)) == {1: 1, 3: 1, 4: 1, 5: 1}
