@@ -20,11 +20,13 @@ monitored color and whether it is on the frontier. The frontier is kept
 incrementally, so `frontier()` and `candidates()` read one mask, and the
 known red and blue neighbor counts derive from the claim counts, because
 every monitored neighbor makes exactly one claim about a node. A red
-target's new triangles are read from the record: each monitored red
-neighbor's report says which of the target's neighbors it also touches.
-Colors are coded graph.RED (0) and graph.BLUE (1) throughout the
-arrays, the verified table included; a report's color and statements
-arrive in the same codes, checked when the report was built, so ingest
+target's new triangles are read from the record: the monitored red
+neighbors' reports say which of the target's neighbors each also
+touches, found for all of them by one `searchsorted` into the target's
+ascending neighbor array. Colors are coded graph.RED (0) and graph.BLUE
+(1) throughout the arrays, the verified table included; a report's color
+and statements arrive in the same codes, checked when a report is built
+by hand and guaranteed by the world for the oracle's own, so ingest
 indexes the counters with them as they are. One counter restates the
 others on purpose: the verified table equals the monitored nodes' claim
 counts summed by their color, and is kept as a running total because
@@ -134,9 +136,15 @@ class ObserverState:
         subject = self.color[nbrs]
         if t_code == RED:
             # A monitored red neighbor r closes the red triangle (t, r, v)
-            # at every v that both t and r touch; both arrays ascend uniquely.
-            for r in nbrs[subject == RED].tolist():
-                self.triangles[np.intersect1d(nbrs, self.reports[r].neighbors, assume_unique=True)] += 1
+            # at every v that both t and r touch. All of the red neighbors'
+            # neighbors are located at once in t's ascending, unique nbrs;
+            # the exact matches, counted per position, are the new triangles.
+            reds = nbrs[subject == RED].tolist()
+            if reds:
+                touched = np.concatenate([self.reports[r].neighbors for r in reds])
+                at = nbrs.searchsorted(touched)
+                np.minimum(at, len(nbrs) - 1, out=at)  # past the end: no match, but a valid index
+                self.triangles[nbrs] += np.bincount(at[nbrs[at] == touched], minlength=len(nbrs))
         self.on_frontier[nbrs[subject < 0]] = True
 
         verified = self.verified_counts

@@ -12,9 +12,9 @@ active lying scenario:
 
 A red speaker, in either scenario, lies about a red neighbor with
 probability min((1 - H) * L_subject / L_speaker, 1) and about a blue
-neighbor with probability (1 - H). A lie states the flipped color. Each
-(speaker, subject) claim is decided once and cached, so re-reading a
-monitor's answers never changes them.
+neighbor with probability (1 - H). A lie states the flipped color. A
+placement's claims are decided once and cached per target, so re-reading
+a monitor's answers never changes them.
 
 The world is fixed across runs and read-only, so every run's Oracle
 shares it; the per-run honesty vector lives in the Oracle. A report's
@@ -22,7 +22,9 @@ neighbor array is the world's own read-only CSR slice of the target, and
 its claims are one array of color codes (graph.RED or graph.BLUE, as
 int8) aligned with it. One placement gathers the subjects' codes and
 ranks from the world's arrays and draws every claim with a few array
-operations.
+operations. The world guarantees the shape MonitorReport checks (an
+ascending, self-free, read-only slice; codes 0 or 1), so the oracle
+builds its own reports without re-running those checks.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -63,8 +64,10 @@ class MonitorReport:
     neighbor ids as a flat, strictly ascending integer array that does
     not hold `target`, and `statements[i]` the int8 code (0 or 1) the
     target states for `neighbors[i]`. Any other shape raises
-    ValueError; both arrays are then made read-only. Reports have no
-    `==`, since arrays do not compare to one bool.
+    ValueError; both arrays are then made read-only. Only
+    `Oracle.place_monitor` skips these checks, for reports the world's
+    arrays already make well formed. Reports have no `==`, since arrays
+    do not compare to one bool.
     """
 
     target: int
@@ -112,16 +115,17 @@ class Oracle:
     Holds the shared world, this run's honesty (see assign_honesty), the
     scenario, and a seeded stream for the lie draws. Claims are drawn
     lazily, one Bernoulli draw per (speaker, subject) in ascending subject
-    order, and cached in `issued` as color codes, so a repeated placement
-    returns equal arrays. One oracle per run; distinct runs with distinct
-    oracles can execute in parallel.
+    order. `issued` maps each placed target to its read-only statements
+    array, the one its report carries, so a repeated placement returns
+    that same array and draws nothing. One oracle per run; distinct runs
+    with distinct oracles can execute in parallel.
     """
 
     world: WorldGraph
     honesty: list[float]
     scenario: LyingScenario
     rng: random.Random
-    issued: dict[tuple[int, int], int] = field(default_factory=dict)
+    issued: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not isinstance(self.scenario, LyingScenario):
@@ -143,14 +147,11 @@ class Oracle:
         world = self.world
         neighbors = world.adjacency[target]
         color = world.codes.item(target)
-        subjects = neighbors.tolist()
-        issued = self.issued
-        if subjects and (target, subjects[0]) in issued:
-            said = np.array([issued[target, v] for v in subjects], dtype=np.int8)
-        else:
+        said = self.issued.get(target)
+        if said is None:
             said = world.codes[neighbors]
             # One rng.random() per claim, in ascending subject order; random() never returns 1.0.
-            draws = np.fromiter(iter(self.rng.random, 1.0), dtype=float, count=len(subjects))
+            draws = np.fromiter(iter(self.rng.random, 1.0), dtype=float, count=len(neighbors))
             if color == BLUE and self.scenario is LyingScenario.LS2:
                 said.fill(BLUE)  # calls every neighbor blue, after the same draws
             else:
@@ -160,5 +161,10 @@ class Oracle:
                 p /= world.hierarchy[target]
                 np.putmask(p, said, dishonesty)  # the codes are 1 where the subject is blue
                 said ^= draws < p
-            issued.update(zip(zip(repeat(target), subjects), said.tolist()))
-        return MonitorReport(target=target, color=color, neighbors=neighbors, statements=said)
+            said.setflags(write=False)
+            self.issued[target] = said
+        # Built without __post_init__: the world's read-only CSR slice ascends and
+        # never holds the target, and `said` is a read-only int8 code per neighbor.
+        report = object.__new__(MonitorReport)
+        vars(report).update(target=target, color=color, neighbors=neighbors, statements=said)
+        return report

@@ -369,6 +369,46 @@ class TestRedTriangles:
         monitored = list(reports)
         assert want[monitored].max() >= 3 and want[state.candidates()].max() >= 3
 
+    def test_red_neighbors_past_the_targets_last_neighbor(self):
+        # Target 9's only neighbor is red 1, whose neighbors 9, 10 and 11 all
+        # sort past 1: each lands one past the end of 9's neighbor array.
+        star = ObserverState(1, 12)
+        star.ingest(report(1, Color.RED, {9: Color.RED, 10: Color.BLUE, 11: Color.RED}))
+        star.ingest(report(9, Color.RED, {1: Color.RED}))
+        star.ingest(report(11, Color.RED, {1: Color.RED}))
+        assert star.triangles.tolist() == [0] * 12
+        # Past-the-end entries beside real matches, in the red triangle (1, 3, 9)
+        tri = ObserverState(1, 12)
+        tri.ingest(report(1, Color.RED, {3: Color.RED, 9: Color.RED, 11: Color.BLUE}))
+        tri.ingest(report(9, Color.RED, {1: Color.RED, 3: Color.BLUE}))
+        tri.ingest(report(3, Color.RED, {1: Color.RED, 9: Color.RED}))
+        assert tri.triangles[[1, 3, 9]].tolist() == [1, 1, 1]
+        for state in (star, tri):
+            assert np.array_equal(state.triangles, brute_triangles(state.reports, 12))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_triangles_match_recount_on_a_red_heavy_ls2_crawl(self, seed):
+        world = generate_synthetic(300, 0.2, "homophily", seed)
+        states = []
+        run_single(world, "mrn", LyingScenario.LS2, world.red_ids()[0], seed, 60,
+                   step_callback=lambda state, _: states.append(state))
+        state = states[-1]
+        assert len(state.reports) == 60
+        want = brute_triangles(state.reports, world.n)
+        assert np.array_equal(state.triangles, want)
+        assert want.max() >= 3
+
+
+def brute_triangles(reports, n):
+    """Each node's adjacent pairs among its monitored red neighbors, recounted from the reports."""
+    nbrs = {t: set(r.neighbors.tolist()) for t, r in reports.items()}
+    reds = [t for t, r in reports.items() if r.color == RED]
+    want = np.zeros(n, dtype=np.int64)
+    for v in range(n):
+        mates = [r for r in reds if v in nbrs[r]]
+        want[v] = sum(1 for i, u in enumerate(mates) for w in mates[i + 1:] if w in nbrs[u])
+    return want
+
 
 def test_dump_report_log(tmp_path):
     import json

@@ -161,10 +161,10 @@ class TestPlaceMonitor:
         oracle = Oracle(g, [0.5] * g.n, LyingScenario.LS1, random.Random(1))
         report = oracle.place_monitor(3)
         assert len(report.statements) == len(report.neighbors)
-        for nbr, said in zip(report.neighbors.tolist(), report.statements.tolist()):
-            assert oracle.issued[(3, nbr)] == said
+        for said in report.statements.tolist():
             assert said in (RED, BLUE)
-        assert len(oracle.issued) == len(report.neighbors)
+        assert oracle.issued[3] is report.statements
+        assert len(oracle.issued) == 1
 
     def test_repeat_placement_returns_cached_report(self):
         g = generate_synthetic(40, 0.2, "homophily", 8)
@@ -297,8 +297,28 @@ def test_place_monitor_matches_lie_probability_loop(scenario):
         got = (tuple(report.neighbors.tolist()), tuple(map(Color.from_code, report.statements.tolist())))
         assert got == want
         assert oracle.rng.getstate() == ref_rng.getstate()
-        assert all(Color.from_code(oracle.issued[(target, v)]) is said for v, said in zip(*want))
-    assert len(oracle.issued) == 2 * world.num_edges()
+        assert oracle.issued[target] is report.statements
+    assert len(oracle.issued) == world.n
+
+
+@pytest.mark.parametrize("scenario", [LyingScenario.LS1, LyingScenario.LS2])
+@pytest.mark.parametrize("mode", ["homophily", "no_homophily", "structural_signal"])
+def test_oracle_reports_pass_the_checks_they_skip(mode, scenario):
+    # The oracle builds its reports unchecked; rebuilding each through the
+    # checked constructor must pass, so the skipped checks could never fail.
+    world = generate_synthetic(60, 0.2, mode, 4)
+    honesty = assign_honesty(world, random.Random(5))
+    oracle = Oracle(world, honesty, scenario, random.Random(6))
+    for target in range(world.n):
+        r = oracle.place_monitor(target)
+        # before the checked rebuild, which would lock the arrays itself
+        assert not r.neighbors.flags.writeable and not r.statements.flags.writeable
+        MonitorReport(r.target, r.color, r.neighbors, r.statements)
+        state = oracle.rng.getstate()
+        again = oracle.place_monitor(target)
+        assert again.statements is r.statements
+        assert oracle.rng.getstate() == state
+    assert len(oracle.issued) == world.n
 
 
 class ScriptedRandom:
