@@ -173,8 +173,12 @@ def set_config_value(config: ExperimentConfig, key: str, text: str) -> None:
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Read a `key = value` config file (# starts a comment); `run_experiment` checks it after any CLI overrides."""
+    """Read a `key = value` config file (# starts a comment); `run_experiment` checks it after any CLI overrides.
+
+    A key may be set on one line only: a second line setting it is an error, not a silent override.
+    """
     config = ExperimentConfig()
+    set_on: dict[str, int] = {}  # key -> the line that set it
     with open(path, encoding="utf-8-sig") as fh:
         for line_num, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -183,10 +187,14 @@ def parse_config(path) -> ExperimentConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{line_num}: expected 'key = value', got {line!r}")
             key, _, value = line.partition("=")
+            key = key.strip()
+            if key in set_on:
+                raise ValueError(f"{path}:{line_num}: {key} is already set on line {set_on[key]}")
             try:
-                set_config_value(config, key.strip(), value.strip())
+                set_config_value(config, key, value.strip())
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_num}: {exc}") from None
+            set_on[key] = line_num
     return config
 
 

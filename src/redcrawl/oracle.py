@@ -13,11 +13,11 @@ active lying scenario:
 A red speaker, in either scenario, lies about a red neighbor with
 probability min((1 - H) * L_subject / L_speaker, 1) and about a blue
 neighbor with probability (1 - H). A lie states the flipped color. A
-placement's claims are decided once and cached per target, so re-reading
-a monitor's answers never changes them.
+node's claims are drawn once, at its placement; placing a second monitor
+on it raises ValueError.
 
 The world is fixed across runs and read-only, so every run's Oracle
-shares it; the per-run honesty vector lives in the Oracle. A report's
+shares it; the per-run honesty array lives in the Oracle. A report's
 neighbor array is the world's own read-only CSR slice of the target, and
 its claims are one array of color codes (graph.RED or graph.BLUE, as
 int8) aligned with it. One placement gathers the subjects' codes and
@@ -97,42 +97,42 @@ class MonitorReport:
         said.setflags(write=False)
 
 
-def assign_honesty(world: WorldGraph, rng: random.Random) -> list[float]:
-    """Draw a fresh per-node honesty vector for one run on `world`.
+def assign_honesty(world: WorldGraph, rng: random.Random) -> np.ndarray:
+    """Draw a fresh honesty array for one run on `world`, one float64 per node.
 
     Each node gets an independent Normal(0.5, 0.125) draw clamped into
     [0, 1], taken in node-id order so a given seed always yields the same
-    vector. Clamping (rather than redrawing) keeps the seed-to-vector
+    array. Clamping (rather than redrawing) keeps the seed-to-array
     mapping simple; the out-of-range tail is about 0.006% of draws.
     """
-    return [min(1.0, max(0.0, rng.gauss(HONESTY_MEAN, HONESTY_SD))) for _ in range(world.n)]
+    return np.clip([rng.gauss(HONESTY_MEAN, HONESTY_SD) for _ in range(world.n)], 0.0, 1.0)
 
 
 @dataclass
 class Oracle:
     """Stateful answer source for one run.
 
-    Holds the shared world, this run's honesty (see assign_honesty), the
-    scenario, and a seeded stream for the lie draws. Claims are drawn
-    lazily, one Bernoulli draw per (speaker, subject) in ascending subject
-    order. `issued` maps each placed target to its read-only statements
-    array, the one its report carries, so a repeated placement returns
-    that same array and draws nothing. One oracle per run; distinct runs
-    with distinct oracles can execute in parallel.
+    Holds the shared world, a read-only float64 copy of this run's honesty
+    (see assign_honesty), the scenario, and a seeded stream for the lie
+    draws: one per (speaker, subject) claim, in ascending subject order.
+    `issued` is the set of targets answered so far. One oracle per run;
+    distinct runs with distinct oracles can execute in parallel.
     """
 
     world: WorldGraph
-    honesty: list[float]
+    honesty: np.ndarray
     scenario: LyingScenario
     rng: random.Random
-    issued: dict[int, np.ndarray] = field(default_factory=dict)
+    issued: set[int] = field(default_factory=set, init=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.scenario, LyingScenario):
             raise ValueError(f"scenario {self.scenario!r} is not a LyingScenario; "
                              f"LyingScenario.parse reads one from text")
-        if len(self.honesty) != self.world.n or not all(0.0 <= h <= 1.0 for h in self.honesty):
+        self.honesty = honesty = np.array(self.honesty, dtype=float)  # the oracle's own copy
+        if honesty.shape != (self.world.n,) or not ((honesty >= 0.0) & (honesty <= 1.0)).all():
             raise ValueError(f"honesty needs one value in [0, 1] for each of the {self.world.n} nodes")
+        honesty.setflags(write=False)
 
     def place_monitor(self, target: int) -> MonitorReport:
         """Answer a monitor placement on `target`.
@@ -141,28 +141,28 @@ class Oracle:
         elementwise in the scalar formula's order, so each claim's float
         matches it bit for bit. No clamp to 1 is needed: every draw is
         below 1, so `draw < min(p, 1)` exactly when `draw < p`. A target
-        that is not a node id raises the world view's IndexError before
-        any claim is drawn.
+        that is not a node id raises the world view's IndexError, and one
+        already answered raises ValueError, both before any claim is drawn.
         """
         world = self.world
         neighbors = world.adjacency[target]
+        if target in self.issued:
+            raise ValueError(f"node {target} is already monitored")
         color = world.codes.item(target)
-        said = self.issued.get(target)
-        if said is None:
-            said = world.codes[neighbors]
-            # One rng.random() per claim, in ascending subject order; random() never returns 1.0.
-            draws = np.fromiter(iter(self.rng.random, 1.0), dtype=float, count=len(neighbors))
-            if color == BLUE and self.scenario is LyingScenario.LS2:
-                said.fill(BLUE)  # calls every neighbor blue, after the same draws
-            else:
-                dishonesty = 1.0 - self.honesty[target]
-                p = world.hierarchy[neighbors]
-                p *= dishonesty
-                p /= world.hierarchy[target]
-                np.putmask(p, said, dishonesty)  # the codes are 1 where the subject is blue
-                said ^= draws < p
-            said.setflags(write=False)
-            self.issued[target] = said
+        said = world.codes[neighbors]
+        # One rng.random() per claim, in ascending subject order; random() never returns 1.0.
+        draws = np.fromiter(iter(self.rng.random, 1.0), dtype=float, count=len(neighbors))
+        if color == BLUE and self.scenario is LyingScenario.LS2:
+            said.fill(BLUE)  # calls every neighbor blue, after the same draws
+        else:
+            dishonesty = 1.0 - self.honesty.item(target)
+            p = world.hierarchy[neighbors]
+            p *= dishonesty
+            p /= world.hierarchy[target]
+            np.putmask(p, said, dishonesty)  # the codes are 1 where the subject is blue
+            said ^= draws < p
+        said.setflags(write=False)
+        self.issued.add(target)
         # Built without __post_init__: the world's read-only CSR slice ascends and
         # never holds the target, and `said` is a read-only int8 code per neighbor.
         report = object.__new__(MonitorReport)

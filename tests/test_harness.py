@@ -485,11 +485,25 @@ class TestExperimentConfig:
     ], ids=["no_equals", "bad_bool", "bad_scenario", "bad_int"])
     def test_config_file_line_errors_name_file_line_and_problem(self, tmp_path, line, match):
         path = tmp_path / "exp.cfg"
-        path.write_text(f"runs = 2\n{line}\n")
+        path.write_text(f"synthetic_n = 30\n{line}\n")
         with pytest.raises(ValueError) as info:
             parse_config(path)
         assert str(info.value).startswith(f"{path}:2: ")
         assert match in str(info.value)
+
+    @pytest.mark.parametrize("lines, key, first, second", [
+        ("runs = 3\nruns = 5", "runs", 1, 2),
+        # the second value is not even read: a bad one still reports the repeat
+        ("runs = 3\nruns = two", "runs", 1, 2),
+        ("runs = 2\nscenario = ls1\n\n# comment\nscenario = ls2", "scenario", 2, 5),
+    ], ids=["same_type", "bad_second_value", "after_other_lines"])
+    def test_config_key_set_twice_rejected(self, tmp_path, capsys, lines, key, first, second):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"{lines}\n")
+        with pytest.raises(ValueError) as info:
+            parse_config(path)
+        assert str(info.value) == f"{path}:{second}: {key} is already set on line {first}"
+        assert_cli_error(capsys, ["run", "--config", str(path)], str(info.value))
 
     def test_cli_budget_below_a_tier_rejected(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"
@@ -707,7 +721,10 @@ class TestCli:
         base = ("synthetic_mode = homophily\nsynthetic_n = 30\nsynthetic_red_fraction = 0.2\n"
                 "strategies = mrn\nruns = 2\noutput_dir = res\n")
         (tmp_path / "base.cfg").write_text(base)
-        (tmp_path / "keyed.cfg").write_text(f"{base}{line}\n")
+        # a key may be set once per file, so the keyed file's line takes the place of base's
+        key = line.partition("=")[0].strip()
+        keyed = "".join(kept for kept in base.splitlines(keepends=True) if not kept.startswith(f"{key} ="))
+        (tmp_path / "keyed.cfg").write_text(f"{keyed}{line}\n")
         if error is not None:
             assert_cli_error(capsys, ["run", "--config", "base.cfg", *flags], error)
             assert_cli_error(capsys, ["run", "--config", "keyed.cfg"], error)
@@ -734,13 +751,13 @@ class TestCli:
 
     @pytest.mark.parametrize("line, flags", [
         ("runs = 0", ["--runs", "2"]),
-        ("budget_fraction = 0.05", ["--budget-fraction", "0.5"]),  # below the default 0.5 tier
+        ("runs = 2\nbudget_fraction = 0.05", ["--budget-fraction", "0.5"]),  # below the default 0.5 tier
     ], ids=["runs", "budget_fraction"])
     def test_flag_repairs_a_file_value(self, tmp_path, monkeypatch, capsys, line, flags):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "exp.cfg").write_text(
             f"synthetic_mode = homophily\nsynthetic_n = 30\nsynthetic_red_fraction = 0.2\n"
-            f"strategies = mrn\nruns = 2\n{line}\n"
+            f"strategies = mrn\n{line}\n"
         )
         assert cli_main(["run", "--config", "exp.cfg", *flags]) == 0
         assert capsys.readouterr().err == ""
