@@ -9,7 +9,6 @@ harness with paired runs and CSV reporting.
 """
 
 from .classifier import (
-    ClassifierParams,
     TrainedModel,
     TrainingSet,
     build_training_set,
@@ -52,7 +51,6 @@ from .strategies import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassifierParams",
     "Color",
     "Decision",
     "ExperimentConfig",

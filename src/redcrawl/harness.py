@@ -42,12 +42,13 @@ from .graph import (
     WorldGraph,
     float_text,
     generate_synthetic,
+    is_integer,
     load_graph,
     remove_red_red_edges,
 )
 from .observer import ObserverState
 from .oracle import LyingScenario, Oracle, assign_honesty
-from .strategies import STRATEGY_NAMES, CountingScores, ExplorationExhausted, pick
+from .strategies import STRATEGY_NAMES, CountingScores, ExplorationExhausted, check_strategy, pick
 
 logger = logging.getLogger(__name__)
 
@@ -125,8 +126,7 @@ class ExperimentConfig:
         if not self.strategies:
             raise ValueError("strategies must name at least one strategy")
         for s in self.strategies:
-            if s not in STRATEGY_NAMES:
-                raise ValueError(f"unknown strategy {s!r}: expected one of {STRATEGY_NAMES}")
+            check_strategy(s)
         if len(set(self.strategies)) < len(self.strategies):
             raise ValueError(f"strategies must not repeat: {self.strategies}")
         if not self.output_dir.strip():
@@ -228,11 +228,13 @@ def run_single(
     The trace is read from that record when the loop ends: the monitored
     node ids in monitor order.
     """
+    check_strategy(strategy)
+    for name, value in (("budget", budget), ("retrain_every", retrain_every)):
+        if not (is_integer(value) and value >= 1):
+            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
     state = ObserverState(start, world.n)  # checks that start is a node id
     if world.codes[start] != RED:
         raise ValueError(f"start node {start} is not red")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
     honesty_rng = random.Random(derive_seed(seed, "honesty"))
     lies_rng = random.Random(derive_seed(seed, "lies"))
     tiebreak_rng = random.Random(derive_seed(seed, "tiebreak"))

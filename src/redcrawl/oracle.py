@@ -129,10 +129,15 @@ class Oracle:
         if not isinstance(self.scenario, LyingScenario):
             raise ValueError(f"scenario {self.scenario!r} is not a LyingScenario; "
                              f"LyingScenario.parse reads one from text")
-        self.honesty = honesty = np.array(self.honesty, dtype=float)  # the oracle's own copy
+        problem = f"honesty needs one value in [0, 1] for each of the {self.world.n} nodes"
+        try:
+            honesty = np.array(self.honesty, dtype=float)  # the oracle's own copy
+        except (TypeError, ValueError):  # not numbers, or ragged
+            raise ValueError(problem) from None
         if honesty.shape != (self.world.n,) or not ((honesty >= 0.0) & (honesty <= 1.0)).all():
-            raise ValueError(f"honesty needs one value in [0, 1] for each of the {self.world.n} nodes")
+            raise ValueError(problem)
         honesty.setflags(write=False)
+        self.honesty = honesty
 
     def place_monitor(self, target: int) -> MonitorReport:
         """Answer a monitor placement on `target`.

@@ -46,6 +46,13 @@ from .oracle import MonitorReport
 
 STRATEGY_NAMES = ("sr", "rs", "mrsr", "mrn", "redlearn")
 
+
+def check_strategy(strategy: str) -> None:
+    """Raise ValueError unless `strategy` is one of STRATEGY_NAMES."""
+    if strategy not in STRATEGY_NAMES:
+        raise ValueError(f"unknown strategy {strategy!r}: expected one of {STRATEGY_NAMES}")
+
+
 # Each counting strategy scores a candidate by the sum of these columns of
 # its claim counts (see ObserverState.say); sr sums none, so every score is 0.
 _SCORE_COLUMNS = {"sr": [], "rs": [RSR, BSR], "mrsr": [RSR], "mrn": [RSR, RSB]}
@@ -143,8 +150,7 @@ def pick(strategy: str, state: ObserverState, rng: random.Random,
     """
     if strategy == "redlearn" and model is None:
         raise ValueError("redlearn needs a trained (or fallback) model")
-    if strategy not in STRATEGY_NAMES:
-        raise ValueError(f"unknown strategy {strategy!r}: expected one of {STRATEGY_NAMES}")
+    check_strategy(strategy)
     if strategy == "redlearn" and not model.fallback:
         cands = state.frontier()
         if not len(cands):

@@ -8,8 +8,10 @@ ObserverState.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
+from contextlib import contextmanager
 from itertools import combinations
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from redcrawl import (
     TrainedModel,
     TrainingSet,
     WorldGraph,
+    classifier,
 )
 from redcrawl.classifier import gradient, hessian
 from redcrawl.graph import (
@@ -357,6 +360,17 @@ def ordered_inferred_red(rsr, rsb, bsr, bsb, verified):
         + bsr * brute_trust(verified, Color.BLUE, Color.RED)
         + bsb * brute_trust(verified, Color.BLUE, Color.BLUE)
     ) / total
+
+
+@contextmanager
+def fit_settings(**settings):
+    """Every `fit` inside the block uses `DEFAULT_PARAMS` with `settings` replaced."""
+    saved = classifier.DEFAULT_PARAMS
+    classifier.DEFAULT_PARAMS = dataclasses.replace(saved, **settings)
+    try:
+        yield
+    finally:
+        classifier.DEFAULT_PARAMS = saved
 
 
 def assert_hessian_matches_gradient(X, y, w, b, l2, h=1e-5) -> None:

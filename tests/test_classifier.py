@@ -1,5 +1,6 @@
 """Logistic regression: training set assembly, loss/gradient, fit, predict."""
 
+import inspect
 import math
 import random
 
@@ -7,7 +8,6 @@ import numpy as np
 import pytest
 
 from redcrawl import (
-    ClassifierParams,
     Color,
     LyingScenario,
     ObserverState,
@@ -19,12 +19,13 @@ from redcrawl import (
     generate_synthetic,
     predict_many,
 )
-from redcrawl.classifier import gradient, loss
+from redcrawl.classifier import DEFAULT_PARAMS, gradient, loss
 from helpers import (
     assert_hessian_matches_gradient,
     brute_features,
     brute_knowledge,
     brute_verified,
+    fit_settings,
     flip,
     identity_model,
     monitored_of,
@@ -150,7 +151,8 @@ class TestLossAndGradient:
             for (x0, x1), label in zip(X, y)
         ]
         data = training_set(rows)
-        model = fit(data, ClassifierParams(l2=1e-2, max_iter=5000, grad_tol=1e-8))
+        with fit_settings(l2=1e-2, max_iter=5000, grad_tol=1e-8):
+            model = fit(data)
         Xs = (np.array([r[0] for r in rows]) - model.mean) * model.scale
         gw, gb = gradient(Xs, y, model.weights, model.bias, 1e-2)
         assert max(np.max(np.abs(gw)), abs(gb)) < 1e-6
@@ -176,31 +178,18 @@ class TestFit:
 
     def test_stopping_at_max_iter_is_reported(self):
         # without regularization separable data has no finite optimum
-        model = fit(separable_toy_set(), ClassifierParams(l2=0.0, max_iter=5))
+        with fit_settings(l2=0.0, max_iter=5):
+            model = fit(separable_toy_set())
         assert not model.converged
         assert model.iterations == 5
 
-    @pytest.mark.parametrize("kwargs, match", [
-        ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
-        ({"max_iter": -3}, "max_iter must be at least 1, got -3"),
-        ({"l2": -1.0}, "l2 must be finite and non-negative, got -1.0"),
-        ({"l2": math.nan}, "l2 must be finite and non-negative, got nan"),
-        ({"l2": math.inf}, "l2 must be finite and non-negative, got inf"),
-        ({"l2": -math.inf}, "l2 must be finite and non-negative, got -inf"),
-        ({"grad_tol": -1e-6}, "grad_tol must be finite and non-negative, got -1e-06"),
-        ({"grad_tol": math.nan}, "grad_tol must be finite and non-negative, got nan"),
-        ({"grad_tol": math.inf}, "grad_tol must be finite and non-negative, got inf"),
-        ({"grad_tol": -math.inf}, "grad_tol must be finite and non-negative, got -inf"),
-    ], ids=["max_iter_zero", "max_iter_negative", "l2_negative", "l2_nan", "l2_inf", "l2_minus_inf",
-            "grad_tol_negative", "grad_tol_nan", "grad_tol_inf", "grad_tol_minus_inf"])
-    def test_params_that_fit_cannot_use_rejected(self, kwargs, match):
-        # without the check these fit nothing, diverge or never stop early
-        with pytest.raises(ValueError, match=match):
-            ClassifierParams(**kwargs)
-
-    def test_zero_l2_and_grad_tol_accepted(self):
-        params = ClassifierParams(l2=0.0, grad_tol=0.0)
-        assert (params.l2, params.grad_tol) == (0.0, 0.0)
+    def test_default_params_are_values_fit_can_use(self):
+        # every fit reads these; with max_iter 0 or a negative or non-finite
+        # l2 or grad_tol it would fit nothing, diverge or never stop early
+        assert DEFAULT_PARAMS.max_iter >= 1
+        for value in (DEFAULT_PARAMS.l2, DEFAULT_PARAMS.grad_tol):
+            assert 0 <= value < math.inf
+        assert list(inspect.signature(fit).parameters) == ["data"]
 
     def test_single_class_routes_to_fallback(self):
         rows = [(fv(1, 0, 0, 0, 0, 0, 0, 0, 0.5), Color.RED) for _ in range(5)]
@@ -240,7 +229,8 @@ class TestFit:
         data = random_training_set(random.Random(1), n_rows)
         losses = [math.log(2.0)]  # zero weights and bias
         for k in range(1, 13):
-            model = fit(data, ClassifierParams(l2=l2, max_iter=k))
+            with fit_settings(l2=l2, max_iter=k):
+                model = fit(data)
             Xs = (data.rows - model.mean) * model.scale
             losses.append(loss(Xs, data.labels, model.weights, model.bias, l2))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))

@@ -11,7 +11,6 @@ import pytest
 
 from redcrawl import (
     FEATURE_NAMES,
-    ClassifierParams,
     Color,
     Decision,
     ExperimentConfig,
@@ -35,6 +34,7 @@ from helpers import (
     brute_features,
     brute_knowledge,
     brute_verified,
+    fit_settings,
     make_world,
     reference_world_config,
     scores_of,
@@ -221,6 +221,25 @@ class TestRunSingle:
         with pytest.raises(ValueError, match="budget"):
             run_single(world, "sr", LyingScenario.LS1, 0, seed=0, budget=0)
 
+    @pytest.mark.parametrize("strategy, budget, retrain_every, match", [
+        ("bogus", 5, 1, r"unknown strategy 'bogus': expected one of \('sr', 'rs', 'mrsr', 'mrn', 'redlearn'\)"),
+        ("sr", 2.5, 1, "budget must be an integer of at least 1, got 2.5"),
+        ("sr", True, 1, "budget must be an integer of at least 1, got True"),
+        ("sr", -1, 1, "budget must be an integer of at least 1, got -1"),
+        ("redlearn", 5, 0, "retrain_every must be an integer of at least 1, got 0"),
+        ("redlearn", 5, -3, "retrain_every must be an integer of at least 1, got -3"),
+        ("mrn", 5, 1.0, "retrain_every must be an integer of at least 1, got 1.0"),
+    ], ids=["unknown_strategy", "fractional_budget", "bool_budget", "negative_budget",
+            "zero_retrain_every", "negative_retrain_every", "float_retrain_every"])
+    def test_bad_arguments_rejected_before_any_draw(self, monkeypatch, strategy, budget, retrain_every, match):
+        def no_draw(*_):
+            raise AssertionError("honesty was drawn")
+
+        monkeypatch.setattr(harness, "assign_honesty", no_draw)
+        world = make_world(3, [(0, 1), (1, 2)], red={0, 2})
+        with pytest.raises(ValueError, match=match):
+            run_single(world, strategy, LyingScenario.LS1, 0, seed=0, budget=budget, retrain_every=retrain_every)
+
     def test_retrain_cadence_only_affects_redlearn_timing(self):
         world = generate_synthetic(60, 0.2, "homophily", 3)
         start = world.red_ids()[0]
@@ -260,10 +279,9 @@ class TestRunSingle:
         assert all(m.converged and m.iterations <= 20 for m in learned)
         assert warnings == []
 
-    def test_fits_stopped_before_grad_tol_warn_once_per_run(self, caplog, monkeypatch, recorded_fits):
-        record = harness.fit
-        monkeypatch.setattr(harness, "fit", lambda data: record(data, ClassifierParams(max_iter=1)))
-        warnings = self._structural_run(caplog)
+    def test_fits_stopped_before_grad_tol_warn_once_per_run(self, caplog, recorded_fits):
+        with fit_settings(max_iter=1):
+            warnings = self._structural_run(caplog)
         stopped = sum(not m.converged for m in recorded_fits)
         assert stopped > 0
         assert warnings == [f"run 3 (redlearn): {stopped} of {len(recorded_fits)} fits stopped before grad_tol"]

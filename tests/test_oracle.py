@@ -224,7 +224,9 @@ class TestPlaceMonitor:
         np.full((2, 2), 0.5),
         np.array([0.5, np.nan]),
         0.5,
-    ], ids=["column", "two_columns", "nan", "scalar"])
+        ["a", 0.5],
+        [[0.5], 0.5],
+    ], ids=["column", "two_columns", "nan", "scalar", "not_a_number", "ragged"])
     def test_honesty_of_another_shape_or_range_rejected(self, honesty):
         g = make_world(2, [(0, 1)])
         with pytest.raises(ValueError, match=r"^honesty needs one value in \[0, 1\] for each of the 2 nodes$"):
