@@ -83,31 +83,51 @@ def build_training_set(state: ObserverState) -> TrainingSet:
     would be for a candidate (a node's own report contributes nothing to
     its own counts), labeled with the node's true color.
     """
-    ids = list(state.reports)
-    if not ids:
+    if not state.reports:
         raise ValueError("cannot build a training set with no monitored nodes")
+    # The record's keys are monitored, hence observed: no id checks needed.
+    ids = np.fromiter(state.reports, dtype=np.intp, count=len(state.reports))
     labels = (state.color[ids] == RED).astype(float)
-    return TrainingSet(rows=state.features_matrix(ids), labels=labels)
+    return TrainingSet(rows=state.feature_rows(ids), labels=labels)
 
 
-def _sigmoid(z):
-    # tanh form is stable for large |z|
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+def _probabilities(X: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
+    """The sigmoid of `X @ w + b` as a new array, in the tanh form that is
+    stable for large |z|: 0.5 * (1 + tanh(0.5 * z)), each step in place
+    in the array that `X @ w` returned."""
+    z = X @ w
+    z += b
+    z *= 0.5
+    np.tanh(z, out=z)
+    z += 1.0
+    z *= 0.5
+    return z
 
 
 def loss(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, l2: float) -> float:
-    """Regularized logistic loss on already-scaled features, over at least one row."""
-    z = X @ w + b
-    s = 2.0 * y - 1.0
-    return float(np.mean(np.logaddexp(0.0, -s * z))) + 0.5 * l2 * float(w @ w)
+    """Regularized logistic loss on already-scaled features, over at least one row.
+
+    The margins are formed in place in the array `X @ w` returned, and
+    the mean is `sum() / k`: the same pairwise sum and division that
+    `np.mean` makes, so the same bits, without its per-call set-up.
+    """
+    z = X @ w
+    z += b
+    z *= 1.0 - 2.0 * y  # -s for s = 2y - 1; rounding is symmetric, so the two agree exactly
+    return float(np.logaddexp(0.0, z, out=z).sum() / len(y)) + 0.5 * l2 * float(w @ w)
 
 
 def gradient(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, l2: float) -> tuple[np.ndarray, float]:
-    """Exact analytic gradient of `loss` in (weights, bias)."""
-    p = _sigmoid(X @ w + b)
-    resid = p - y
-    gw = X.T @ resid / len(y) + l2 * w
-    gb = float(np.mean(resid))
+    """Exact analytic gradient of `loss` in (weights, bias).
+
+    The residuals are formed in place in the probability array, and the
+    bias term's mean is `sum() / k`, as in `loss`.
+    """
+    resid = _probabilities(X, w, b)
+    resid -= y
+    k = len(y)
+    gw = X.T @ resid / k + l2 * w
+    gb = float(resid.sum() / k)
     return gw, gb
 
 
@@ -115,13 +135,17 @@ def hessian(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, l2: float) ->
     """Exact Hessian of `loss` in (weights, bias), bias last.
 
     With A = [X | 1] and p the predicted probabilities this is
-    A^T diag(p(1-p)) A / k, plus `l2` on the weight diagonal.
+    A^T diag(p(1-p)) A / k, plus `l2` on the weight diagonal, which is
+    reached through one strided view.
     """
-    A = np.column_stack([X, np.ones(len(y))])
-    p = _sigmoid(X @ w + b)
-    H = (A.T * (p * (1.0 - p))) @ A / len(y)
-    d = len(w)
-    H[np.arange(d), np.arange(d)] += l2
+    k, d = X.shape
+    A = np.empty((k, d + 1))
+    A[:, :d] = X
+    A[:, d] = 1.0
+    p = _probabilities(X, w, b)
+    H = (A.T * (p * (1.0 - p))) @ A
+    H /= k
+    H.reshape(-1)[: d * (d + 2) : d + 2] += l2  # the weight diagonal, bias excluded
     return H
 
 
@@ -139,7 +163,8 @@ def fit(data: TrainingSet) -> TrainedModel:
     """
     params = DEFAULT_PARAMS
     X, y = data.rows, data.labels
-    if np.unique(y).size < 2:
+    reds = np.count_nonzero(y)
+    if reds == 0 or reds == len(y):
         return TrainedModel(weights=None, bias=0.0, mean=None, scale=None)
 
     mu = X.mean(axis=0)
@@ -149,6 +174,7 @@ def fit(data: TrainingSet) -> TrainedModel:
     Xs = (X - mu) * scale
     # the parameters the solve moves: the non-constant columns, then the bias
     free = np.append(np.flatnonzero(sd > 0), X.shape[1])
+    free_block = np.ix_(free, free)
 
     w = np.zeros(X.shape[1])
     b = 0.0
@@ -157,14 +183,14 @@ def fit(data: TrainingSet) -> TrainedModel:
     converged = False
     for _ in range(params.max_iter):
         gw, gb = gradient(Xs, y, w, b, params.l2)
-        g = np.append(gw, gb)
-        if np.max(np.abs(g)) < params.grad_tol:
+        g = np.concatenate((gw, [gb]))
+        if abs(g).max() < params.grad_tol:
             converged = True
             break
         H = hessian(Xs, y, w, b, params.l2)
-        d = np.zeros_like(g)
+        d = np.zeros(len(g))
         try:
-            d[free] = np.linalg.solve(H[np.ix_(free, free)], g[free])
+            d[free] = np.linalg.solve(H[free_block], g[free])
         except np.linalg.LinAlgError:
             break
         slope = float(g @ d)
@@ -188,8 +214,13 @@ def fit(data: TrainingSet) -> TrainedModel:
 
 
 def predict_many(model: TrainedModel, X) -> np.ndarray:
-    """Predicted red probability for each row of the (k, 9) feature matrix `X`."""
+    """Predicted red probability for each row of the (k, 9) feature matrix `X`.
+
+    One standardized copy of `X` is made; the scores and the sigmoid are
+    computed in place in the array its product with the weights returns.
+    """
     if model.fallback:
         raise ValueError("fallback model cannot predict; rank by red neighbors instead")
-    Xs = (np.asarray(X, dtype=float) - model.mean) * model.scale
-    return _sigmoid(Xs @ model.weights + model.bias)
+    Xs = np.asarray(X, dtype=float) - model.mean
+    Xs *= model.scale
+    return _probabilities(Xs, model.weights, model.bias)

@@ -293,7 +293,13 @@ def _read_edges(edge_file, label_to_id: dict[str, int]) -> np.ndarray:
     pairs = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
     pairs.sort(axis=1)  # in place, in the buffer of `ends`
     kept = pairs[:, 0] != pairs[:, 1]
-    keys = np.unique(pairs[kept, 0] * n + pairs[kept, 1])
+    keys = pairs[kept, 0] * n + pairs[kept, 1]
+    # Sorted, a repeated pair sits next to its first copy; numpy's
+    # `unique` would hash the keys instead, many times slower here.
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
     self_loops = len(pairs) - int(kept.sum())
     duplicates = len(pairs) - self_loops - len(keys)
     if self_loops or duplicates:

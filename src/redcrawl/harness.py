@@ -109,8 +109,11 @@ class ExperimentConfig:
             raise ValueError("config gives both a file graph and a synthetic graph; pick one")
         if self.synthetic_mode is not None and self.synthetic_mode not in SYNTHETIC_MODES:
             raise ValueError(f"unknown synthetic_mode {self.synthetic_mode!r}")
-        if self.runs < 1:
-            raise ValueError("runs must be at least 1")
+        # run_single's rule: a float such as 2.5 (or a bool) is not a count
+        for name in ("runs", "retrain_every"):
+            value = getattr(self, name)
+            if not (is_integer(value) and value >= 1):
+                raise ValueError(f"{name} must be at least 1 and an integer, got {value!r}")
         if not 0.0 < self.budget_fraction <= 1.0:
             raise ValueError("budget_fraction must be in (0, 1]")
         if not self.budget_tiers:
@@ -121,8 +124,6 @@ class ExperimentConfig:
                                  f"(0, budget_fraction = {float_text(self.budget_fraction)}]")
         if len(set(self.budget_tiers)) < len(self.budget_tiers):
             raise ValueError(f"budget_tiers must not repeat: {self.budget_tiers}")
-        if self.retrain_every < 1:
-            raise ValueError("retrain_every must be at least 1")
         if not self.strategies:
             raise ValueError("strategies must name at least one strategy")
         for s in self.strategies:

@@ -32,10 +32,15 @@ others on purpose: the verified table equals the monitored nodes' claim
 counts summed by their color, and is kept as a running total because
 `trust()` is read at every feature pass. Recounting it there costs tens
 of microseconds per call at n=500 and up to a millisecond at n=26220;
-the running total costs about 11 us per ingest. `features_matrix` gathers
-one float row per node from the arrays, computing the trust table
-once; `features(v)` is that matrix's single row. The test suite checks
-the rows against a from-scratch recount of the reports.
+the running total costs about 11 us per ingest. `features_matrix` checks
+that its ids are observed node ids and then gathers one float row per
+node from the arrays, computing the trust table once; `features(v)` is
+that matrix's single row. The package's own callers, the redlearn pick
+(the frontier) and `build_training_set` (the keys of `reports`), hold
+ids that are observed by construction, so they call `feature_rows`, the
+same rows without the checks: a pick runs at every redlearn step. The
+test suite checks the rows against a from-scratch recount of the
+reports.
 """
 
 from __future__ import annotations
@@ -163,10 +168,13 @@ class ObserverState:
         Indexed [speaker color, said color], 0 = red and 1 = blue.
         Add-one smoothed: (verified red subjects + 1) / (verified total + 2),
         so each cell is 0.5 before any evidence and approaches the raw
-        verified ratio as counts grow.
+        verified ratio as counts grow. The four cells are divided as
+        Python ints: below 2**53, as any count of claims is, that rounds
+        exactly as numpy's float64 division of the same counts, at a
+        fraction of numpy's per-call cost.
         """
-        v = self.verified_counts
-        return (v[..., RED] + 1) / (v.sum(-1) + 2)
+        return np.array([[(red + 1) / (red + blue + 2) for red, blue in by_said]
+                         for by_said in self.verified_counts.tolist()])
 
     def features(self, v: int) -> np.ndarray:
         """Feature row of the observed node `v` from current knowledge: `features_matrix([v])[0]`."""
@@ -178,11 +186,11 @@ class ObserverState:
         Columns follow FEATURE_NAMES. The first eight are non-negative
         counts over the node's monitored neighbors and their claims about
         it; `inferred_red` is the trust-weighted mean over those claims,
-        0.5 with none. The rows are gathered from the per-node arrays, and
-        the trust table is computed once per call. Every observed node
-        has a row, monitored ones too: a node's own report adds nothing to
-        its own counts, so its row is what a candidate in its place would
-        show. An id that is not an integer or not observed raises ValueError.
+        0.5 with none. Every observed node has a row, monitored ones too:
+        a node's own report adds nothing to its own counts, so its row is
+        what a candidate in its place would show. An id that is not an
+        integer or not observed raises ValueError; the rows themselves
+        come from `feature_rows`.
         """
         ids = np.asarray(nodes)
         if ids.size and ids.dtype.kind not in "iu":
@@ -194,17 +202,41 @@ class ObserverState:
         observed = self.on_frontier[ids] | (self.color[ids] >= 0)
         if not observed.all():
             raise ValueError(f"node {ids[~observed][0]} has not been observed")
-        say = self.say[ids].astype(float)
-        rsr, rsb, bsr, bsb = say.T
-        X = np.column_stack((rsr + rsb, bsr + bsb, self.triangles[ids], rsr + bsr, say,
-                             np.full(len(ids), 0.5)))
-        total = rsr + rsb + bsr + bsb
-        # Elementwise, in this order, so every row rounds exactly as the
-        # scalar sum would; a BLAS dot could reorder the additions.
-        trust = self.trust()
-        acc = rsr * trust[0, 0] + rsb * trust[0, 1] + bsr * trust[1, 0] + bsb * trust[1, 1]
-        np.divide(acc, total, out=X[:, 8], where=total > 0)
-        return X
+        return self.feature_rows(ids)
+
+    def feature_rows(self, ids: np.ndarray) -> np.ndarray:
+        """`features_matrix(ids)` without the id checks: `ids` must be an
+        int array of observed node ids, such as `frontier()` or the keys
+        of `reports`.
+
+        The columns are written into one preallocated (9, len(ids)) float
+        block, one contiguous row per feature, and returned transposed as
+        a C-ordered (len(ids), 9) copy: the layout that `fit`'s column
+        sums and the BLAS products were always given. The claim counts
+        are cast once, into features 4-7, and the other features are
+        computed elementwise from them. `inferred_red` weighs the four
+        counts by their trust cells and sums them in the fixed order rsr,
+        rsb, bsr, bsb, so every row rounds exactly as the scalar sum
+        would (a BLAS dot could reorder the additions); the counts are
+        whole numbers, so their total is exact in any order.
+        """
+        cols = np.empty((9, len(ids)))
+        say = cols[4:8]
+        say[...] = self.say.take(ids, axis=0).T
+        rsr, rsb, bsr, bsb = say
+        np.add(rsr, rsb, out=cols[0])
+        np.add(bsr, bsb, out=cols[1])
+        cols[2] = self.triangles.take(ids)
+        np.add(rsr, bsr, out=cols[3])
+        total = cols[0] + cols[1]
+        weighted = say * self.trust().reshape(4, 1)  # cells in rsr, rsb, bsr, bsb order
+        acc = weighted[0]
+        acc += weighted[1]
+        acc += weighted[2]
+        acc += weighted[3]
+        cols[8] = 0.5
+        np.divide(acc, total, out=cols[8], where=total > 0)
+        return cols.T.copy()
 
     def dump_report_log(self, path) -> None:
         """Write the reports as JSON lines, one report per line, in monitor order."""

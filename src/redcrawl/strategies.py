@@ -155,7 +155,7 @@ def pick(strategy: str, state: ObserverState, rng: random.Random,
         cands = state.frontier()
         if not len(cands):
             raise ExplorationExhausted("candidate set is empty")
-        scores = predict_many(model, state.features_matrix(cands))
+        scores = predict_many(model, state.feature_rows(cands))  # frontier ids need no checks
         return Decision(int(rng.choice(cands[scores == scores.max()])), cands, scores)
     counting = CountingScores("mrn" if strategy == "redlearn" else strategy, state)
     return counting.decision(counting.choose(rng))

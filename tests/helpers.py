@@ -384,3 +384,60 @@ def assert_hessian_matches_gradient(X, y, w, b, l2, h=1e-5) -> None:
         minus = np.append(*gradient(X, y, w - e[:d], b - e[d], l2))
         fd = (plus - minus) / (2 * h)
         assert np.all(np.abs(H[:, j] - fd) <= 1e-5 * np.maximum(1.0, np.abs(fd))), f"column {j}"
+
+
+# The learner's arithmetic as first written, expression for expression. The
+# package computes the same values with fewer array passes (one preallocated
+# feature block, in-place scoring); these references pin that the bits did
+# not move.
+
+def reference_trust(state) -> np.ndarray:
+    """`ObserverState.trust` as numpy's division of the verified counts."""
+    v = state.verified_counts
+    return (v[..., RED] + 1) / (v.sum(-1) + 2)
+
+
+def reference_feature_rows(state, ids) -> np.ndarray:
+    """`ObserverState.feature_rows` as nine columns joined by `column_stack`."""
+    say = state.say[ids].astype(float)
+    rsr, rsb, bsr, bsb = say.T
+    X = np.column_stack((rsr + rsb, bsr + bsb, state.triangles[ids], rsr + bsr, say,
+                         np.full(len(ids), 0.5)))
+    total = rsr + rsb + bsr + bsb
+    trust = reference_trust(state)
+    acc = rsr * trust[0, 0] + rsb * trust[0, 1] + bsr * trust[1, 0] + bsb * trust[1, 1]
+    np.divide(acc, total, out=X[:, 8], where=total > 0)
+    return X
+
+
+def reference_sigmoid(z):
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+
+def reference_predict_many(model, X) -> np.ndarray:
+    """`predict_many` as one expression over a standardized copy."""
+    return reference_sigmoid(((np.asarray(X, dtype=float) - model.mean) * model.scale) @ model.weights + model.bias)
+
+
+def reference_loss(X, y, w, b, l2) -> float:
+    """`classifier.loss` with `np.mean`."""
+    z = X @ w + b
+    s = 2.0 * y - 1.0
+    return float(np.mean(np.logaddexp(0.0, -s * z))) + 0.5 * l2 * float(w @ w)
+
+
+def reference_gradient(X, y, w, b, l2):
+    """`classifier.gradient` with `np.mean`."""
+    p = reference_sigmoid(X @ w + b)
+    resid = p - y
+    return X.T @ resid / len(y) + l2 * w, float(np.mean(resid))
+
+
+def reference_hessian(X, y, w, b, l2) -> np.ndarray:
+    """`classifier.hessian` with `[X | 1]` from `column_stack` and a fancy-indexed diagonal."""
+    A = np.column_stack([X, np.ones(len(y))])
+    p = reference_sigmoid(X @ w + b)
+    H = (A.T * (p * (1.0 - p))) @ A / len(y)
+    d = len(w)
+    H[np.arange(d), np.arange(d)] += l2
+    return H

@@ -28,6 +28,7 @@ from redcrawl.graph import (
     RED,
     RED_RED_PROB,
     SYNTHETIC_MODES,
+    _read_edges,
     _skip_pairs,
     _skip_table,
     _uniforms,
@@ -152,6 +153,24 @@ class TestLoadGraph:
             g = load_graph(edge_path, node_path)
         assert g.num_edges() == 1
         assert "2 duplicate edge" in caplog.text
+
+    def test_shuffled_repeats_and_self_loops_dedupe_to_the_sorted_distinct_pairs(self, tmp_path, caplog):
+        rng = random.Random(5)
+        n = 300
+        pairs = [tuple(rng.sample(range(n), 2)) for _ in range(2000)]
+        lines = pairs + [(v, u) for u, v in rng.sample(pairs, 500)] + [(v, v) for v in rng.choices(range(n), k=40)]
+        rng.shuffle(lines)
+        edge_path = tmp_path / "edges.txt"
+        edge_path.write_text("".join(f"v{u} v{v}\n" for u, v in lines))
+        with caplog.at_level(logging.WARNING, logger="redcrawl.graph"):
+            edges = _read_edges(edge_path, {f"v{v}": v for v in range(n)})
+        distinct = sorted({(min(u, v), max(u, v)) for u, v in lines if u != v})
+        assert edges.shape == (len(distinct), 2)
+        assert edges.tolist() == [list(pair) for pair in distinct]
+        self_loops = sum(u == v for u, v in lines)
+        assert self_loops == 40 and len(lines) - self_loops - len(distinct) > 500
+        assert (f"dropped {self_loops} self-loop(s) and {len(lines) - self_loops - len(distinct)} duplicate edge(s)"
+                in caplog.text)
 
     @pytest.mark.parametrize("line", ["a ghost", "ghost a"], ids=["second_id", "first_id"])
     def test_edge_referencing_unknown_node(self, tmp_path, line):

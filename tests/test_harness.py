@@ -433,6 +433,16 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="output_dir must name a directory"):
             ExperimentConfig(synthetic_mode="homophily", output_dir=" ").validate()
 
+    @pytest.mark.parametrize("key, value", [("runs", 2.5), ("retrain_every", 2.5), ("runs", True),
+                                            ("retrain_every", 0)])
+    def test_counts_that_are_not_whole_numbers_rejected_before_any_output(self, tmp_path, key, value):
+        keys = {"runs": 1, "retrain_every": 1, key: value}
+        config = ExperimentConfig(synthetic_mode="homophily", synthetic_n=60, strategies=["redlearn"],
+                                  output_dir=str(tmp_path / "out"), **keys)
+        with pytest.raises(ValueError, match=rf"{key} must be at least 1 and an integer, got {value!r}"):
+            run_experiment(config)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key, text, want", [
         ("runs", "3", 3),
         ("scenario", "ls2", LyingScenario.LS2),
