@@ -4,8 +4,8 @@ Only what reports reveal is known: a node is observed once any monitor
 names it as a neighbor, an edge is known only when one of its endpoints
 has been monitored, and a color is known only for monitored nodes. The
 state keeps a (2, 2, 2) int array of verified claims (speaker color x
-said color x subject's true color), filled in whenever a claim's subject
-gets monitored, and `trust()` smooths it into a 2x2 array. From these it
+said color x subject's true color), counting each claim whose subject
+is monitored, and `trust()` smooths it into a 2x2 array. From these it
 derives, for any observed node, the nine-entry feature row the learning
 strategy consumes, whose last entry is the trust-weighted probability
 that the candidate is red.
@@ -13,39 +13,50 @@ that the candidate is red.
 The state is one report record plus the counters below. The record,
 `reports`, maps each monitored node to its report, in monitor order: it
 is the one record of claims, edges and monitor order. On top of it,
-ingest keeps four per-node arrays indexed by node id, allocated once
-for the world's `n` ids: each node's four
-claim counts by (speaker color, said color), its red triangles, its
-monitored color and whether it is on the frontier. The frontier is kept
-incrementally, so `frontier()` and `candidates()` read one mask, and the
-known red and blue neighbor counts derive from the claim counts, because
-every monitored neighbor makes exactly one claim about a node. A red
-target's new triangles are read from the record: the monitored red
-neighbors' reports say which of the target's neighbors each also
-touches, found for all of them by one `searchsorted` into the target's
-ascending neighbor array. Colors are coded graph.RED (0) and graph.BLUE
-(1) throughout the arrays, the verified table included; a report's color
-and statements arrive in the same codes, checked when a report is built
-by hand and guaranteed by the world for the oracle's own, so ingest
-indexes the counters with them as they are. One counter restates the
-others on purpose: the verified table equals the monitored nodes' claim
-counts summed by their color, and is kept as a running total because
-`trust()` is read at every feature pass. Recounting it there costs tens
-of microseconds per call at n=500 and up to a millisecond at n=26220;
-the running total costs about 11 us per ingest. `features_matrix` checks
-that its ids are observed node ids and then gathers one float row per
-node from the arrays, computing the trust table once; `features(v)` is
-that matrix's single row. The package's own callers, the redlearn pick
-(the frontier) and `build_training_set` (the keys of `reports`), hold
-ids that are observed by construction, so they call `feature_rows`, the
-same rows without the checks: a pick runs at every redlearn step. The
-test suite checks the rows against a from-scratch recount of the
-reports.
+ingest keeps three per-node arrays indexed by node id, allocated once
+for the world's `n` ids: each node's four claim counts by (speaker
+color, said color), its monitored color and whether it is on the
+frontier. The frontier is kept incrementally, so `frontier()` and
+`candidates()` read one mask, and the known red and blue neighbor counts
+derive from the claim counts, because every monitored neighbor makes
+exactly one claim about a node. Colors are coded graph.RED (0) and
+graph.BLUE (1) throughout the arrays, the verified table included; a
+report's color and statements arrive in the same codes, checked when a
+report is built by hand and guaranteed by the world for the oracle's
+own, so the counters are indexed with them as they are.
+
+Two counters are read only by the learning strategy: the verified table
+and each node's red triangles. They are folded on read: ingest leaves
+them alone, and reading `verified_counts` or `triangles` first folds in
+the reports ingested since the last read, in monitor order, so a run of
+the counting strategies, which never reads them, never pays for them. A
+red target's new triangles are read from the record: the reports of
+the red neighbors monitored before it say which of the target's
+neighbors each also touches, found for all of them by one `searchsorted`
+into the target's ascending neighbor array. At a few hundred red
+neighbors per red, as in a dense homophily world, that search is most
+of the cost of a report. The verified table restates the others on
+purpose: it equals the monitored nodes' claim counts summed by their
+color, and is kept as a running total because `trust()` is read at
+every feature pass. Recounting it there costs tens of microseconds per
+call at n=500 and up to a millisecond at n=26220; folding costs about 10
+us per report. Either counter holds the same integers whether it is
+read after every ingest or after many (see `_fold`).
+
+`features_matrix` checks that its ids are observed node ids and then
+gathers one float row per node from the arrays, computing the trust
+table once; `features(v)` is that matrix's single row. The package's own
+callers, the redlearn pick (the frontier) and `build_training_set` (the
+keys of `reports`), hold ids that are observed by construction, so they
+call `feature_rows`, the same rows without the checks: a pick runs at
+every redlearn step. The test suite checks the rows against a
+from-scratch recount of the reports.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import islice
 
 import numpy as np
 
@@ -80,30 +91,47 @@ class ObserverState:
       say              (n, 4) int array: claims about each node by
                        monitored speakers, columns in (speaker color, said
                        color) order: rsr, rsb, bsr, bsb.
-      triangles        (n,) int array: adjacent pairs among each node's
-                       monitored red neighbors.
       color            (n,) int8 array: 0 (red) or 1 (blue) once the node
                        is monitored, -1 before.
       on_frontier      (n,) bool array: True for observed, unmonitored
                        nodes (the candidates).
+    Folded on read, from the reports that no read has yet taken in:
+      triangles        (n,) int array: adjacent pairs among each node's
+                       monitored red neighbors.
       verified_counts  (2, 2, 2) int array indexed [speaker color, said
                        color, subject true color] in the same codes:
                        counts of claims whose subject is now monitored.
 
-    The four per-node arrays are allocated once and kept up to date by
-    `ingest`; callers only read them.
+    The arrays are allocated once. `ingest` keeps the first three up to
+    date; the two folded counters are properties that fold first and
+    return the live array, so a write into it lands. A fold changes no
+    value that a reader can see.
     """
 
     def __init__(self, start: int, n: int):
         if not (is_integer(start) and 0 <= start < n):
             raise ValueError(f"start node {start} is not a node id in [0, {n})")
-        self.verified_counts = np.zeros((2, 2, 2), dtype=np.int64)
         self.reports: dict[int, MonitorReport] = {}
         self.say = np.zeros((n, 4), dtype=np.int64)
-        self.triangles = np.zeros(n, dtype=np.int64)
         self.color = np.full(n, -1, dtype=np.int8)
         self.on_frontier = np.zeros(n, dtype=bool)
         self.on_frontier[start] = True
+        self._verified = np.zeros((2, 2, 2), dtype=np.int64)
+        self._triangles = np.zeros(n, dtype=np.int64)
+        self._folded_color = np.full(n, -1, dtype=np.int8)
+        self._folded = 0
+
+    @property
+    def verified_counts(self) -> np.ndarray:
+        """The (2, 2, 2) verified-claim table, brought up to date: the live array."""
+        self._fold()
+        return self._verified
+
+    @property
+    def triangles(self) -> np.ndarray:
+        """The (n,) red-triangle counts, brought up to date: the live array."""
+        self._fold()
+        return self._triangles
 
     def frontier(self) -> np.ndarray:
         """Observed-but-unmonitored node ids as a new ascending int array."""
@@ -114,15 +142,15 @@ class ObserverState:
         return self.frontier().tolist()
 
     def ingest(self, report: MonitorReport) -> "ObserverState":
-        """Fold one monitor report into the state.
+        """Record one monitor report.
 
         The target is recorded with its true color, its neighbors become
-        observed, its claims are counted, and the verified-claim table
-        picks up both old claims about the target and new claims about
-        already-monitored subjects. A report is well formed once built;
-        ingest checks, before writing anything, only what needs the state:
-        the target must be observed and unmonitored (a placement spends
-        budget once), and every neighbor must lie in [0, n).
+        observed and its claims are counted in `say`; the verified table
+        and the red triangles take the report in when they are next read
+        (see `_fold`). A report is well formed once built; ingest checks,
+        before writing anything, only what needs the state: the target
+        must be observed and unmonitored (a placement spends budget
+        once), and every neighbor must lie in [0, n).
         """
         t = report.target
         n = len(self.color)
@@ -136,31 +164,49 @@ class ObserverState:
             raise ValueError(f"report on node {t} names a neighbor outside [0, {n})")
         self.color[t] = t_code
         self.on_frontier[t] = False
-
         self.say[nbrs, 2 * t_code + said] += 1
-        subject = self.color[nbrs]
-        if t_code == RED:
-            # A monitored red neighbor r closes the red triangle (t, r, v)
-            # at every v that both t and r touch. All of the red neighbors'
-            # neighbors are located at once in t's ascending, unique nbrs;
-            # the exact matches, counted per position, are the new triangles.
-            reds = nbrs[subject == RED].tolist()
-            if reds:
-                touched = np.concatenate([self.reports[r].neighbors for r in reds])
-                at = nbrs.searchsorted(touched)
-                np.minimum(at, len(nbrs) - 1, out=at)  # past the end: no match, but a valid index
-                self.triangles[nbrs] += np.bincount(at[nbrs[at] == touched], minlength=len(nbrs))
-        self.on_frontier[nbrs[subject < 0]] = True
-
-        verified = self.verified_counts
-        seen = subject >= 0
-        verified[t_code] += np.bincount(2 * said[seen] + subject[seen], minlength=4).reshape(2, 2)
-        # Every claim about t came from an already-monitored speaker, so
-        # t's four claim counts are exactly the claims t's color verifies.
-        verified[:, :, t_code] += self.say[t].reshape(2, 2)
-
+        self.on_frontier[nbrs] = self.color[nbrs] < 0  # monitored neighbors are already off it
         self.reports[t] = report
         return self
+
+    def _fold(self) -> None:
+        """Fold the reports ingested since the last fold into `_verified`
+        and `_triangles`, in monitor order.
+
+        `_folded_color` is `color` as it stood after the first `_folded`
+        reports. A claim between two monitored nodes is verified once:
+        by its speaker's report if the subject was folded before this
+        fold began, and otherwise by the subject's current `say` row,
+        which holds every claim about it by any monitored speaker. So a
+        fold after every ingest and one fold after many give the same
+        table.
+        """
+        pending = len(self.reports) - self._folded
+        if not pending:
+            return
+        reports = list(islice(reversed(self.reports.values()), pending))[::-1]
+        lagged, verified = self._folded_color, self._verified
+        for report in reports:
+            subject = lagged[report.neighbors]
+            seen = subject >= 0
+            verified[report.color] += np.bincount(2 * report.statements[seen] + subject[seen],
+                                                  minlength=4).reshape(2, 2)
+            verified[:, :, report.color] += self.say[report.target].reshape(2, 2)
+        for report in reports:
+            t, nbrs = report.target, report.neighbors
+            if report.color == RED:
+                # A red r monitored before t closes the red triangle (t, r, v)
+                # at every v that both t and r touch. All of the red neighbors'
+                # neighbors are located at once in t's ascending, unique nbrs;
+                # the exact matches, counted per position, are the new triangles.
+                reds = nbrs[lagged[nbrs] == RED].tolist()
+                if reds:
+                    touched = np.concatenate([self.reports[r].neighbors for r in reds])
+                    at = nbrs.searchsorted(touched)
+                    np.minimum(at, len(nbrs) - 1, out=at)  # past the end: no match, but a valid index
+                    self._triangles[nbrs] += np.bincount(at[nbrs[at] == touched], minlength=len(nbrs))
+            lagged[t] = report.color
+        self._folded = len(self.reports)
 
     def trust(self) -> np.ndarray:
         """P(subject is red | speaker color, said color) as a 2x2 array, from verified claims.

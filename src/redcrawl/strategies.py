@@ -6,11 +6,14 @@ holding the chosen node, the frontier array and the score array aligned
 with it (useful for tracing); both arrays belong to the decision, so
 later ingests do not change them. The counting policies sum columns of
 the observer's claim-count table, and redlearn runs `predict_many` on the
-frontier's feature matrix. Policies never mutate the state and only ever
-return observed, unmonitored nodes; monitors cannot be placed on nodes
-the crawl has not seen. Ties are broken uniformly at random, by one
-`rng.choice` over the tied ids in ascending order, so that
-low-information early steps do not bias small networks toward low ids.
+frontier's feature matrix. A pick changes nothing observable in the
+state: reading the features may fold pending reports into the verified
+table and the red triangles (see observer), which leaves their values as
+any reader would see them. Policies only ever return observed,
+unmonitored nodes; monitors cannot be placed on nodes the crawl has not
+seen. Ties are broken uniformly at random, by one `rng.choice` over the
+tied ids in ascending order, so that low-information early steps do not
+bias small networks toward low ids.
 
 A counting score changes only when a report names the node, so a run
 does not rescan the frontier at each step: `CountingScores` keeps every

@@ -348,7 +348,8 @@ class TestBruteForceEquivalence:
 class TestRedTriangles:
     def test_init_stores_only_the_reports_and_counters(self):
         assert set(vars(ObserverState(3, 10))) == {
-            "reports", "say", "triangles", "color", "on_frontier", "verified_counts"}
+            "reports", "say", "color", "on_frontier",
+            "_verified", "_triangles", "_folded_color", "_folded"}
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_triangles_match_recount_on_a_red_chasing_crawl(self, seed):
@@ -394,6 +395,58 @@ class TestRedTriangles:
                    step_callback=lambda state, _: states.append(state))
         state = states[-1]
         assert len(state.reports) == 60
+        want = brute_triangles(state.reports, world.n)
+        assert np.array_equal(state.triangles, want)
+        assert want.max() >= 3
+
+
+class TestCountersFoldedOnRead:
+    """The verified table and the red triangles are folded in when read:
+    their values must not depend on how many ingests lie between reads."""
+
+    @pytest.mark.parametrize("scenario", [LyingScenario.LS1, LyingScenario.LS2])
+    def test_counters_match_recounts_after_runs_of_ingests(self, scenario):
+        pending_pairs = 0
+        for seed in range(3):
+            world = generate_synthetic(120, 0.2, "homophily", seed)
+            assert world.red_ids() and any(
+                world.codes[u] == RED == world.codes[v]
+                for u in world.red_ids() for v in world.adjacency[u])
+            oracle = Oracle(world, [0.45] * world.n, scenario, random.Random(seed))
+            start = world.red_ids()[0]
+            state = ObserverState(start, world.n)
+            rng = random.Random(seed + 100)
+            while len(state.reports) < 90 and state.candidates():
+                burst = set()
+                for _ in range(rng.randint(1, 20)):
+                    cands = state.candidates()
+                    if not cands:
+                        break
+                    # chase reds half the time, so that red targets meet red neighbors
+                    reds = [v for v in cands if world.codes[v] == RED]
+                    v = rng.choice(reds if reds and rng.random() < 0.5 else cands)
+                    rep = oracle.place_monitor(v)
+                    pending_pairs += len(burst.intersection(rep.neighbors.tolist()))
+                    burst.add(v)
+                    state.ingest(rep)
+                _, _, monitored, statements = brute_knowledge(start, state.reports.values())
+                assert verified_dict(state.verified_counts) == brute_verified(monitored, statements)
+                assert np.array_equal(state.triangles, brute_triangles(state.reports, world.n))
+            assert state.triangles.max() >= 3
+        # claims between two reports folded together were exercised
+        assert pending_pairs >= 50
+
+    @pytest.mark.parametrize("scenario", [LyingScenario.LS1, LyingScenario.LS2])
+    def test_counters_read_once_at_the_end_of_a_counting_run(self, scenario):
+        world = generate_synthetic(200, 0.2, "homophily", 2)
+        states = []
+        run_single(world, "mrn", scenario, world.red_ids()[0], 2, 50,
+                   step_callback=lambda state, _: states.append(state))
+        state = states[-1]
+        assert len(state.reports) == 50
+        assert state._folded == 0  # a counting run never reads the counters
+        _, _, monitored, statements = brute_knowledge(world.red_ids()[0], state.reports.values())
+        assert verified_dict(state.verified_counts) == brute_verified(monitored, statements)
         want = brute_triangles(state.reports, world.n)
         assert np.array_equal(state.triangles, want)
         assert want.max() >= 3
