@@ -31,14 +31,32 @@ import enum
 import logging
 import math
 import random
+import re
 from array import array
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
 
 EDGE_COMMENT_CHAR = "#"
+_COMMENT = re.compile(f"{EDGE_COMMENT_CHAR}[^\n]*")
+# Characters read from an edge file at a time: large enough that the
+# per-block calls cost little, small enough that the block's largest
+# array, its UTF-32 code points, stays at 64 KiB. Blocks of 32k and 64k
+# characters parsed no faster and left the dense benchmark's peak memory
+# 0.7-0.9 MB higher: their freed arrays fragment the heap.
+_EDGE_BLOCK_CHARS = 1 << 14
+# The code points for which `str.isspace()` holds, and so the ones
+# `str.split()` splits on (the same on Python 3.10-3.13); none is above U+3000.
+_SPACE_CODES = (0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F, 0x20, 0x85, 0xA0, 0x1680,
+                0x2000, 0x2001, 0x2002, 0x2003, 0x2004, 0x2005, 0x2006, 0x2007, 0x2008, 0x2009, 0x200A,
+                0x2028, 0x2029, 0x202F, 0x205F, 0x3000)
+# Whether each code point up to U+3000 is a space, and a last False that
+# stands for every code point above.
+_IS_SPACE = np.zeros(_SPACE_CODES[-1] + 2, dtype=bool)
+_IS_SPACE[list(_SPACE_CODES)] = True
 
 SYNTHETIC_MODES = ("homophily", "no_homophily", "structural_signal")
 # generate_synthetic's shape: base Erdos-Renyi mean degree, the chance of an
@@ -213,7 +231,9 @@ class WorldGraph:
 def load_graph(edge_file, node_file) -> WorldGraph:
     """Load a world graph from an edge list and a node attribute CSV.
 
-    The edge file holds one whitespace-separated id pair per line; text
+    Both files are UTF-8 text; a leading byte-order mark is skipped. The
+    edge file holds one id pair per line, separated by whatever
+    `str.split()` treats as whitespace (U+00A0 and U+3000 included); text
     after `#` is ignored. The node CSV needs a header with `id` and
     `color` columns; a `hierarchy` column is optional and defaults to 1.
     External ids are remapped to dense integers in node-file row order
@@ -222,14 +242,15 @@ def load_graph(edge_file, node_file) -> WorldGraph:
     dropped with a logged warning count.
 
     Raises GraphLoadError on: an edge endpoint with no node row, a color
-    outside red/blue, a hierarchy score outside (0, inf), or a malformed line.
+    outside red/blue, a hierarchy score outside (0, inf), a malformed
+    line, or a file that is not UTF-8 text (named by its path).
     """
     labels: list[str] = []
     label_to_id: dict[str, int] = {}
     codes: list[int] = []
     hierarchy: list[float] = []
 
-    with open(node_file, newline="", encoding="utf-8-sig") as fh:
+    with _open_text(node_file, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "id" not in reader.fieldnames or "color" not in reader.fieldnames:
             raise GraphLoadError(f"{node_file}: node file needs 'id' and 'color' columns")
@@ -270,24 +291,41 @@ def load_graph(edge_file, node_file) -> WorldGraph:
 def _read_edges(edge_file, label_to_id: dict[str, int]) -> np.ndarray:
     """The distinct edges of `edge_file` as an (m, 2) id array.
 
+    The file is read in blocks of whole lines (`_EDGE_BLOCK_CHARS`
+    characters, the partial last line carried into the next block), and
+    each block is parsed with C-level string calls and a few array
+    passes: comments are cut by one regex substitution, one `split()`
+    finds the ids, and the code points of the block show which line each
+    id starts on, so the ids must pair up line by line. The first faulty
+    line in file order raises GraphLoadError with its line number: a line
+    that does not hold exactly two ids, or one that names an unknown id.
+    On one line the id count is checked first, and no id past the first
+    malformed line is looked up.
+
     Self-loops and repeated pairs are dropped, with one logged warning
     that counts each.
     """
     ends = array("q")  # the endpoint ids of every edge line, two per line
-    with open(edge_file, encoding="utf-8-sig") as fh:
-        for line_num, line in enumerate(fh, start=1):
-            line = line.split(EDGE_COMMENT_CHAR, 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphLoadError(f"{edge_file}:{line_num}: expected two ids per line, got {line!r}")
+    lines_before = 0  # lines of the file before the current block
+    with _open_text(edge_file) as fh:
+        for block in _line_blocks(fh):
+            text = _COMMENT.sub("", block)
+            ids = text.split()
+            line = _id_lines(text)
+            firsts = np.flatnonzero(np.diff(line, prepend=-1))  # each line's first id
+            bad = np.flatnonzero(np.diff(firsts, append=len(ids)) != 2)  # the lines without two ids
+            good = firsts[bad[0]] if bad.size else len(ids)  # the ids before the first of them
             try:
-                ends.extend((label_to_id[parts[0]], label_to_id[parts[1]]))
+                ends.frombytes(np.fromiter(map(label_to_id.__getitem__, ids), dtype=np.int64, count=good).tobytes())
             except KeyError as exc:
-                raise GraphLoadError(
-                    f"{edge_file}:{line_num}: edge references unknown node id {exc.args[0]!r}"
-                ) from None
+                label = exc.args[0]
+                raise GraphLoadError(f"{edge_file}:{lines_before + 1 + line[ids.index(label)]}: "
+                                     f"edge references unknown node id {label!r}") from None
+            if bad.size:
+                k = line[good]
+                got = text.split("\n")[k].strip()
+                raise GraphLoadError(f"{edge_file}:{lines_before + 1 + k}: expected two ids per line, got {got!r}")
+            lines_before += block.count("\n")
 
     n = len(label_to_id)
     pairs = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
@@ -307,6 +345,51 @@ def _read_edges(edge_file, label_to_id: dict[str, int]) -> np.ndarray:
             "%s: dropped %d self-loop(s) and %d duplicate edge(s)", edge_file, self_loops, duplicates
         )
     return np.column_stack(np.divmod(keys, n))
+
+
+@contextmanager
+def _open_text(path, newline=None):
+    """`path` open as UTF-8 text, a leading byte-order mark skipped.
+
+    A byte that is not UTF-8, met anywhere in the `with` body, raises
+    GraphLoadError naming the file.
+    """
+    try:
+        with open(path, newline=newline, encoding="utf-8-sig") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise GraphLoadError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _line_blocks(fh):
+    """The text of `fh` in blocks of whole lines, about `_EDGE_BLOCK_CHARS` characters each.
+
+    Each block ends just after a newline, but the file's last block,
+    which ends where the file does.
+    """
+    carry = ""  # the partial line at the end of the text read so far
+    while chunk := fh.read(_EDGE_BLOCK_CHARS):
+        text = carry + chunk
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield text[:cut]
+        carry = text[cut:]
+    if carry:
+        yield carry
+
+
+def _id_lines(text: str) -> np.ndarray:
+    """The line of `text` (0 for the first) on which each id that `text.split()` finds starts."""
+    codes = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")  # one code point per character
+    space = np.concatenate(([True], _space_mask(codes)))  # [0] stands for the line break before `text`
+    # The j-th id starts at the j-th character that is not a space and follows one.
+    starts = np.flatnonzero(space[:-1] > space[1:])
+    return np.searchsorted(np.flatnonzero(codes == ord("\n")), starts)
+
+
+def _space_mask(codes: np.ndarray) -> np.ndarray:
+    """Whether each code point in the integer array `codes` is one that `str.split()` splits on."""
+    return _IS_SPACE.take(codes, mode="clip")
 
 
 def _nameable(label: str) -> bool:

@@ -30,15 +30,17 @@ builds its own reports without re-running those checks.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import BLUE, RED, WorldGraph, is_integer
+from .graph import BLUE, RED, WorldGraph, _uniforms, is_integer
 
 HONESTY_MEAN = 0.5
 HONESTY_SD = 0.125
+_TWOPI = 2.0 * math.pi  # `random.TWOPI`, the angle scale of `gauss`
 
 
 class LyingScenario(enum.Enum):
@@ -104,8 +106,40 @@ def assign_honesty(world: WorldGraph, rng: random.Random) -> np.ndarray:
     [0, 1], taken in node-id order so a given seed always yields the same
     array. Clamping (rather than redrawing) keeps the seed-to-array
     mapping simple; the out-of-range tail is about 0.006% of draws.
+
+    The draws are those of one `rng.gauss(0.5, 0.125)` call per node, bit
+    for bit, made in bulk: `gauss`' Box-Muller pairs over uniforms that
+    match `rng.random()` (`_uniforms`), with the same libm `log`, `cos`
+    and `sin` calls, a correctly rounded square root and the same
+    products and sums in the same order. A pending `rng.gauss_next` is
+    the first draw, and an unused sine is left pending, so `rng` ends in
+    the state the calls leave.
     """
-    return np.clip([rng.gauss(HONESTY_MEAN, HONESTY_SD) for _ in range(world.n)], 0.0, 1.0)
+    n = world.n
+    pending = [] if rng.gauss_next is None else [rng.gauss_next]
+    rng.gauss_next = None
+    pairs = (n - len(pending) + 1) // 2
+    # The steps work in place, in the buffer of the uniforms where they can:
+    # a dense batch draws honesty 48 times, and each freed temporary would
+    # add to the heap the run leaves behind.
+    z = _uniforms(rng, 2 * pairs)
+    x2pi = (z[0::2] * _TWOPI).tolist()
+    one_minus = np.subtract(1.0, z[1::2], out=z[1::2]).tolist()
+    g2rad = np.fromiter(map(math.log, one_minus), dtype=float, count=pairs)
+    g2rad *= -2.0
+    np.sqrt(g2rad, out=g2rad)
+    z[0::2] = np.fromiter(map(math.cos, x2pi), dtype=float, count=pairs)
+    z[1::2] = np.fromiter(map(math.sin, x2pi), dtype=float, count=pairs)
+    z[0::2] *= g2rad
+    z[1::2] *= g2rad
+    if pending:
+        z = np.concatenate((pending, z))
+    if len(z) > n:
+        rng.gauss_next = z.item(n)
+    z = z[:n]
+    z *= HONESTY_SD
+    z += HONESTY_MEAN
+    return np.clip(z, 0.0, 1.0, out=z)
 
 
 @dataclass

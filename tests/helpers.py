@@ -9,8 +9,10 @@ ObserverState.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import os
 import random
+from array import array
 from contextlib import contextmanager
 from itertools import combinations
 from pathlib import Path
@@ -20,6 +22,7 @@ import numpy as np
 from redcrawl import (
     FEATURE_NAMES,
     Color,
+    GraphLoadError,
     LyingScenario,
     MonitorReport,
     ObserverState,
@@ -33,6 +36,7 @@ from redcrawl.graph import (
     BASE_MEAN_DEGREE,
     BLUE,
     DEGREE_OFFSET,
+    EDGE_COMMENT_CHAR,
     RED,
     RED_RED_PROB,
     SYNTHETIC_MODES,
@@ -40,6 +44,9 @@ from redcrawl.graph import (
     remove_red_red_edges,
     save_graph,
 )
+from redcrawl.oracle import HONESTY_MEAN, HONESTY_SD
+
+logger = logging.getLogger("redcrawl.graph")  # the loader's own logger, so its warnings read the same
 
 NOORDIN_DIR = Path(os.environ.get(
     "REDCRAWL_NOORDIN_DIR",
@@ -162,6 +169,53 @@ def reference_synthetic(n: int, red_fraction: float, mode: str, seed: int, coins
         # keep the pre-removal degrees.
         g = remove_red_red_edges(g)
     return g
+
+
+def reference_read_edges(edge_file, label_to_id: dict[str, int]) -> np.ndarray:
+    """The distinct edges of `edge_file` as an (m, 2) id array, parsed one line at a time.
+
+    The oracle for `graph._read_edges`' block parser: the same arrays,
+    warning and GraphLoadError messages from a plain loop over the lines.
+    """
+    ends = array("q")  # the endpoint ids of every edge line, two per line
+    with open(edge_file, encoding="utf-8-sig") as fh:
+        for line_num, line in enumerate(fh, start=1):
+            line = line.split(EDGE_COMMENT_CHAR, 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise GraphLoadError(f"{edge_file}:{line_num}: expected two ids per line, got {line!r}")
+            try:
+                ends.extend((label_to_id[parts[0]], label_to_id[parts[1]]))
+            except KeyError as exc:
+                raise GraphLoadError(
+                    f"{edge_file}:{line_num}: edge references unknown node id {exc.args[0]!r}"
+                ) from None
+
+    n = len(label_to_id)
+    pairs = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
+    pairs.sort(axis=1)  # in place, in the buffer of `ends`
+    kept = pairs[:, 0] != pairs[:, 1]
+    keys = pairs[kept, 0] * n + pairs[kept, 1]
+    # Sorted, a repeated pair sits next to its first copy; numpy's
+    # `unique` would hash the keys instead, many times slower here.
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    self_loops = len(pairs) - int(kept.sum())
+    duplicates = len(pairs) - self_loops - len(keys)
+    if self_loops or duplicates:
+        logger.warning(
+            "%s: dropped %d self-loop(s) and %d duplicate edge(s)", edge_file, self_loops, duplicates
+        )
+    return np.column_stack(np.divmod(keys, n))
+
+
+def reference_honesty(world: WorldGraph, rng: random.Random) -> np.ndarray:
+    """`oracle.assign_honesty` as one `rng.gauss` call per node: the oracle for its bulk draw."""
+    return np.clip([rng.gauss(HONESTY_MEAN, HONESTY_SD) for _ in range(world.n)], 0.0, 1.0)
 
 
 def reference_world_config(tmp_path, n: int, red_fraction: float, mode: str, seed: int) -> dict:

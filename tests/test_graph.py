@@ -5,8 +5,10 @@ import logging
 import math
 import os
 import random
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +30,15 @@ from redcrawl.graph import (
     RED,
     RED_RED_PROB,
     SYNTHETIC_MODES,
+    _EDGE_BLOCK_CHARS,
     _read_edges,
     _skip_pairs,
     _skip_table,
+    _space_mask,
     _uniforms,
 )
+from redcrawl import graph
+from redcrawl.cli import main as cli_main
 from helpers import (
     degree,
     have_noordin,
@@ -41,6 +47,7 @@ from helpers import (
     noordin_paths,
     pokec_paths,
     power_table,
+    reference_read_edges,
     reference_synthetic,
     skip_coins,
 )
@@ -248,6 +255,117 @@ class TestLoadGraph:
         assert np.array_equal(g2.codes, g.codes)
         assert g2.hierarchy.tolist() == g.hierarchy.tolist()
         assert g2.labels == g.labels
+
+
+    @pytest.mark.parametrize("which", ["edges", "nodes"])
+    def test_file_that_is_not_utf8_names_itself(self, tmp_path, which):
+        edge_path, node_path = write_graph_files(tmp_path, "a b\n", "id,color\na,red\nb,blue\n")
+        path = edge_path if which == "edges" else node_path
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        with pytest.raises(GraphLoadError, match=rf"^{re.escape(str(path))}: not UTF-8 text \(invalid start byte\)$"):
+            load_graph(edge_path, node_path)
+
+    def test_cli_names_a_graph_file_that_is_not_utf8(self, tmp_path, capsys):
+        edge_path, node_path = write_graph_files(tmp_path, "a b\n", "id,color\na,red\nb,blue\n")
+        edge_path.write_bytes(b"a \xffb\n")
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"edges = {edge_path}\nnodes = {node_path}\nstrategies = mrn\nruns = 1\n"
+                          f"output_dir = {tmp_path / 'out'}\n")
+        assert cli_main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"redcrawl: error: {edge_path}: not UTF-8 text (invalid start byte)\n"
+
+
+# Ids, separators and line breaks for the edge-file fuzz: every separator
+# is one `str.split()` splits on, and the breaks are those a text file
+# turns into "\n"; U+2028 and U+0085 split ids but break no line.
+FUZZ_SPACES = (" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000")
+FUZZ_BREAKS = ("\n", "\n", "\n", "\r\n", "\r")
+
+
+def fuzz_edge_text(rng, labels):
+    """Edge-file text of up to 30 lines: mostly pairs, with blank, comment, short, long and unknown-id lines."""
+    lines = []
+    for _ in range(rng.randrange(31)):
+        kind = rng.random()
+        count = 0 if kind < 0.08 else 1 if kind < 0.1 else 3 if kind < 0.12 else 2
+        ids = [rng.choice(labels) if rng.random() > 0.015 else "ghost" for _ in range(count)]
+        line = rng.choice(("", " ", "\u3000")) + rng.choice(FUZZ_SPACES).join(ids)
+        if rng.random() < 0.15:
+            line += rng.choice(("", " ")) + "#" + rng.choice(("", " note", "# a b", "x y z"))
+        lines.append(line + rng.choice(("", "", " ", "\t")))
+    text = "".join(line + rng.choice(FUZZ_BREAKS) for line in lines)
+    if text and rng.random() < 0.3:
+        text = text.rstrip("\r\n")  # no newline at the end of the file
+    return ("\ufeff" if rng.random() < 0.1 else "") + text
+
+
+def edge_outcome(read, edge_path, label_to_id, caplog):
+    """What `read(edge_path, label_to_id)` gives: its edge list or its GraphLoadError text, and its warnings."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="redcrawl.graph"):
+        try:
+            result = read(edge_path, label_to_id).tolist()
+        except GraphLoadError as exc:
+            result = str(exc)
+    return result, caplog.messages
+
+
+class TestBlockParser:
+    """`_read_edges` parses blocks of whole lines as the per-line loop of `reference_read_edges` did."""
+
+    @pytest.mark.parametrize("block_chars", [1, 2, 5, 17, _EDGE_BLOCK_CHARS])
+    def test_matches_the_line_loop(self, tmp_path, monkeypatch, caplog, block_chars):
+        monkeypatch.setattr(graph, "_EDGE_BLOCK_CHARS", block_chars)
+        rng = random.Random(block_chars)
+        labels = ["a", "b7", "c\u00e9", "\u4e2d", "d.e", "f\U0001f600", "gh", "ijk"]
+        label_to_id = {label: v for v, label in enumerate(labels)}
+        edge_path = tmp_path / "edges.txt"
+        outcomes = Counter()
+        for _ in range(300):
+            edge_path.write_bytes(fuzz_edge_text(rng, labels).encode("utf-8"))
+            want = edge_outcome(reference_read_edges, edge_path, label_to_id, caplog)
+            assert edge_outcome(_read_edges, edge_path, label_to_id, caplog) == want
+            outcomes[want[0].split(": ")[1].split(" ")[0] if isinstance(want[0], str) else "loaded"] += 1
+        # every outcome is exercised: loaded, malformed ("expected") and unknown ("edge")
+        assert set(outcomes) == {"loaded", "expected", "edge"} and min(outcomes.values()) > 30, outcomes
+
+    @pytest.mark.parametrize("block_chars", [4, _EDGE_BLOCK_CHARS])
+    @pytest.mark.parametrize("text, error", [
+        ("a b\nghost a\na b c\n", "2: edge references unknown node id 'ghost'"),
+        ("a b\na b c\nghost a\n", "2: expected two ids per line, got 'a b c'"),
+        ("a b\n\n b  ghost # x\na\n", "3: edge references unknown node id 'ghost'"),
+        ("a b\n# x\n  a # b\nghost a\n", "3: expected two ids per line, got 'a'"),
+        ("a b\nghost a b\n", "2: expected two ids per line, got 'ghost a b'"),
+    ], ids=["unknown_first", "malformed_first", "unknown_then_short", "short_then_unknown", "both_on_one_line"])
+    def test_first_faulty_line_in_a_block_raises(self, tmp_path, monkeypatch, text, error, block_chars):
+        # The whole text is one block by default; at 4 characters a block holds a line or two.
+        monkeypatch.setattr(graph, "_EDGE_BLOCK_CHARS", block_chars)
+        edge_path = tmp_path / "edges.txt"
+        edge_path.write_text(text)
+        label_to_id = {"a": 0, "b": 1}
+        with pytest.raises(GraphLoadError) as info:
+            _read_edges(edge_path, label_to_id)
+        assert str(info.value) == f"{edge_path}:{error}"
+        with pytest.raises(GraphLoadError, match=f"^{re.escape(str(info.value))}$"):
+            reference_read_edges(edge_path, label_to_id)
+
+    def test_no_id_past_the_first_malformed_line_is_looked_up(self, tmp_path):
+        class Recording(dict):
+            def __getitem__(self, label):
+                looked_up.append(label)
+                return super().__getitem__(label)
+
+        looked_up = []
+        edge_path = tmp_path / "edges.txt"
+        edge_path.write_text("a b\nb a\na\nb a\n")
+        with pytest.raises(GraphLoadError, match=r"edges\.txt:3: expected two ids per line, got 'a'$"):
+            _read_edges(edge_path, Recording(a=0, b=1))
+        assert looked_up == ["a", "b", "b", "a"]
+
+    def test_space_table_is_str_isspace(self):
+        codes = np.arange(0x110000, dtype=np.uint32)
+        assert np.flatnonzero(_space_mask(codes)).tolist() == [c for c in range(0x110000) if chr(c).isspace()]
 
 
 class TestRemoveRedRedEdges:

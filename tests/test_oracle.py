@@ -16,7 +16,7 @@ from redcrawl import (
     generate_synthetic,
 )
 from redcrawl.graph import BLUE, RED
-from helpers import degree, flip, lie_probability, make_world
+from helpers import degree, flip, lie_probability, make_world, reference_honesty
 
 
 def two_node_world(speaker_color, subject_color, h_speaker, l_speaker=1.0, l_subject=1.0):
@@ -46,6 +46,31 @@ class TestAssignHonesty:
         want = [min(1.0, max(0.0, rng.gauss(0.5, 0.125))) for _ in range(n)]
         got = assign_honesty(g, random.Random(seed))
         assert got.shape == (n,) and got.tolist() == want
+
+    @pytest.mark.parametrize("n", [10, 11, 500, 5000])
+    @pytest.mark.parametrize("pending", [False, True], ids=["fresh", "gauss_next_pending"])
+    def test_bulk_draw_matches_one_gauss_call_per_node(self, n, pending):
+        # the same bits, and the rng left as the calls leave it: an odd count
+        # keeps its last sine in gauss_next, and a pending one is drawn first
+        g = make_world(n, [])
+        bulk, loop = random.Random(n), random.Random(n)
+        if pending:
+            bulk.gauss()
+            loop.gauss()
+            assert bulk.gauss_next is not None
+        got = assign_honesty(g, bulk)
+        want = reference_honesty(g, loop)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert bulk.getstate() == loop.getstate()
+        assert bulk.gauss_next == loop.gauss_next and type(bulk.gauss_next) is type(loop.gauss_next)
+        assert bulk.random() == loop.random()
+
+    def test_empty_world_leaves_a_pending_draw(self):
+        rng = random.Random(3)
+        rng.gauss()
+        pending = rng.gauss_next
+        assert assign_honesty(make_world(0, []), rng).shape == (0,)
+        assert rng.gauss_next == pending
 
     def test_distribution_moments(self):
         g = make_world(10_000, [(0, 1)])
