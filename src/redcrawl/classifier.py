@@ -14,10 +14,24 @@ problem has ten parameters, so `fit` solves it exactly by damped Newton
 steps (iteratively reweighted least squares; Hastie, Tibshirani and
 Friedman, The Elements of Statistical Learning, 2nd ed., section 4.4.1):
 each step solves the 10x10 Hessian system and backtracks until the loss
-drops, so it converges in a few steps and the same data always yields
-the same model. When every label is the same color there is nothing to
-fit and a fallback model is returned; the caller ranks by known-red
-neighbors instead.
+drops, so it converges in a few steps and the same data and start always
+yield the same model. When every label is the same color there is
+nothing to fit and a fallback model is returned; the caller ranks by
+known-red neighbors instead.
+
+A training set may carry a start: the model of the run's previous fit.
+Consecutive training sets differ by the rows monitored since and by what
+those reports changed in the other rows' features, so the previous
+model, mapped into the new standardization, is usually close to the new
+optimum and Newton needs about half the steps it takes from zero
+weights; a start that fits the new rows worse than zero weights is
+dropped. The trade-off is that a fit depends on the previous model as
+well as on the data: a warm and a cold fit of the same rows both stop
+within `grad_tol` of the same optimum, but not on the same bits (their
+losses agree to about 1e-9 and their probabilities to a few 1e-5, as
+the gradient test leaves the flattest directions loose). A run stays
+deterministic, since its fits and their starts come in a fixed order;
+a training set without a start is fit from zero weights as before.
 """
 
 from __future__ import annotations
@@ -48,10 +62,16 @@ DEFAULT_PARAMS = ClassifierParams()
 
 @dataclass
 class TrainingSet:
-    """A (k, 9) feature matrix `rows` and its k `labels`: 1.0 for red, 0.0 for blue."""
+    """A (k, 9) feature matrix `rows` and its k `labels`: 1.0 for red, 0.0 for blue.
+
+    `start` is the run's previous model, or None for the first fit.
+    `fit` starts Newton from it, or from zero weights when it is None, a
+    fallback, or fits these rows worse than zero weights.
+    """
 
     rows: np.ndarray
     labels: np.ndarray
+    start: TrainedModel | None = None
 
 
 @dataclass
@@ -76,19 +96,20 @@ class TrainedModel:
         return self.weights is None
 
 
-def build_training_set(state: ObserverState) -> TrainingSet:
-    """One row per monitored node, in monitor order.
+def build_training_set(state: ObserverState, start: TrainedModel | None = None) -> TrainingSet:
+    """One row per monitored node, in monitor order, to be fit from `start`.
 
     Each row is the node's current feature row, computed exactly as it
     would be for a candidate (a node's own report contributes nothing to
-    its own counts), labeled with the node's true color.
+    its own counts), labeled with the node's true color. `start` is the
+    model of the run's previous fit, or None for the first.
     """
     if not state.reports:
         raise ValueError("cannot build a training set with no monitored nodes")
     # The record's keys are monitored, hence observed: no id checks needed.
     ids = np.fromiter(state.reports, dtype=np.intp, count=len(state.reports))
     labels = (state.color[ids] == RED).astype(float)
-    return TrainingSet(rows=state.feature_rows(ids), labels=labels)
+    return TrainingSet(rows=state.feature_rows(ids), labels=labels, start=start)
 
 
 def _probabilities(X: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
@@ -160,6 +181,20 @@ def fit(data: TrainingSet) -> TrainedModel:
     of the solve, so constant columns neither blow up the
     standardization nor make the Hessian singular. Single-class or empty
     data yields a fallback model.
+
+    Newton starts from `data.start` mapped into this fit's
+    standardization, or from zero weights when the start is None or a
+    fallback. The start's raw-space slope `a = weights * scale` and
+    intercept `c = bias - a @ mean` give the weights `a * sd` (0 where
+    the spread is 0) and the bias `c + a @ mean` over the new means of
+    every column: a column that is constant on the new rows equals its
+    mean there, so its term belongs in the bias. The start's logits on
+    the new rows are then its own, to rounding. A start whose loss on
+    the new rows is not below that of zero weights is dropped: every
+    row's features are recomputed at each refit, and a column whose
+    spread was tiny in the old rows gives the old model a steep raw
+    slope that, once the column spreads, saturates the probabilities
+    where the Hessian is singular and the line search stalls.
     """
     params = DEFAULT_PARAMS
     X, y = data.rows, data.labels
@@ -168,10 +203,11 @@ def fit(data: TrainingSet) -> TrainedModel:
         return TrainedModel(weights=None, bias=0.0, mean=None, scale=None)
 
     mu = X.mean(axis=0)
-    sd = X.std(axis=0)
+    Xs = X - mu
+    sd = np.sqrt((Xs * Xs).sum(axis=0) / len(y))  # np.std's own steps, so its bits
     scale = np.zeros_like(sd)
     np.divide(1.0, sd, out=scale, where=sd > 0)
-    Xs = (X - mu) * scale
+    Xs *= scale
     # the parameters the solve moves: the non-constant columns, then the bias
     free = np.append(np.flatnonzero(sd > 0), X.shape[1])
     free_block = np.ix_(free, free)
@@ -179,6 +215,14 @@ def fit(data: TrainingSet) -> TrainedModel:
     w = np.zeros(X.shape[1])
     b = 0.0
     cur = loss(Xs, y, w, b, params.l2)
+    start = data.start
+    if start is not None and not start.fallback:
+        a = start.weights * start.scale
+        w_start = np.where(sd > 0, a * sd, 0.0)
+        b_start = float(start.bias - a @ start.mean + a @ mu)
+        start_loss = loss(Xs, y, w_start, b_start, params.l2)
+        if start_loss < cur:
+            w, b, cur = w_start, b_start, start_loss
     iterations = 0
     converged = False
     for _ in range(params.max_iter):

@@ -221,7 +221,8 @@ def run_single(
     ingest and updated from each report, so no step rescans the
     frontier. The learning strategy calls `pick` at every step and refits
     once `retrain_every` placements have joined the observer's record
-    since its last fit. `step_callback`, if given, is called as
+    since its last fit, starting each fit from the model the last one
+    returned. `step_callback`, if given, is called as
     `(state, decision)` after each pick and before the matching ingest,
     which rejects a pick that is not a candidate; a counting run builds
     that Decision from its kept scores only when a callback is set. A
@@ -248,7 +249,7 @@ def run_single(
     fitted_at = fits = unconverged = 0
     while len(state.reports) < budget:
         if counting is None and (model is None or len(state.reports) - fitted_at >= retrain_every):
-            model = fit(build_training_set(state))
+            model = fit(build_training_set(state, start=model))
             fitted_at = len(state.reports)
             fits += 1
             unconverged += not model.converged

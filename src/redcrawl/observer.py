@@ -164,7 +164,12 @@ class ObserverState:
             raise ValueError(f"report on node {t} names a neighbor outside [0, {n})")
         self.color[t] = t_code
         self.on_frontier[t] = False
-        self.say[nbrs, 2 * t_code + said] += 1
+        # One flat index into say's buffer, 4 * v + 2 * speaker + said, formed
+        # in intp: 4 * v would wrap in a small neighbor dtype such as uint8.
+        flat = np.multiply(nbrs, 4, dtype=np.intp)
+        flat += said
+        flat += 2 * t_code
+        self.say.reshape(-1)[flat] += 1
         self.on_frontier[nbrs] = self.color[nbrs] < 0  # monitored neighbors are already off it
         self.reports[t] = report
         return self

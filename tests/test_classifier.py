@@ -1,5 +1,6 @@
 """Logistic regression: training set assembly, loss/gradient, fit, predict."""
 
+import dataclasses
 import inspect
 import math
 import random
@@ -252,6 +253,62 @@ class TestFit:
         model_b = fit(scaled)
         for fa, fb in zip(data.rows, scaled_rows):
             assert predict_many(model_a, [fa])[0] == pytest.approx(predict_many(model_b, [fb])[0], abs=1e-6)
+
+
+class TestWarmStart:
+    """`fit` from `data.start`: the previous model mapped into the new standardization."""
+
+    @staticmethod
+    def signal_set(rng, n_rows):
+        """Rows like `random_training_set`'s whose labels follow columns 0 and 1."""
+        data = random_training_set(rng, n_rows)
+        noise = np.array([rng.gauss(0.0, 1.5) for _ in range(n_rows)])
+        data.labels[:] = data.rows[:, 0] - data.rows[:, 1] + noise > 0
+        return data
+
+    @staticmethod
+    def logits(model, X):
+        return ((X - model.mean) * model.scale) @ model.weights + model.bias
+
+    @staticmethod
+    def same_model(a, b) -> bool:
+        return (a.weights.tobytes() == b.weights.tobytes() and a.bias == b.bias
+                and a.mean.tobytes() == b.mean.tobytes() and a.scale.tobytes() == b.scale.tobytes()
+                and (a.iterations, a.converged) == (b.iterations, b.converged))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_start_keeps_the_previous_logits_on_the_new_rows(self, seed):
+        rng = random.Random(seed)
+        before = self.signal_set(rng, 40)
+        previous = fit(before)
+        extra = self.signal_set(rng, 10)
+        after = TrainingSet(np.vstack((before.rows, extra.rows)), np.append(before.labels, extra.labels))
+        # constant on the new rows only, at a value the old rows' mean is not:
+        # its term of the old logit moves into the new bias
+        after.rows[:, 2] = 2.0
+        assert before.rows[:, 2].std() > 0 and previous.weights[2] != 0.0
+        with fit_settings(max_iter=0):
+            start = fit(TrainingSet(after.rows, after.labels, start=previous))
+        assert start.iterations == 0 and start.weights.any()  # the start was kept
+        assert start.scale[2] == 0.0 and start.weights[2] == 0.0
+        new, old = self.logits(start, after.rows), self.logits(previous, after.rows)
+        assert np.abs(old).max() > 1.0
+        # the same logit summed two ways: a few ulps of its largest term
+        terms = np.abs(after.rows * (previous.weights * previous.scale)).sum(axis=1) + abs(previous.bias)
+        assert np.all(np.abs(new - old) <= 8 * np.finfo(float).eps * terms)
+
+    def test_start_that_is_none_a_fallback_or_worse_than_zero_weights_fits_the_cold_model(self):
+        data = self.signal_set(random.Random(3), 30)
+        cold = fit(TrainingSet(data.rows, data.labels))
+        fallback = fit(training_set([(fv(1, 0, 0, 0, 0, 0, 0, 0, 0.5), Color.RED)] * 3))
+        # calls every red blue and every blue red: worse than zero weights
+        flipped = dataclasses.replace(cold, weights=-cold.weights, bias=-cold.bias)
+        assert cold.iterations > 0 and fallback.fallback
+        for start in (None, fallback, flipped):
+            assert self.same_model(fit(TrainingSet(data.rows, data.labels, start=start)), cold)
+            with fit_settings(max_iter=0):
+                zero = fit(TrainingSet(data.rows, data.labels, start=start))
+            assert not zero.weights.any() and zero.bias == 0.0
 
 
 class TestPredict:

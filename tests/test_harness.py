@@ -16,7 +16,10 @@ from redcrawl import (
     ExperimentConfig,
     LyingScenario,
     RunTrace,
+    TrainingSet,
+    classifier,
     derive_seed,
+    fit,
     generate_synthetic,
     harness,
     load_graph,
@@ -49,6 +52,12 @@ def assert_cli_error(capsys, argv, match):
     assert match in err
 
 
+def fitted_loss(model, data) -> float:
+    """`classifier.loss` of `model` on `data`, in the model's standardization."""
+    Xs = (data.rows - model.mean) * model.scale
+    return classifier.loss(Xs, data.labels, model.weights, model.bias, classifier.DEFAULT_PARAMS.l2)
+
+
 def star_world():
     """Red clique 0-3; blues 4-9 hang off leaf reds only."""
     red_edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -59,16 +68,16 @@ def star_world():
 class TestRunSingle:
     @pytest.fixture
     def recorded_fits(self, monkeypatch):
-        """Every model `run_single` fits, in order."""
-        models = []
+        """Every (training set, model) pair `run_single` fits, in order."""
+        fits = []
         real_fit = harness.fit
 
-        def recording_fit(*args, **kwargs):
-            models.append(real_fit(*args, **kwargs))
-            return models[-1]
+        def recording_fit(data):
+            fits.append((data, real_fit(data)))
+            return fits[-1][1]
 
         monkeypatch.setattr(harness, "fit", recording_fit)
-        return models
+        return fits
 
     def test_budget_one_is_just_the_start(self):
         world = generate_synthetic(30, 0.2, "homophily", 1)
@@ -149,7 +158,7 @@ class TestRunSingle:
 
         def audit(state, decision):
             cands = state.candidates()
-            model = recorded_fits[-1]
+            _, model = recorded_fits[-1]
             if model.fallback:
                 _, edges, monitored, statements = brute_knowledge(start, state.reports.values())
                 verified = brute_verified(monitored, statements)
@@ -167,6 +176,30 @@ class TestRunSingle:
         run_single(world, "redlearn", scenario, start, 17, budget=40,
                    retrain_every=3, step_callback=audit)
         assert len(learned) > 20
+
+    @pytest.mark.parametrize("scenario", [LyingScenario.LS1, LyingScenario.LS2])
+    def test_each_refit_starts_from_the_last_model_and_lands_on_the_cold_optimum(self, recorded_fits, scenario):
+        world = generate_synthetic(500, 0.05, "structural_signal", 1)
+        run_single(world, "redlearn", scenario, world.red_ids()[0], 7, budget=150, retrain_every=5)
+        assert recorded_fits[0][0].start is None
+        for (_, previous), (data, _) in zip(recorded_fits, recorded_fits[1:]):
+            assert data.start is previous
+        warm = [(data, model) for data, model in recorded_fits
+                if data.start is not None and not data.start.fallback]
+        assert len(warm) > 20
+        warm_steps = cold_steps = 0
+        for data, model in warm:
+            cold = fit(TrainingSet(data.rows, data.labels))
+            assert model.converged and cold.converged
+            # The same optimum: its loss to about 1e-9. grad_tol bounds the
+            # gradient, not the probabilities: along the Hessian's flattest
+            # directions a cold fit too stops up to about 2e-5 from the
+            # probabilities of a fit run to grad_tol 1e-13.
+            assert abs(fitted_loss(model, data) - fitted_loss(cold, data)) <= 1e-8
+            assert np.abs(predict_many(model, data.rows) - predict_many(cold, data.rows)).max() <= 1e-4
+            warm_steps += model.iterations
+            cold_steps += cold.iterations
+        assert warm_steps < cold_steps
 
     @pytest.mark.parametrize("scenario", [LyingScenario.LS1, LyingScenario.LS2])
     @pytest.mark.parametrize("strategy", ["sr", "rs", "mrsr", "mrn"])
@@ -274,15 +307,33 @@ class TestRunSingle:
 
     def test_redlearn_fits_converge_without_warning(self, caplog, recorded_fits):
         warnings = self._structural_run(caplog)
-        learned = [m for m in recorded_fits if not m.fallback]
+        learned = [m for _, m in recorded_fits if not m.fallback]
         assert len(learned) > 10
         assert all(m.converged and m.iterations <= 20 for m in learned)
         assert warnings == []
 
+    def test_a_start_worse_than_zero_weights_is_dropped_and_every_fit_converges(self, caplog, recorded_fits):
+        # Criterion 5's run 7: a feature column whose spread was tiny in one
+        # training set spreads out in the next, where the old model's steep
+        # slope on it gives a start far worse than zero weights; Newton from
+        # there stalled on saturated probabilities, and the models after it
+        # inherited the stall.
+        world = generate_synthetic(500, 0.05, "homophily", 1)
+        start = random.Random(derive_seed(2026, 7, "start")).choice(world.red_ids())
+        with caplog.at_level(logging.WARNING, logger="redcrawl.harness"):
+            run_single(world, "redlearn", LyingScenario.LS1, start, derive_seed(2026, 7, "run"), budget=250,
+                       retrain_every=10, run_id=7)
+        assert all(model.converged for _, model in recorded_fits)
+        assert not [r for r in caplog.records if "grad_tol" in r.getMessage()]
+        learned = [data for data, _ in recorded_fits if data.start is not None and not data.start.fallback]
+        with fit_settings(max_iter=0):
+            dropped = [data for data in learned if not fit(data).weights.any()]
+        assert dropped
+
     def test_fits_stopped_before_grad_tol_warn_once_per_run(self, caplog, recorded_fits):
         with fit_settings(max_iter=1):
             warnings = self._structural_run(caplog)
-        stopped = sum(not m.converged for m in recorded_fits)
+        stopped = sum(not m.converged for _, m in recorded_fits)
         assert stopped > 0
         assert warnings == [f"run 3 (redlearn): {stopped} of {len(recorded_fits)} fits stopped before grad_tol"]
 

@@ -126,6 +126,22 @@ class TestIngest:
         state.ingest(report(1, Color.RED, {0: Color.RED, 2: Color.RED}))
         assert list(state.reports) == [0, 1]
 
+    def test_uint8_neighbors_count_each_claim_once(self):
+        # a hand-built report may use any integer neighbor dtype; 4 * v wraps
+        # in uint8 from v = 64, so the claim's flat index must not be formed there
+        state = ObserverState(0, 256)
+        for target, color in ((0, RED), (64, BLUE), (200, RED)):
+            nbrs = np.array(sorted({1, 63, 64, 65, 130, 200, 255} - {target}), dtype=np.uint8)
+            said = np.array([(v + target) % 2 for v in nbrs.tolist()], dtype=np.int8)
+            state.ingest(MonitorReport(target, color, nbrs, said))
+        _, _, monitored, statements = brute_knowledge(0, state.reports.values())
+        want = np.zeros((256, 4), dtype=np.int64)
+        for (speaker, subject), said in statements.items():
+            want[subject, 2 * monitored[speaker].code + said.code] += 1
+        assert np.array_equal(state.say, want)
+        assert monitored == {0: Color.RED, 64: Color.BLUE, 200: Color.RED}
+        assert state.candidates() == [1, 63, 65, 130, 255]
+
     def test_verification_when_subject_monitored_later(self):
         state = ObserverState(0, 10)
         state.ingest(report(0, Color.RED, {1: Color.RED, 2: Color.BLUE}))

@@ -2,9 +2,9 @@
 
 The golden digests in test_harness cover the counting strategies only, so
 this is redlearn's byte-identity guard: trust, feature rows, predictions, loss,
-gradient and Hessian are compared with `tobytes()`, and a small redlearn
-experiment is run with the package's functions and again with the
-references patched in.
+gradient, Hessian and fit's standardization are compared with `tobytes()`,
+and a small redlearn experiment is run with the package's functions and
+again with the references patched in.
 """
 
 import random
@@ -18,6 +18,7 @@ from redcrawl import (
     ObserverState,
     Oracle,
     TrainedModel,
+    TrainingSet,
     assign_honesty,
     build_training_set,
     classifier,
@@ -110,6 +111,24 @@ def test_predictions_match_the_one_expression_reference(seed):
         for model in models:
             assert same_bits(predict_many(model, X), reference_predict_many(model, X))
             assert same_bits(predict_many(model, X.tolist()), reference_predict_many(model, X))
+
+
+@pytest.mark.parametrize("seed, mode", [(10, "homophily"), (11, "structural_signal")])
+def test_fit_standardizes_by_numpys_mean_and_std(seed, mode):
+    rng = np.random.default_rng(seed)
+    checked = 0
+    for state in crawl_states(seed, mode, monitors=(2, 8, 30, 60)):
+        data = build_training_set(state)
+        for rows in (data.rows, data.rows * rng.uniform(0.01, 100.0, 9) + rng.normal(0.0, 50.0, 9)):
+            model = fit(TrainingSet(rows, data.labels))
+            if model.fallback:
+                continue
+            sd = rows.std(axis=0)
+            scale = np.zeros_like(sd)
+            np.divide(1.0, sd, out=scale, where=sd > 0)
+            assert same_bits(model.mean, rows.mean(axis=0)) and same_bits(model.scale, scale)
+            checked += 1
+    assert checked >= 4
 
 
 @pytest.mark.parametrize("seed", [7, 8, 9])
