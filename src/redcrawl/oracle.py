@@ -22,9 +22,12 @@ neighbor array is the world's own read-only CSR slice of the target, and
 its claims are one array of color codes (graph.RED or graph.BLUE, as
 int8) aligned with it. One placement gathers the subjects' codes and
 ranks from the world's arrays and draws every claim with a few array
-operations. The world guarantees the shape MonitorReport checks (an
-ascending, self-free, read-only slice; codes 0 or 1), so the oracle
-builds its own reports without re-running those checks.
+operations. An LS2 blue speaker's claims need no draw, so its placement
+only advances the stream past them, by one `getrandbits` call that takes
+the two 32-bit words per claim that `random()` takes. The world
+guarantees the shape MonitorReport checks (an ascending, self-free,
+read-only slice; codes 0 or 1), so the oracle builds its own reports
+without re-running those checks.
 """
 
 from __future__ import annotations
@@ -148,7 +151,9 @@ class Oracle:
 
     Holds the shared world, a read-only float64 copy of this run's honesty
     (see assign_honesty), the scenario, and a seeded stream for the lie
-    draws: one per (speaker, subject) claim, in ascending subject order.
+    draws: one `random()` value per (speaker, subject) claim, in ascending
+    subject order. An LS2 blue speaker skips its values unread, so the
+    stream ends every placement in the state those calls leave.
     `issued` is the set of targets answered so far. One oracle per run;
     distinct runs with distinct oracles can execute in parallel.
     """
@@ -188,12 +193,15 @@ class Oracle:
         if target in self.issued:
             raise ValueError(f"node {target} is already monitored")
         color = world.codes.item(target)
-        said = world.codes[neighbors]
-        # One rng.random() per claim, in ascending subject order; random() never returns 1.0.
-        draws = np.fromiter(iter(self.rng.random, 1.0), dtype=float, count=len(neighbors))
         if color == BLUE and self.scenario is LyingScenario.LS2:
-            said.fill(BLUE)  # calls every neighbor blue, after the same draws
+            # Calls every neighbor blue. Its draws are thrown away, so the stream
+            # only advances: 64 bits are the two words one random() call takes.
+            self.rng.getrandbits(64 * len(neighbors))
+            said = np.full(len(neighbors), BLUE, dtype=np.int8)
         else:
+            said = world.codes[neighbors]
+            # One rng.random() per claim, in ascending subject order; random() never returns 1.0.
+            draws = np.fromiter(iter(self.rng.random, 1.0), dtype=float, count=len(neighbors))
             dishonesty = 1.0 - self.honesty.item(target)
             p = world.hierarchy[neighbors]
             p *= dishonesty

@@ -21,8 +21,12 @@ node's score and the ascending ids that share the top score, and folds
 in each report as it is ingested. Only nodes that reach the top score
 are touched one by one; the rest take one numpy write per report, and
 the top ids are rebuilt by one scan only when the last of them is
-monitored. `pick` scores a state from scratch the same way, so a kept
-run and a fresh pick draw the same node from the same rng.
+monitored. A report whose speaker the strategy is silent on, since it
+weighs that speaker's claims 0 (every speaker for sr, a blue one for mrsr
+and mrn), raises no score: its update reads no counts and only puts the
+newly observed neighbors on the frontier at score 0. `pick` scores a
+state from scratch the same way, so a kept run and a fresh pick draw the
+same node from the same rng.
 
   sr        uniform choice over the frontier (the floor every other
             policy should beat).
@@ -44,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import TrainedModel, predict_many
+from .graph import BLUE, RED
 from .observer import BSR, RSB, RSR, ObserverState
 from .oracle import MonitorReport
 
@@ -59,6 +64,10 @@ def check_strategy(strategy: str) -> None:
 # Each counting strategy scores a candidate by the sum of these columns of
 # its claim counts (see ObserverState.say); sr sums none, so every score is 0.
 _SCORE_COLUMNS = {"sr": [], "rs": [RSR, BSR], "mrsr": [RSR], "mrn": [RSR, RSB]}
+# The speaker color codes each strategy is silent on: a claim lands in column
+# 2 * speaker + said, so a speaker is silent when neither of its columns is summed.
+_SILENT_SPEAKERS = {strategy: frozenset(c for c in (RED, BLUE) if not {2 * c, 2 * c + 1} & set(columns))
+                    for strategy, columns in _SCORE_COLUMNS.items()}
 
 
 class ExplorationExhausted(RuntimeError):
@@ -87,12 +96,14 @@ class CountingScores:
 
     Claim counts only grow, so a report can raise its neighbors' scores
     but lower none, and the top falls only when its last id is monitored.
+    `silent` holds the speaker color codes whose claims score nothing.
     """
 
     def __init__(self, strategy: str, state: ObserverState):
         if strategy not in _SCORE_COLUMNS:
             raise ValueError(f"{strategy!r} is not a counting strategy: expected one of {tuple(_SCORE_COLUMNS)}")
         self.state = state
+        self.silent = _SILENT_SPEAKERS[strategy]
         self.weights = np.zeros(4, dtype=np.int64)
         self.weights[_SCORE_COLUMNS[strategy]] = 1
         self.score = np.full(len(state.color), -1, dtype=np.int64)
@@ -118,7 +129,14 @@ class CountingScores:
         score[t] = -1
         nbrs = report.neighbors
         ids = nbrs[self.state.on_frontier[nbrs]]
-        if len(ids):
+        if report.color in self.silent:
+            # No claim of it is scored: only the newly observed neighbors move, from -1 to 0.
+            ids = ids[score.take(ids) < 0]
+            score[ids] = 0
+            if top == 0:
+                for v in ids.tolist():
+                    insort(top_ids, v)
+        elif len(ids):
             new = self._read(ids)
             best = int(new.max())
             if best > top:

@@ -365,6 +365,27 @@ def test_place_monitor_matches_lie_probability_loop(scenario):
     assert len(oracle.issued) == world.n
 
 
+@pytest.mark.parametrize("skip", [0, 3])  # odd getrandbits(32) draws put the stream mid-block
+def test_ls2_blue_hub_advances_the_stream_as_one_random_per_claim(skip):
+    # Blue hubs 0-4 with 0, 311, 312, 313 and 400 neighbors among leaves 5-404,
+    # every third leaf red; 312 doubles take one 624-word Mersenne Twister block.
+    sizes = [0, 311, 312, 313, 400]
+    edges = [(hub, 5 + i) for hub, k in enumerate(sizes) for i in range(k)]
+    world = make_world(405, edges, red=range(5, 405, 3))
+    oracle = Oracle(world, [0.5] * world.n, LyingScenario.LS2, random.Random(8))
+    for _ in range(skip):
+        oracle.rng.getrandbits(32)
+    looped = random.Random()
+    looped.setstate(oracle.rng.getstate())
+    for hub, k in enumerate(sizes):
+        said = oracle.place_monitor(hub).statements
+        for _ in range(k):
+            looped.random()
+        assert said.dtype == np.int8 and said.tolist() == [BLUE] * k
+        assert not said.flags.writeable
+        assert oracle.rng.getstate() == looped.getstate()
+
+
 @pytest.mark.parametrize("scenario", [LyingScenario.LS1, LyingScenario.LS2])
 @pytest.mark.parametrize("mode", ["homophily", "no_homophily", "structural_signal"])
 def test_oracle_reports_pass_the_checks_they_skip(mode, scenario):
@@ -386,13 +407,24 @@ def test_oracle_reports_pass_the_checks_they_skip(mode, scenario):
 
 
 class ScriptedRandom:
-    """Stands in for an oracle's random.Random: random() returns `values` in order."""
+    """Stands in for an oracle's random.Random: random() returns `values` in order.
+
+    `getrandbits(k)` skips the next k // 64 values, the random() calls whose
+    words it would take, and takes only whole 64-bit draws.
+    """
 
     def __init__(self, values):
         self.values = iter(values)
 
     def random(self):
         return next(self.values)
+
+    def getrandbits(self, k):
+        if k % 64:
+            raise ValueError(f"getrandbits({k}) does not take whole random() draws")
+        for _ in range(k // 64):
+            next(self.values)
+        return 0
 
 
 @pytest.mark.parametrize("scenario", [LyingScenario.LS1, LyingScenario.LS2])

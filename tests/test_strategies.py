@@ -20,8 +20,9 @@ from redcrawl import (
     pick,
     predict_many,
 )
-from redcrawl.observer import BSR, RSB, RSR
-from redcrawl.strategies import CountingScores
+from redcrawl.graph import BLUE, RED
+from redcrawl.observer import BSB, BSR, RSB, RSR
+from redcrawl.strategies import _SILENT_SPEAKERS, CountingScores
 from helpers import (
     brute_features,
     brute_knowledge,
@@ -362,11 +363,16 @@ def crawl_against_scan(world, strategy, scenario, start, steps, seed=0):
 
 
 class TestCountingScoresMatchScan:
-    @pytest.mark.parametrize("mode", ["homophily", "no_homophily", "structural_signal"])
+    # The n=150 no_homophily crawl is the one where many silent reports
+    # arrive while the top score is 0 under mrsr and mrn.
+    @pytest.mark.parametrize("mode, n", [pytest.param("homophily", 50, id="homophily"),
+                                         pytest.param("no_homophily", 50, id="no_homophily"),
+                                         pytest.param("structural_signal", 50, id="structural_signal"),
+                                         pytest.param("no_homophily", 150, id="no_homophily-n150")])
     @pytest.mark.parametrize("scenario", [LyingScenario.LS1, LyingScenario.LS2])
     @pytest.mark.parametrize("strategy", ["sr", "rs", "mrsr", "mrn"])
-    def test_every_step_of_a_synthetic_crawl(self, strategy, scenario, mode):
-        world = generate_synthetic(50, 0.2, mode, 6)
+    def test_every_step_of_a_synthetic_crawl(self, strategy, scenario, mode, n):
+        world = generate_synthetic(n, 0.2, mode, 6)
         start = world.red_ids()[1]
         monitored = crawl_against_scan(world, strategy, scenario, start, steps=35, seed=11)
         assert len(monitored) > 20
@@ -383,6 +389,31 @@ class TestCountingScoresMatchScan:
     def test_start_without_neighbors(self, strategy):
         world = make_world(4, [(1, 2), (2, 3)], red={0, 1})
         assert crawl_against_scan(world, strategy, LyingScenario.LS2, 0, steps=3) == [0]
+
+    @pytest.mark.parametrize("strategy", ["sr", "rs", "mrsr", "mrn"])
+    def test_silent_speakers_are_those_no_column_scores(self, strategy, four_candidate_state):
+        for speaker, columns in ((RED, [RSR, RSB]), (BLUE, [BSR, BSB])):
+            say = np.zeros((len(columns), 4), dtype=np.int64)
+            say[range(len(columns)), columns] = 1  # one claim in each of the speaker's columns
+            assert (speaker in _SILENT_SPEAKERS[strategy]) == (not SCAN_SCORES[strategy](say).any())
+        kept = CountingScores(strategy, four_candidate_state)
+        assert kept.silent is _SILENT_SPEAKERS[strategy]  # the module's table, not one per instance
+
+    def test_silent_report_on_the_last_top_id_rebuilds(self):
+        # mrsr weighs only red-says-red: 0 calls 1 red and 2, 3 blue, so 1 alone
+        # tops at 1. Blue 1's report is silent and takes the last top id.
+        state = ObserverState(0, 10)
+        state.ingest(report(0, Color.RED, {1: Color.RED, 2: Color.BLUE, 3: Color.BLUE}))
+        kept = CountingScores("mrsr", state)
+        assert (kept.top, kept.top_ids) == (1, [1])
+        for step in (report(1, Color.BLUE, {0: Color.RED, 2: Color.RED, 5: Color.RED}),
+                     report(2, Color.BLUE, {1: Color.RED, 3: Color.RED, 4: Color.BLUE})):
+            assert step.color in kept.silent
+            state.ingest(step)
+            kept.update(step)
+            assert_kept_equals_scan(kept, "mrsr", state)
+        # the rebuild put 2, 3, 5 at the top; the second report, at top 0, added 4
+        assert (kept.top, kept.top_ids) == (0, [3, 4, 5])
 
     @pytest.mark.parametrize("strategy", ["redlearn", "bfs"])
     def test_only_counting_strategies_are_kept(self, strategy, four_candidate_state):
