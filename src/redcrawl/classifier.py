@@ -152,7 +152,7 @@ def gradient(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, l2: float) -
     return gw, gb
 
 
-def hessian(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, l2: float) -> np.ndarray:
+def hessian(X: np.ndarray, w: np.ndarray, b: float, l2: float) -> np.ndarray:
     """Exact Hessian of `loss` in (weights, bias), bias last.
 
     With A = [X | 1] and p the predicted probabilities this is
@@ -231,7 +231,7 @@ def fit(data: TrainingSet) -> TrainedModel:
         if abs(g).max() < params.grad_tol:
             converged = True
             break
-        H = hessian(Xs, y, w, b, params.l2)
+        H = hessian(Xs, w, b, params.l2)
         d = np.zeros(len(g))
         try:
             d[free] = np.linalg.solve(H[free_block], g[free])

@@ -48,15 +48,10 @@ _COMMENT = re.compile(f"{EDGE_COMMENT_CHAR}[^\n]*")
 # characters parsed no faster and left the dense benchmark's peak memory
 # 0.7-0.9 MB higher: their freed arrays fragment the heap.
 _EDGE_BLOCK_CHARS = 1 << 14
-# The code points for which `str.isspace()` holds, and so the ones
-# `str.split()` splits on (the same on Python 3.10-3.13); none is above U+3000.
-_SPACE_CODES = (0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F, 0x20, 0x85, 0xA0, 0x1680,
-                0x2000, 0x2001, 0x2002, 0x2003, 0x2004, 0x2005, 0x2006, 0x2007, 0x2008, 0x2009, 0x200A,
-                0x2028, 0x2029, 0x202F, 0x205F, 0x3000)
-# Whether each code point up to U+3000 is a space, and a last False that
-# stands for every code point above.
-_IS_SPACE = np.zeros(_SPACE_CODES[-1] + 2, dtype=bool)
-_IS_SPACE[list(_SPACE_CODES)] = True
+# Whether `str.isspace()`, and so `str.split()`, holds for each code point
+# up to U+3000, the last space, and a last False that stands for every
+# code point above.
+_IS_SPACE = np.array([chr(c).isspace() for c in range(0x3001)] + [False])
 
 SYNTHETIC_MODES = ("homophily", "no_homophily", "structural_signal")
 # generate_synthetic's shape: base Erdos-Renyi mean degree, the chance of an
@@ -532,7 +527,7 @@ def generate_synthetic(n: int, red_fraction: float, mode: str, seed: int) -> Wor
     graph under every CPU kernel. Hierarchy scores are set to node degree
     (floored at 1 so isolated nodes keep a valid positive score).
     """
-    if not isinstance(n, (int, np.integer)):
+    if not is_integer(n):
         raise ValueError(f"n must be an integer, got {n!r}")
     n = int(n)  # a narrow numpy int would wrap in the pair counts
     if n < 10:

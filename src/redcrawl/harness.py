@@ -109,6 +109,9 @@ class ExperimentConfig:
             raise ValueError("config gives both a file graph and a synthetic graph; pick one")
         if self.synthetic_mode is not None and self.synthetic_mode not in SYNTHETIC_MODES:
             raise ValueError(f"unknown synthetic_mode {self.synthetic_mode!r}")
+        if not isinstance(self.scenario, LyingScenario):  # the Oracle's rule, checked before any output
+            raise ValueError(f"scenario {self.scenario!r} is not a LyingScenario; "
+                             f"LyingScenario.parse reads one from text")
         # run_single's rule: a float such as 2.5 (or a bool) is not a count
         for name in ("runs", "retrain_every"):
             value = getattr(self, name)

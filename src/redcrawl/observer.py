@@ -43,14 +43,12 @@ call at n=500 and up to a millisecond at n=26220; folding costs about 10
 us per report. Either counter holds the same integers whether it is
 read after every ingest or after many (see `_fold`).
 
-`features_matrix` checks that its ids are observed node ids and then
-gathers one float row per node from the arrays, computing the trust
-table once; `features(v)` is that matrix's single row. The package's own
-callers, the redlearn pick (the frontier) and `build_training_set` (the
-keys of `reports`), hold ids that are observed by construction, so they
-call `feature_rows`, the same rows without the checks: a pick runs at
-every redlearn step. The test suite checks the rows against a
-from-scratch recount of the reports.
+`feature_rows` gathers one float row per node from the arrays,
+computing the trust table once, and checks nothing: its callers, the
+redlearn pick (the frontier) and `build_training_set` (the keys of
+`reports`), hold observed ids by construction. `features(v)` is the one
+checked read. The test suite checks the rows against a from-scratch
+recount of the reports.
 """
 
 from __future__ import annotations
@@ -228,37 +226,28 @@ class ObserverState:
                          for by_said in self.verified_counts.tolist()])
 
     def features(self, v: int) -> np.ndarray:
-        """Feature row of the observed node `v` from current knowledge: `features_matrix([v])[0]`."""
-        return self.features_matrix([v])[0]
+        """Feature row of the observed node `v`: `feature_rows` of `[v]`, after checking `v`.
 
-    def features_matrix(self, nodes) -> np.ndarray:
-        """Feature rows of `nodes` as a (len(nodes), 9) float array, in one pass.
+        An id that is not an integer (a bool included), lies outside
+        [0, n) or is not yet observed raises ValueError.
+        """
+        if not is_integer(v):
+            raise ValueError(f"node ids must be integers, got {v!r}")
+        if not (0 <= v < len(self.color) and (self.on_frontier[v] or self.color[v] >= 0)):
+            raise ValueError(f"node {v} has not been observed")
+        return self.feature_rows(np.array([v], dtype=np.intp))[0]
 
+    def feature_rows(self, ids: np.ndarray) -> np.ndarray:
+        """Feature rows of `ids` as a (len(ids), 9) float array, in one pass.
+
+        `ids` must be an int array of observed node ids, such as
+        `frontier()` or the keys of `reports`; nothing is checked.
         Columns follow FEATURE_NAMES. The first eight are non-negative
         counts over the node's monitored neighbors and their claims about
         it; `inferred_red` is the trust-weighted mean over those claims,
         0.5 with none. Every observed node has a row, monitored ones too:
         a node's own report adds nothing to its own counts, so its row is
-        what a candidate in its place would show. An id that is not an
-        integer or not observed raises ValueError; the rows themselves
-        come from `feature_rows`.
-        """
-        ids = np.asarray(nodes)
-        if ids.size and ids.dtype.kind not in "iu":
-            raise ValueError(f"node ids must be integers, got {ids.dtype} values")
-        ids = ids.astype(np.intp, copy=False)
-        outside = (ids < 0) | (ids >= len(self.color))
-        if outside.any():
-            raise ValueError(f"node {ids[outside][0]} has not been observed")
-        observed = self.on_frontier[ids] | (self.color[ids] >= 0)
-        if not observed.all():
-            raise ValueError(f"node {ids[~observed][0]} has not been observed")
-        return self.feature_rows(ids)
-
-    def feature_rows(self, ids: np.ndarray) -> np.ndarray:
-        """`features_matrix(ids)` without the id checks: `ids` must be an
-        int array of observed node ids, such as `frontier()` or the keys
-        of `reports`.
+        what a candidate in its place would show.
 
         The columns are written into one preallocated (9, len(ids)) float
         block, one contiguous row per feature, and returned transposed as

@@ -429,7 +429,7 @@ def fit_settings(**settings):
 
 def assert_hessian_matches_gradient(X, y, w, b, l2, h=1e-5) -> None:
     """`hessian` against central differences of `gradient`, one column per parameter, bias last."""
-    H = hessian(X, y, w, b, l2)
+    H = hessian(X, w, b, l2)
     d = len(w)
     for j in range(d + 1):
         e = np.zeros(d + 1)
@@ -487,11 +487,11 @@ def reference_gradient(X, y, w, b, l2):
     return X.T @ resid / len(y) + l2 * w, float(np.mean(resid))
 
 
-def reference_hessian(X, y, w, b, l2) -> np.ndarray:
+def reference_hessian(X, w, b, l2) -> np.ndarray:
     """`classifier.hessian` with `[X | 1]` from `column_stack` and a fancy-indexed diagonal."""
-    A = np.column_stack([X, np.ones(len(y))])
+    A = np.column_stack([X, np.ones(len(X))])
     p = reference_sigmoid(X @ w + b)
-    H = (A.T * (p * (1.0 - p))) @ A / len(y)
+    H = (A.T * (p * (1.0 - p))) @ A / len(X)
     d = len(w)
     H[np.arange(d), np.arange(d)] += l2
     return H

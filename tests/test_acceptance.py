@@ -142,7 +142,7 @@ def test_criterion_3_observer_oracle_equivalence():
             assert verified_dict(state.verified_counts) == brute_verified(monitored, statements)
             verified = verified_dict(state.verified_counts)
             cands = state.candidates()
-            for v, row in zip(cands, state.features_matrix(cands).tolist()):
+            for v, row in zip(cands, state.feature_rows(state.frontier()).tolist()):
                 got = tuple(state.features(v).tolist())
                 want = brute_features(v, edges, monitored, statements, verified)
                 assert got == pytest.approx(want), f"case {case}, node {v}"

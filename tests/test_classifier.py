@@ -96,7 +96,7 @@ class TestBuildTrainingSet:
         world = generate_synthetic(60, 0.25, "homophily", 2)
         state = crawl_state(world, LyingScenario.LS2, 25, seed=8)
         data = build_training_set(state)
-        want = state.features_matrix(list(state.reports))
+        want = state.feature_rows(np.fromiter(state.reports, dtype=np.intp))
         assert np.array_equal(data.rows, want)
         assert data.labels.tolist() == [float(c is Color.RED) for c in monitored_of(state).values()]
 

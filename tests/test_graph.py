@@ -490,6 +490,12 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             generate_synthetic(n, frac, mode, 0)
 
+    @pytest.mark.parametrize("n", [20.0, True])
+    def test_n_must_be_an_integer(self, n):
+        # a bool is an int, but it is no node count
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {n!r}")):
+            generate_synthetic(n, 0.1, "homophily", 0)
+
     @pytest.mark.parametrize("mode", SYNTHETIC_MODES)
     @pytest.mark.parametrize("n", [10, 11, 57, 300, 1000])
     def test_matches_scalar_skip_reference(self, n, mode):

@@ -5,6 +5,7 @@ import hashlib
 import logging
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -491,6 +492,15 @@ class TestExperimentConfig:
         config = ExperimentConfig(synthetic_mode="homophily", synthetic_n=60, strategies=["redlearn"],
                                   output_dir=str(tmp_path / "out"), **keys)
         with pytest.raises(ValueError, match=rf"{key} must be at least 1 and an integer, got {value!r}"):
+            run_experiment(config)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scenario", ["ls1", None])
+    def test_scenario_that_is_not_a_lying_scenario_rejected_before_any_output(self, tmp_path, scenario):
+        config = ExperimentConfig(synthetic_mode="homophily", synthetic_n=60, strategies=["mrn"], runs=1,
+                                  scenario=scenario, output_dir=str(tmp_path / "out"))
+        with pytest.raises(ValueError, match=re.escape(f"scenario {scenario!r} is not a LyingScenario; "
+                                                       f"LyingScenario.parse reads one from text")):
             run_experiment(config)
         assert not (tmp_path / "out").exists()
 

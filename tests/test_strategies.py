@@ -297,7 +297,7 @@ class TestDecisionScores:
         for _ in range(8):
             cands = state.candidates()
             if strategy == "redlearn":
-                want = dict(zip(cands, predict_many(model, state.features_matrix(cands)).tolist()))
+                want = dict(zip(cands, predict_many(model, state.feature_rows(state.frontier())).tolist()))
             else:
                 want = reference_pick(strategy, start, state, random.Random(0))[1]
             decision = pick(strategy, state, rng, model=model)
