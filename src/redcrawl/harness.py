@@ -71,12 +71,15 @@ class RunTrace:
     """One seeded run's monitored node ids in monitor order: `nodes[0]` is the forced start.
 
     Reds are not stored: a prefix's count is read from `world.codes[nodes]`.
+    `honesty` is the array the run's oracle answered from, the one drawn
+    from its seed; `run_experiment` hands it on to the run's other cells.
     """
 
     run_id: int
     strategy: str
     seed: int
     nodes: np.ndarray
+    honesty: np.ndarray
 
 
 @dataclass
@@ -214,10 +217,12 @@ def run_single(
     run_id: int = 0,
     report_log_path=None,
     step_callback=None,
+    honesty: np.ndarray | None = None,
 ) -> RunTrace:
     """Execute one seeded run of `strategy` and return its trace.
 
-    Honesty is drawn from the run seed, the start node takes the first
+    Honesty is `honesty` if given (the array a run with this seed
+    draws), else drawn from the run seed; the start node takes the first
     monitor, and then the loop of pick / answer / ingest continues until
     the budget runs out or no candidate remains. A counting strategy
     keeps its scores in a `CountingScores`, built once after the start's
@@ -240,11 +245,12 @@ def run_single(
     state = ObserverState(start, world.n)  # checks that start is a node id
     if world.codes[start] != RED:
         raise ValueError(f"start node {start} is not red")
-    honesty_rng = random.Random(derive_seed(seed, "honesty"))
+    if honesty is None:
+        honesty = assign_honesty(world, random.Random(derive_seed(seed, "honesty")))
     lies_rng = random.Random(derive_seed(seed, "lies"))
     tiebreak_rng = random.Random(derive_seed(seed, "tiebreak"))
 
-    oracle = Oracle(world, assign_honesty(world, honesty_rng), scenario, lies_rng)
+    oracle = Oracle(world, honesty, scenario, lies_rng)
     state.ingest(oracle.place_monitor(start))
 
     counting = None if strategy == "redlearn" else CountingScores(strategy, state)
@@ -277,7 +283,7 @@ def run_single(
     if report_log_path is not None:
         state.dump_report_log(report_log_path)
     nodes = np.fromiter(state.reports, dtype=np.int64, count=len(state.reports))
-    return RunTrace(run_id=run_id, strategy=strategy, seed=seed, nodes=nodes)
+    return RunTrace(run_id=run_id, strategy=strategy, seed=seed, nodes=nodes, honesty=honesty)
 
 
 def _monitor_count(fraction: float, n: int) -> int:
@@ -333,8 +339,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """Run every (strategy, run) cell of `config` and write the CSVs.
 
     Start nodes and per-run seeds are derived from the master seed once
-    and reused for every strategy. Returns the output paths, the summary
-    rows, and the traces.
+    and reused for every strategy, and so is each run's honesty, drawn in
+    the run's first cell. Returns the output paths, the summary rows, and
+    the traces.
     """
     config.validate()
     if config.edges is not None:
@@ -364,6 +371,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     traces: list[RunTrace] = []
+    # Each run's honesty is drawn once, by its first cell, and handed on to
+    # its other cells: a draw is the run's own work, not the experiment's set-up.
+    honesties: list[np.ndarray | None] = [None] * config.runs
     for strategy in config.strategies:
         for i, (start, seed) in enumerate(run_params):
             report_log_path = (
@@ -379,7 +389,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 config.retrain_every,
                 run_id=i,
                 report_log_path=report_log_path,
+                honesty=honesties[i],
             )
+            honesties[i] = trace.honesty
             traces.append(trace)
         logger.info("strategy %s: %d runs done", strategy, config.runs)
 

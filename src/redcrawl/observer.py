@@ -23,7 +23,13 @@ exactly one claim about a node. Colors are coded graph.RED (0) and
 graph.BLUE (1) throughout the arrays, the verified table included; a
 report's color and statements arrive in the same codes, checked when a
 report is built by hand and guaranteed by the world for the oracle's
-own, so the counters are indexed with them as they are.
+own, so the counters are indexed with them as they are. Ingest writes a
+report of at most `oracle.SMALL_REPORT` claims one claim at a time,
+through memoryviews of the arrays made for that call, and a larger one
+with a few array operations: the same writes either way. Most reports
+in a sparse social graph are that small, and for them a loop costs less
+than the fixed cost of the array calls (see the oracle). The views are
+not kept, so a state still deep-copies.
 
 Two counters are read only by the learning strategy: the verified table
 and each node's red triangles. They are folded on read: ingest leaves
@@ -59,7 +65,7 @@ from itertools import islice
 import numpy as np
 
 from .graph import RED, Color, is_integer
-from .oracle import MonitorReport
+from .oracle import SMALL_REPORT, MonitorReport
 
 FEATURE_NAMES = (
     "red_neighbors",
@@ -148,7 +154,9 @@ class ObserverState:
         (see `_fold`). A report is well formed once built; ingest checks,
         before writing anything, only what needs the state: the target
         must be observed and unmonitored (a placement spends budget
-        once), and every neighbor must lie in [0, n).
+        once), and every neighbor must lie in [0, n). A report of at most
+        SMALL_REPORT claims is written by the loop, a larger one by the
+        array steps (see the module docstring).
         """
         t = report.target
         n = len(self.color)
@@ -158,17 +166,28 @@ class ObserverState:
         if not (inside and self.on_frontier[t]):
             raise ValueError(f"node {t} has not been observed; monitors go on observed nodes")
         nbrs, said, t_code = report.neighbors, report.statements, report.color
+        small = len(nbrs) <= SMALL_REPORT
+        if small:
+            nbrs = nbrs.tolist()
         if len(nbrs) and not (nbrs[0] >= 0 and nbrs[-1] < n):  # they ascend, so the ends bound them
             raise ValueError(f"report on node {t} names a neighbor outside [0, {n})")
         self.color[t] = t_code
         self.on_frontier[t] = False
-        # One flat index into say's buffer, 4 * v + 2 * speaker + said, formed
-        # in intp: 4 * v would wrap in a small neighbor dtype such as uint8.
-        flat = np.multiply(nbrs, 4, dtype=np.intp)
-        flat += said
-        flat += 2 * t_code
-        self.say.reshape(-1)[flat] += 1
-        self.on_frontier[nbrs] = self.color[nbrs] < 0  # monitored neighbors are already off it
+        if small:
+            # The array path's writes, one claim at a time, through memoryviews.
+            say, color, on_frontier = self.say.data, self.color.data, self.on_frontier.data
+            speaker = 2 * t_code
+            for v, s in zip(nbrs, said.tolist()):
+                say[v, speaker + s] += 1
+                on_frontier[v] = color[v] < 0
+        else:
+            # One flat index into say's buffer, 4 * v + 2 * speaker + said, formed
+            # in intp: 4 * v would wrap in a small neighbor dtype such as uint8.
+            flat = np.multiply(nbrs, 4, dtype=np.intp)
+            flat += said
+            flat += 2 * t_code
+            self.say.reshape(-1)[flat] += 1
+            self.on_frontier[nbrs] = self.color[nbrs] < 0  # monitored neighbors are already off it
         self.reports[t] = report
         return self
 

@@ -22,12 +22,25 @@ neighbor array is the world's own read-only CSR slice of the target, and
 its claims are one array of color codes (graph.RED or graph.BLUE, as
 int8) aligned with it. One placement gathers the subjects' codes and
 ranks from the world's arrays and draws every claim with a few array
-operations. An LS2 blue speaker's claims need no draw, so its placement
-only advances the stream past them, by one `getrandbits` call that takes
-the two 32-bit words per claim that `random()` takes. The world
-guarantees the shape MonitorReport checks (an ascending, self-free,
-read-only slice; codes 0 or 1), so the oracle builds its own reports
-without re-running those checks.
+operations. A report of at most SMALL_REPORT claims is drawn by a plain
+loop over its claims instead, with the same float operations per claim
+and the same one `random()` per claim in ascending subject order, so
+both give the same codes and leave the stream in the same state. The
+paper's networks are sparse social graphs: 95% of the nodes of an
+n=26220 `structural_signal` world (the README's PokeC size) have at most
+16 neighbors, and at that size the array path's dozen numpy calls cost
+more than the claims. Ingest and the kept counting scores split at the
+same size. The value is the smallest `choice` of four runs of `scripts/time_small_reports.py`, which
+times both paths at sizes 1-64 (16, 19, 19 and 23 on 2 vCPU): up to it,
+neither a counting step nor a redlearn step was slower on the loop at
+any size in any run.
+
+An LS2 blue speaker's claims need no draw, so its placement only
+advances the stream past them, by one `getrandbits` call that takes the
+two 32-bit words per claim that `random()` takes. The world guarantees
+the shape MonitorReport checks (an ascending, self-free, read-only
+slice; codes 0 or 1), so the oracle builds its own reports without
+re-running those checks.
 """
 
 from __future__ import annotations
@@ -41,6 +54,9 @@ import numpy as np
 
 from .graph import BLUE, RED, WorldGraph, _uniforms, is_integer
 
+# A report of at most this many claims is drawn, ingested and scored by a
+# plain loop over its claims, a larger one by array operations (see above).
+SMALL_REPORT = 16
 HONESTY_MEAN = 0.5
 HONESTY_SD = 0.125
 _TWOPI = 2.0 * math.pi  # `random.TWOPI`, the angle scale of `gauss`
@@ -183,10 +199,12 @@ class Oracle:
 
         The lie probabilities follow the module docstring, computed
         elementwise in the scalar formula's order, so each claim's float
-        matches it bit for bit. No clamp to 1 is needed: every draw is
-        below 1, so `draw < min(p, 1)` exactly when `draw < p`. A target
-        that is not a node id raises the world view's IndexError, and one
-        already answered raises ValueError, both before any claim is drawn.
+        matches it bit for bit; a report of at most SMALL_REPORT claims
+        computes the same floats one claim at a time. No clamp to 1 is
+        needed: every draw is below 1, so `draw < min(p, 1)` exactly when
+        `draw < p`. A target that is not a node id raises the world view's
+        IndexError, and one already answered raises ValueError, both
+        before any claim is drawn.
         """
         world = self.world
         neighbors = world.adjacency[target]
@@ -198,6 +216,16 @@ class Oracle:
             # only advances: 64 bits are the two words one random() call takes.
             self.rng.getrandbits(64 * len(neighbors))
             said = np.full(len(neighbors), BLUE, dtype=np.int8)
+        elif len(neighbors) <= SMALL_REPORT:
+            said = world.codes[neighbors]
+            rand, rank = self.rng.random, world.hierarchy.data
+            dishonesty = 1.0 - self.honesty.item(target)
+            rank_t = rank[target]
+            for i, (v, code) in enumerate(zip(neighbors.tolist(), said.tolist())):
+                # the array path's p, one claim at a time: code 1 is a blue subject
+                p = dishonesty if code else rank[v] * dishonesty / rank_t
+                if rand() < p:
+                    said[i] = code ^ 1
         else:
             said = world.codes[neighbors]
             # One rng.random() per claim, in ascending subject order; random() never returns 1.0.

@@ -26,7 +26,12 @@ weighs that speaker's claims 0 (every speaker for sr, a blue one for mrsr
 and mrn), raises no score: its update reads no counts and only puts the
 newly observed neighbors on the frontier at score 0. `pick` scores a
 state from scratch the same way, so a kept run and a fresh pick draw the
-same node from the same rng.
+same node from the same rng. A report of at most `oracle.SMALL_REPORT`
+claims is folded in one claim at a time, through memoryviews of the
+score and frontier arrays, and a larger one by array operations; both
+give the same scores and top ids. Most reports in a sparse social graph
+are that small, and for them the loop costs less than the array calls
+(see the oracle).
 
   sr        uniform choice over the frontier (the floor every other
             policy should beat).
@@ -50,7 +55,7 @@ import numpy as np
 from .classifier import TrainedModel, predict_many
 from .graph import BLUE, RED
 from .observer import BSR, RSB, RSR, ObserverState
-from .oracle import MonitorReport
+from .oracle import SMALL_REPORT, MonitorReport
 
 STRATEGY_NAMES = ("sr", "rs", "mrsr", "mrn", "redlearn")
 
@@ -128,6 +133,9 @@ class CountingScores:
             del top_ids[bisect_left(top_ids, t)]
         score[t] = -1
         nbrs = report.neighbors
+        if len(nbrs) <= SMALL_REPORT:
+            self._update_small(nbrs.tolist(), report.statements.tolist(), 2 * report.color)
+            return
         ids = nbrs[self.state.on_frontier[nbrs]]
         if report.color in self.silent:
             # No claim of it is scored: only the newly observed neighbors move, from -1 to 0.
@@ -146,6 +154,32 @@ class CountingScores:
                 for v in ids[(new == top) & (score.take(ids) != top)].tolist():
                     insort(top_ids, v)
             score[ids] = new
+        if not top_ids:
+            self._rebuild()
+
+    def _update_small(self, nbrs: list[int], said: list[int], speaker: int) -> None:
+        """`update`'s re-score, one claim at a time through memoryviews.
+
+        A claim adds its column's weight to its subject's score, and a
+        newly observed subject starts from 0 (its `say` row holds only
+        this claim), so each frontier neighbor gets the score that
+        reading its counts gives. A silent speaker's weights are 0. A
+        neighbor above the top score starts a new top-id list, and one
+        that reaches it joins the list: the ids and order of the array
+        path. The top ids are rebuilt, as there, only if none is left.
+        """
+        score, on_frontier = self.score.data, self.state.on_frontier.data
+        weights = self.weights.tolist()
+        top, top_ids = self.top, self.top_ids
+        for v, s in zip(nbrs, said):
+            if on_frontier[v]:
+                old = score[v]
+                score[v] = new = (old if old > 0 else 0) + weights[speaker + s]
+                if new > top:
+                    top, top_ids = new, [v]
+                elif new == top and old != new:
+                    insort(top_ids, v)
+        self.top, self.top_ids = top, top_ids
         if not top_ids:
             self._rebuild()
 

@@ -30,6 +30,9 @@ from redcrawl import (
     TrainingSet,
     WorldGraph,
     classifier,
+    observer,
+    oracle,
+    strategies,
 )
 from redcrawl.classifier import gradient, hessian
 from redcrawl.graph import (
@@ -75,6 +78,19 @@ def pokec_paths(attribute: str) -> tuple[Path, Path]:
 def have_pokec(attribute: str) -> bool:
     edge_path, node_path = pokec_paths(attribute)
     return edge_path.is_file() and node_path.is_file()
+
+
+# The modules that read oracle.SMALL_REPORT, each through its own import of it.
+SMALL_REPORT_READERS = (oracle, observer, strategies)
+# The constant that sends every report down one path: none is at most -1
+# claims, and none is above a million.
+PATH_LIMITS = {"array": -1, "scalar": 10**6}
+
+
+def force_path(monkeypatch, path: str) -> None:
+    """Send every report, in the oracle, ingest and the kept scores, down `path`."""
+    for module in SMALL_REPORT_READERS:
+        monkeypatch.setattr(module, "SMALL_REPORT", PATH_LIMITS[path])
 
 
 def make_world(n, edges, red=(), hierarchy=None, name="test") -> WorldGraph:

@@ -18,6 +18,7 @@ from redcrawl import (
     LyingScenario,
     RunTrace,
     TrainingSet,
+    assign_honesty,
     classifier,
     derive_seed,
     fit,
@@ -363,7 +364,8 @@ class TestSummarize:
         reds = iter(world.red_ids())
         blues = iter(np.flatnonzero(world.codes != RED).tolist())
         nodes = [next(reds) if c > before else next(blues) for before, c in zip([0, *cum], cum)]
-        return RunTrace(run_id=run_id, strategy=strategy, seed=0, nodes=np.array(nodes, dtype=np.int64))
+        return RunTrace(run_id=run_id, strategy=strategy, seed=0, nodes=np.array(nodes, dtype=np.int64),
+                        honesty=np.full(world.n, 0.5))
 
     def test_mean_over_runs(self):
         # 10 monitors at the 0.5 tier of a 20-node graph; 4 and 6 of 10 reds
@@ -652,6 +654,26 @@ class TestRunExperiment:
         for trace in result["traces"]:
             seeds.setdefault(trace.run_id, set()).add(trace.seed)
         assert all(len(s) == 1 for s in seeds.values())
+
+    def test_honesty_is_drawn_once_per_run_and_is_the_seeds_own(self, tmp_path, monkeypatch):
+        drawn = []
+
+        def recording_draw(world, rng):
+            drawn.append(assign_honesty(world, rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(harness, "assign_honesty", recording_draw)
+        config = self.small_config(tmp_path / "out", strategies=["sr", "rs", "mrn"], runs=3)
+        result = run_experiment(config)
+        assert len(drawn) == 3  # one per run, not one per (strategy, run) cell
+        for trace in result["traces"]:
+            assert trace.honesty is drawn[trace.run_id]
+        monkeypatch.undo()
+        # a run_single call that draws its own honesty from the seed gives the same trace
+        for trace in result["traces"]:
+            alone = run_single(result["world"], trace.strategy, config.scenario, int(trace.nodes[0]),
+                               trace.seed, result["budget"], run_id=trace.run_id)
+            assert np.array_equal(alone.nodes, trace.nodes)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config_a = self.small_config(tmp_path / "a", strategies=["sr", "redlearn"], runs=2)

@@ -17,11 +17,13 @@ from redcrawl import (
     run_single,
 )
 from redcrawl.graph import BLUE, RED
+from redcrawl.strategies import CountingScores
 from helpers import (
     brute_features,
     brute_knowledge,
     brute_trust,
     brute_verified,
+    force_path,
     monitored_of,
     named,
     observed_of,
@@ -55,6 +57,28 @@ def crawl(world, honesty, scenario, start, n_monitors, seed):
             break
         state.ingest(oracle.place_monitor(rng.choice(cands)))
     return state
+
+
+def check_uint8_neighbors_count_each_claim_once():
+    # a hand-built report may use any integer neighbor dtype; 4 * v wraps
+    # in uint8 from v = 64, so the claim's flat index must not be formed there
+    state = ObserverState(0, 256)
+    kept = CountingScores("rs", state)
+    for target, color in ((0, RED), (64, BLUE), (200, RED)):
+        nbrs = np.array(sorted({1, 63, 64, 65, 130, 200, 255} - {target}), dtype=np.uint8)
+        said = np.array([(v + target) % 2 for v in nbrs.tolist()], dtype=np.int8)
+        state.ingest(MonitorReport(target, color, nbrs, said))
+        kept.update(state.reports[target])
+    _, _, monitored, statements = brute_knowledge(0, state.reports.values())
+    want = np.zeros((256, 4), dtype=np.int64)
+    for (speaker, subject), said in statements.items():
+        want[subject, 2 * monitored[speaker].code + said.code] += 1
+    assert np.array_equal(state.say, want)
+    assert monitored == {0: Color.RED, 64: Color.BLUE, 200: Color.RED}
+    assert state.candidates() == [1, 63, 65, 130, 255]
+    fresh = CountingScores("rs", state)  # scored from the counts, not kept
+    assert np.array_equal(kept.score, fresh.score)
+    assert (kept.top, kept.top_ids) == (fresh.top, fresh.top_ids)
 
 
 class TestIngest:
@@ -127,20 +151,25 @@ class TestIngest:
         assert list(state.reports) == [0, 1]
 
     def test_uint8_neighbors_count_each_claim_once(self):
-        # a hand-built report may use any integer neighbor dtype; 4 * v wraps
-        # in uint8 from v = 64, so the claim's flat index must not be formed there
-        state = ObserverState(0, 256)
-        for target, color in ((0, RED), (64, BLUE), (200, RED)):
-            nbrs = np.array(sorted({1, 63, 64, 65, 130, 200, 255} - {target}), dtype=np.uint8)
-            said = np.array([(v + target) % 2 for v in nbrs.tolist()], dtype=np.int8)
-            state.ingest(MonitorReport(target, color, nbrs, said))
-        _, _, monitored, statements = brute_knowledge(0, state.reports.values())
-        want = np.zeros((256, 4), dtype=np.int64)
-        for (speaker, subject), said in statements.items():
-            want[subject, 2 * monitored[speaker].code + said.code] += 1
-        assert np.array_equal(state.say, want)
-        assert monitored == {0: Color.RED, 64: Color.BLUE, 200: Color.RED}
-        assert state.candidates() == [1, 63, 65, 130, 255]
+        check_uint8_neighbors_count_each_claim_once()
+
+    @pytest.mark.parametrize("path", ["array", "scalar"])
+    def test_uint8_neighbors_on_each_path(self, path, monkeypatch):
+        force_path(monkeypatch, path)
+        check_uint8_neighbors_count_each_claim_once()
+
+    @pytest.mark.parametrize("path", ["array", "scalar"])
+    @pytest.mark.parametrize("neighbors", [ids(-1, 2), ids(2, 4), np.array([2, 255], dtype=np.uint8)],
+                             ids=["negative_neighbor", "neighbor_at_n", "uint8_neighbor_past_n"])
+    def test_neighbor_outside_rejected_before_any_write_on_each_path(self, neighbors, path, monkeypatch):
+        force_path(monkeypatch, path)
+        state = ObserverState(0, 4)
+        state.ingest(report(0, Color.RED, {1: Color.RED, 2: Color.BLUE}))
+        before = copy.deepcopy(state)
+        with pytest.raises(ValueError, match=r"names a neighbor outside \[0, 4\)"):
+            state.ingest(MonitorReport(1, RED, neighbors, codes(RED, BLUE)))
+        assert same_arrays(state, before)
+        assert list(state.reports) == [0]
 
     def test_verification_when_subject_monitored_later(self):
         state = ObserverState(0, 10)
@@ -320,31 +349,40 @@ class TestFeatures:
             assert fv["red_triangles"] <= world_triangles
 
 
+def check_state_and_features_match_definitional_recount():
+    for seed in range(8):
+        world = generate_synthetic(50, 0.2, "homophily", seed)
+        start = world.red_ids()[0]
+        state = crawl(world, [0.45] * world.n, LyingScenario.LS1, start, 20, seed=seed + 100)
+
+        observed, edges, monitored, statements = brute_knowledge(start, state.reports.values())
+        assert observed_of(state) == observed
+        assert monitored_of(state) == monitored
+        verified = brute_verified(monitored, statements)
+        assert verified_dict(state.verified_counts) == verified
+        for speaker_color in Color:
+            for said in Color:
+                assert state.trust()[speaker_color.code, said.code] == pytest.approx(
+                    brute_trust(verified, speaker_color, said)
+                )
+        cands = state.candidates()
+        for v, row in zip(cands, state.feature_rows(state.frontier()).tolist()):
+            want = brute_features(v, edges, monitored, statements, verified)
+            got = tuple(state.features(v).tolist())
+            assert got == pytest.approx(want)
+            assert tuple(row) == pytest.approx(want)
+            assert tuple(row) == got
+            assert row[8] == ordered_inferred_red(*want[4:8], verified)
+
+
 class TestBruteForceEquivalence:
     def test_state_and_features_match_definitional_recount(self):
-        for seed in range(8):
-            world = generate_synthetic(50, 0.2, "homophily", seed)
-            start = world.red_ids()[0]
-            state = crawl(world, [0.45] * world.n, LyingScenario.LS1, start, 20, seed=seed + 100)
+        check_state_and_features_match_definitional_recount()
 
-            observed, edges, monitored, statements = brute_knowledge(start, state.reports.values())
-            assert observed_of(state) == observed
-            assert monitored_of(state) == monitored
-            verified = brute_verified(monitored, statements)
-            assert verified_dict(state.verified_counts) == verified
-            for speaker_color in Color:
-                for said in Color:
-                    assert state.trust()[speaker_color.code, said.code] == pytest.approx(
-                        brute_trust(verified, speaker_color, said)
-                    )
-            cands = state.candidates()
-            for v, row in zip(cands, state.feature_rows(state.frontier()).tolist()):
-                want = brute_features(v, edges, monitored, statements, verified)
-                got = tuple(state.features(v).tolist())
-                assert got == pytest.approx(want)
-                assert tuple(row) == pytest.approx(want)
-                assert tuple(row) == got
-                assert row[8] == ordered_inferred_red(*want[4:8], verified)
+    @pytest.mark.parametrize("path", ["array", "scalar"])
+    def test_each_path_matches_definitional_recount(self, path, monkeypatch):
+        force_path(monkeypatch, path)
+        check_state_and_features_match_definitional_recount()
 
     def test_replay_reproduces_state(self):
         world = generate_synthetic(40, 0.2, "homophily", 4)

@@ -16,7 +16,7 @@ from redcrawl import (
     generate_synthetic,
 )
 from redcrawl.graph import BLUE, RED
-from helpers import degree, flip, lie_probability, make_world, reference_honesty
+from helpers import degree, flip, force_path, lie_probability, make_world, reference_honesty
 
 
 def two_node_world(speaker_color, subject_color, h_speaker, l_speaker=1.0, l_subject=1.0):
@@ -337,6 +337,18 @@ def reference_place_monitor(world, honesty, scenario, rng, target):
 
 @pytest.mark.parametrize("scenario", [LyingScenario.LS1, LyingScenario.LS2])
 def test_place_monitor_matches_lie_probability_loop(scenario):
+    check_place_monitor_against_lie_probability_loop(scenario)
+
+
+@pytest.mark.parametrize("path", ["array", "scalar"])
+@pytest.mark.parametrize("scenario", [LyingScenario.LS1, LyingScenario.LS2])
+def test_each_path_matches_lie_probability_loop(scenario, path, monkeypatch):
+    force_path(monkeypatch, path)
+    check_place_monitor_against_lie_probability_loop(scenario)
+
+
+def check_place_monitor_against_lie_probability_loop(scenario):
+    """Every node's report, in a shuffled order, equals the scalar reference's, rng state included."""
     world = generate_synthetic(80, 0.3, "homophily", 5)
     honesty = assign_honesty(world, random.Random(1))
     for v in range(0, world.n, 4):
@@ -429,6 +441,17 @@ class ScriptedRandom:
 
 @pytest.mark.parametrize("scenario", [LyingScenario.LS1, LyingScenario.LS2])
 def test_lie_thresholds_match_lie_probability_bit_for_bit(scenario):
+    check_lie_thresholds_bit_for_bit(scenario)
+
+
+@pytest.mark.parametrize("path", ["array", "scalar"])
+@pytest.mark.parametrize("scenario", [LyingScenario.LS1, LyingScenario.LS2])
+def test_each_path_draws_at_lie_probability_bit_for_bit(scenario, path, monkeypatch):
+    force_path(monkeypatch, path)
+    check_lie_thresholds_bit_for_bit(scenario)
+
+
+def check_lie_thresholds_bit_for_bit(scenario):
     # A draw equal to p is no lie and the float just below p is one, so a
     # probability one rounding step off lie_probability's flips a claim.
     world = generate_synthetic(80, 0.3, "homophily", 5)

@@ -28,6 +28,7 @@ from helpers import (
     brute_knowledge,
     brute_verified,
     degree,
+    force_path,
     identity_model,
     make_world,
     observed_of,
@@ -376,6 +377,16 @@ class TestCountingScoresMatchScan:
         start = world.red_ids()[1]
         monitored = crawl_against_scan(world, strategy, scenario, start, steps=35, seed=11)
         assert len(monitored) > 20
+
+    @pytest.mark.parametrize("path", ["array", "scalar"])
+    @pytest.mark.parametrize("mode, n", [pytest.param("homophily", 50, id="homophily"),
+                                         pytest.param("no_homophily", 150, id="no_homophily-n150")])
+    @pytest.mark.parametrize("scenario", [LyingScenario.LS1, LyingScenario.LS2])
+    @pytest.mark.parametrize("strategy", ["sr", "rs", "mrsr", "mrn"])
+    def test_every_step_of_a_synthetic_crawl_on_each_path(self, strategy, scenario, mode, n, path, monkeypatch):
+        force_path(monkeypatch, path)
+        world = generate_synthetic(n, 0.2, mode, 6)
+        assert len(crawl_against_scan(world, strategy, scenario, world.red_ids()[1], steps=35, seed=11)) > 20
 
     @pytest.mark.parametrize("strategy", ["sr", "rs", "mrsr", "mrn"])
     def test_component_exhausts_before_the_budget(self, strategy):
