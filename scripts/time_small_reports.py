@@ -4,20 +4,26 @@
 
 For each report size k, a world of `hubs` red hubs, each with k leaves of
 its own (every third leaf red), is crawled hub by hub under LS1: each
-hub's `Oracle.place_monitor`, `ObserverState.ingest` and `rs`'s
+hub's `Oracle.place_monitor`, `ObserverState.ingest`, the
+`observer.count_claims` that a fold makes for it and `rs`'s
 `CountingScores.update` (which scores every claim) is timed call by
-call. The same crawl runs once with `SMALL_REPORT` above k (every report
-takes the scalar path) and once at -1 (every report takes the array
-path); the two crawls must give the same claims and scores. Each
-round alternates the two paths, and the per-call time reported for a
-path is the median over rounds of the mean over hubs, in microseconds.
+call. The rest of a fold, the verified table and the red triangles, runs
+the same code on both paths and is left out. The same crawl runs once
+with `SMALL_REPORT` above k (every report takes the scalar path) and
+once at -1 (every report takes the array path); the two crawls must
+give the same claims and scores. Each round alternates the two paths,
+and the per-call time reported for a path is the median over rounds of
+the mean over hubs, in microseconds.
 
 The last line of stdout is a JSON object with the per-size times and,
 in `largest_scalar_win`, the largest size up to which the scalar path
-is faster at every size: for a counting step (all three layers) and for
-a redlearn step, which keeps no counting scores (`place_monitor` and
-`ingest` only). `choice` is the smaller of the two, so that neither kind
-of step is slower on the scalar path at any size up to it.
+is faster at every size: for a counting step, which never folds
+(`place_monitor`, `ingest` and `update`), and for a redlearn step, which
+keeps no counting scores (`place_monitor`, `ingest` and `count_claims`).
+`choice` is the smaller of the two, so that neither kind of step is
+slower on the scalar path at any size up to it. `oracle.SMALL_REPORT`
+is the smallest `choice` of four runs at the defaults, made one after
+another on an otherwise idle machine.
 """
 
 from __future__ import annotations
@@ -33,11 +39,14 @@ import numpy as np
 
 from redcrawl import observer, oracle, strategies
 from redcrawl.graph import BLUE, RED, WorldGraph
-from redcrawl.observer import ObserverState
+from redcrawl.observer import ObserverState, count_claims
 from redcrawl.oracle import LyingScenario, Oracle
 from redcrawl.strategies import CountingScores
 
-LAYERS = ("place_monitor", "ingest", "update")
+LAYERS = ("place_monitor", "ingest", "count_claims", "update")
+# The layers each kind of step runs.
+STEPS = {"counting_step": ("place_monitor", "ingest", "update"),
+         "learn_step": ("place_monitor", "ingest", "count_claims")}
 
 
 def star_world(hubs: int, k: int) -> WorldGraph:
@@ -58,13 +67,14 @@ def set_small_report(limit: int) -> None:
 
 
 def crawl(world: WorldGraph, hubs: int, honesty: np.ndarray) -> tuple[list[float], tuple]:
-    """Place, ingest and score every hub in id order; return the seconds per layer and the outcome."""
+    """Place, ingest, count and score every hub in id order; return the seconds per layer and the outcome."""
     lies = Oracle(world, honesty, LyingScenario.LS1, random.Random(1))
     state = ObserverState(0, world.n)
     state.on_frontier[:hubs] = True  # every hub observed, as if named by an earlier report
     kept = CountingScores("rs", state)
+    say = np.zeros((world.n, 4), dtype=np.int64)
     clock = time.perf_counter
-    spent = [0.0, 0.0, 0.0]
+    spent = [0.0] * len(LAYERS)
     said = []
     for hub in range(hubs):
         t0 = clock()
@@ -72,13 +82,14 @@ def crawl(world: WorldGraph, hubs: int, honesty: np.ndarray) -> tuple[list[float
         t1 = clock()
         state.ingest(report)
         t2 = clock()
-        kept.update(report)
+        count_claims(say, report)
         t3 = clock()
-        spent[0] += t1 - t0
-        spent[1] += t2 - t1
-        spent[2] += t3 - t2
+        kept.update(report)
+        t4 = clock()
+        for i, (start, end) in enumerate(((t0, t1), (t1, t2), (t2, t3), (t3, t4))):
+            spent[i] += end - start
         said.append(report.statements.tobytes())
-    outcome = (said, lies.rng.getstate(), state.say.tobytes(), state.on_frontier.tobytes(),
+    outcome = (said, lies.rng.getstate(), say.tobytes(), state.say.tobytes(), state.on_frontier.tobytes(),
                kept.score.tobytes(), kept.top, tuple(kept.top_ids))
     return spent, outcome
 
@@ -111,19 +122,20 @@ def main(argv=None) -> None:
                     raise SystemExit(f"the two paths disagree at size {k}")
             row = {"size": k}
             for path, rounds in per_round.items():
-                us = [statistics.median(spent[i] for spent in rounds) / args.hubs * 1e6 for i in range(3)]
+                us = [statistics.median(spent[i] for spent in rounds) / args.hubs * 1e6 for i in range(len(LAYERS))]
                 row[path] = {layer: round(x, 3) for layer, x in zip(LAYERS, us)}
-                row[path]["total"] = round(sum(us), 3)
+                for step, layers in STEPS.items():
+                    row[path][step] = round(sum(x for layer, x in zip(LAYERS, us) if layer in layers), 3)
             rows.append(row)
-            print(f"k={k:3d}  scalar {row['scalar']['total']:7.2f} us  array {row['array']['total']:7.2f} us",
-                  file=sys.stderr)
+            print(f"k={k:3d}  " + "  ".join(f"{step} scalar {row['scalar'][step]:6.2f} us array {row['array'][step]:6.2f} us"
+                                           for step in STEPS), file=sys.stderr)
     finally:
         set_small_report(saved)
     wins = {}
-    for name, layers in (("step", LAYERS), ("step_without_update", LAYERS[:2])):
+    for name in STEPS:
         wins[name] = 0
         for row in rows:
-            if sum(row["scalar"][x] for x in layers) >= sum(row["array"][x] for x in layers):
+            if row["scalar"][name] >= row["array"][name]:
                 break
             wins[name] = row["size"]
     print(json.dumps({"hubs": args.hubs, "rounds": args.rounds, "largest_scalar_win": wins,

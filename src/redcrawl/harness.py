@@ -225,12 +225,13 @@ def run_single(
     draws), else drawn from the run seed; the start node takes the first
     monitor, and then the loop of pick / answer / ingest continues until
     the budget runs out or no candidate remains. A counting strategy
-    keeps its scores in a `CountingScores`, built once after the start's
-    ingest and updated from each report, so no step rescans the
-    frontier. The learning strategy calls `pick` at every step and refits
-    once `retrain_every` placements have joined the observer's record
-    since its last fit, starting each fit from the model the last one
-    returned. `step_callback`, if given, is called as
+    keeps its scores in a `CountingScores`, built once before the start's
+    ingest and updated from each report, the start's included, so no
+    step rescans the frontier and the run never folds the state's
+    counters. The learning strategy calls `pick` at every step and
+    refits once `retrain_every` placements have joined the observer's
+    record since its last fit, starting each fit from the model the last
+    one returned. `step_callback`, if given, is called as
     `(state, decision)` after each pick and before the matching ingest,
     which rejects a pick that is not a candidate; a counting run builds
     that Decision from its kept scores only when a callback is set. A
@@ -251,9 +252,14 @@ def run_single(
     tiebreak_rng = random.Random(derive_seed(seed, "tiebreak"))
 
     oracle = Oracle(world, honesty, scenario, lies_rng)
-    state.ingest(oracle.place_monitor(start))
-
+    # Built before the first report, so the kept scores take every report from
+    # its claims and the run never reads the state's claim counts.
     counting = None if strategy == "redlearn" else CountingScores(strategy, state)
+    report = oracle.place_monitor(start)
+    state.ingest(report)
+    if counting is not None:
+        counting.update(report)
+
     model = None
     fitted_at = fits = unconverged = 0
     while len(state.reports) < budget:

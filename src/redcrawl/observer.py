@@ -13,41 +13,47 @@ that the candidate is red.
 The state is one report record plus the counters below. The record,
 `reports`, maps each monitored node to its report, in monitor order: it
 is the one record of claims, edges and monitor order. On top of it,
-ingest keeps three per-node arrays indexed by node id, allocated once
-for the world's `n` ids: each node's four claim counts by (speaker
-color, said color), its monitored color and whether it is on the
-frontier. The frontier is kept incrementally, so `frontier()` and
-`candidates()` read one mask, and the known red and blue neighbor counts
-derive from the claim counts, because every monitored neighbor makes
-exactly one claim about a node. Colors are coded graph.RED (0) and
+ingest keeps two per-node arrays indexed by node id, allocated once for
+the world's `n` ids: each node's monitored color and whether it is on
+the frontier. The frontier is kept incrementally, so `frontier()` and
+`candidates()` read one mask. Colors are coded graph.RED (0) and
 graph.BLUE (1) throughout the arrays, the verified table included; a
 report's color and statements arrive in the same codes, checked when a
 report is built by hand and guaranteed by the world for the oracle's
-own, so the counters are indexed with them as they are. Ingest writes a
-report of at most `oracle.SMALL_REPORT` claims one claim at a time,
-through memoryviews of the arrays made for that call, and a larger one
-with a few array operations: the same writes either way. Most reports
-in a sparse social graph are that small, and for them a loop costs less
-than the fixed cost of the array calls (see the oracle). The views are
-not kept, so a state still deep-copies.
+own, so the counters are indexed with them as they are. Ingest marks
+the neighbors of a report of at most `oracle.SMALL_REPORT` claims one
+at a time, through memoryviews of the arrays made for that call, and
+those of a larger one with one array step: the same writes either way.
+Most reports in a sparse social graph are that small, and for them a
+loop costs less than the fixed cost of the array calls (see the
+oracle). The views are not kept, so a state still deep-copies.
 
-Two counters are read only by the learning strategy: the verified table
-and each node's red triangles. They are folded on read: ingest leaves
-them alone, and reading `verified_counts` or `triangles` first folds in
-the reports ingested since the last read, in monitor order, so a run of
-the counting strategies, which never reads them, never pays for them. A
-red target's new triangles are read from the record: the reports of
-the red neighbors monitored before it say which of the target's
-neighbors each also touches, found for all of them by one `searchsorted`
-into the target's ascending neighbor array. At a few hundred red
-neighbors per red, as in a dense homophily world, that search is most
-of the cost of a report. The verified table restates the others on
-purpose: it equals the monitored nodes' claim counts summed by their
-color, and is kept as a running total because `trust()` is read at
-every feature pass. Recounting it there costs tens of microseconds per
-call at n=500 and up to a millisecond at n=26220; folding costs about 10
-us per report. Either counter holds the same integers whether it is
-read after every ingest or after many (see `_fold`).
+Three counters are folded on read: each node's four claim counts by
+(speaker color, said color), the verified table and each node's red
+triangles. Ingest leaves them alone, and reading `say`,
+`verified_counts` or `triangles` first folds in the reports ingested
+since the last read, in monitor order. A counting run reads `say` only
+to build its kept scores, before its first report, and keeps its own
+scores from the claims after that (see strategies); it never reads the
+other two, so it never folds. The learning strategy reads all three.
+The known red and blue neighbor counts derive from the claim counts,
+because every monitored neighbor makes exactly one claim about a node.
+A fold counts a report's claims by `count_claims`: those of a report of
+at most SMALL_REPORT claims one at a time, through a memoryview, and
+those of a larger one through one flat index, the same writes either
+way. A red target's new triangles
+are read from the record: the reports of the red neighbors monitored
+before it say which of the target's neighbors each also touches, found
+for all of them by one `searchsorted` into the target's ascending
+neighbor array. At a few hundred red neighbors per red, as in a dense
+homophily world, that search is most of the cost of a report. The
+verified table restates the others on purpose: it equals the monitored
+nodes' claim counts summed by their color, and is kept as a running
+total because `trust()` is read at every feature pass. Recounting it
+there costs tens of microseconds per call at n=500 and up to a
+millisecond at n=26220; folding costs about 10 us per report. Each
+counter holds the same integers whether it is read after every ingest
+or after many (see `_fold`).
 
 `feature_rows` gathers one float row per node from the arrays,
 computing the trust table once, and checks nothing: its callers, the
@@ -84,6 +90,28 @@ FEATURE_NAMES = (
 RSR, RSB, BSR, BSB = 0, 1, 2, 3
 
 
+def count_claims(say: np.ndarray, report: MonitorReport) -> None:
+    """Add each claim of `report` to its subject's row of the (n, 4) claim
+    counts `say`, in column 2 * speaker + said.
+
+    A report of at most SMALL_REPORT claims is counted one claim at a
+    time, through a memoryview, and a larger one through one flat index:
+    the same writes either way.
+    """
+    nbrs, said, speaker = report.neighbors, report.statements, 2 * report.color
+    if len(nbrs) <= SMALL_REPORT:
+        counts = say.data
+        for v, s in zip(nbrs.tolist(), said.tolist()):
+            counts[v, speaker + s] += 1
+    else:
+        # One flat index into say's buffer, 4 * v + 2 * speaker + said, formed
+        # in intp: 4 * v would wrap in a small neighbor dtype such as uint8.
+        flat = np.multiply(nbrs, 4, dtype=np.intp)
+        flat += said
+        flat += speaker
+        say.reshape(-1)[flat] += 1
+
+
 class ObserverState:
     """Mutable crawl knowledge for one run over the node ids [0, n).
 
@@ -92,38 +120,44 @@ class ObserverState:
     docstring):
       reports          monitored node id -> its MonitorReport, in monitor
                        order: the claims and the known edges.
-      say              (n, 4) int array: claims about each node by
-                       monitored speakers, columns in (speaker color, said
-                       color) order: rsr, rsb, bsr, bsb.
       color            (n,) int8 array: 0 (red) or 1 (blue) once the node
                        is monitored, -1 before.
       on_frontier      (n,) bool array: True for observed, unmonitored
                        nodes (the candidates).
     Folded on read, from the reports that no read has yet taken in:
-      triangles        (n,) int array: adjacent pairs among each node's
-                       monitored red neighbors.
+      say              (n, 4) int array: claims about each node by
+                       monitored speakers, columns in (speaker color, said
+                       color) order: rsr, rsb, bsr, bsb.
       verified_counts  (2, 2, 2) int array indexed [speaker color, said
                        color, subject true color] in the same codes:
                        counts of claims whose subject is now monitored.
+      triangles        (n,) int array: adjacent pairs among each node's
+                       monitored red neighbors.
 
-    The arrays are allocated once. `ingest` keeps the first three up to
-    date; the two folded counters are properties that fold first and
-    return the live array, so a write into it lands. A fold changes no
-    value that a reader can see.
+    The arrays are allocated once. `ingest` keeps `color` and
+    `on_frontier` up to date; the three folded counters are properties
+    that fold first and return the live array, so a write into it lands.
+    A fold changes no value that a reader can see.
     """
 
     def __init__(self, start: int, n: int):
         if not (is_integer(start) and 0 <= start < n):
             raise ValueError(f"start node {start} is not a node id in [0, {n})")
         self.reports: dict[int, MonitorReport] = {}
-        self.say = np.zeros((n, 4), dtype=np.int64)
         self.color = np.full(n, -1, dtype=np.int8)
         self.on_frontier = np.zeros(n, dtype=bool)
         self.on_frontier[start] = True
+        self._say = np.zeros((n, 4), dtype=np.int64)
         self._verified = np.zeros((2, 2, 2), dtype=np.int64)
         self._triangles = np.zeros(n, dtype=np.int64)
         self._folded_color = np.full(n, -1, dtype=np.int8)
         self._folded = 0
+
+    @property
+    def say(self) -> np.ndarray:
+        """The (n, 4) claim counts, brought up to date: the live array."""
+        self._fold()
+        return self._say
 
     @property
     def verified_counts(self) -> np.ndarray:
@@ -148,15 +182,15 @@ class ObserverState:
     def ingest(self, report: MonitorReport) -> "ObserverState":
         """Record one monitor report.
 
-        The target is recorded with its true color, its neighbors become
-        observed and its claims are counted in `say`; the verified table
-        and the red triangles take the report in when they are next read
-        (see `_fold`). A report is well formed once built; ingest checks,
+        The target is recorded with its true color and its neighbors
+        become observed; the claim counts, the verified table and the red
+        triangles take the report in when they are next read (see
+        `_fold`). A report is well formed once built; ingest checks,
         before writing anything, only what needs the state: the target
         must be observed and unmonitored (a placement spends budget
         once), and every neighbor must lie in [0, n). A report of at most
-        SMALL_REPORT claims is written by the loop, a larger one by the
-        array steps (see the module docstring).
+        SMALL_REPORT claims is written by the loop, a larger one by one
+        array step (see the module docstring).
         """
         t = report.target
         n = len(self.color)
@@ -165,69 +199,61 @@ class ObserverState:
             raise ValueError(f"node {t} is already monitored")
         if not (inside and self.on_frontier[t]):
             raise ValueError(f"node {t} has not been observed; monitors go on observed nodes")
-        nbrs, said, t_code = report.neighbors, report.statements, report.color
+        nbrs = report.neighbors
         small = len(nbrs) <= SMALL_REPORT
         if small:
             nbrs = nbrs.tolist()
         if len(nbrs) and not (nbrs[0] >= 0 and nbrs[-1] < n):  # they ascend, so the ends bound them
             raise ValueError(f"report on node {t} names a neighbor outside [0, {n})")
-        self.color[t] = t_code
+        self.color[t] = report.color
         self.on_frontier[t] = False
         if small:
-            # The array path's writes, one claim at a time, through memoryviews.
-            say, color, on_frontier = self.say.data, self.color.data, self.on_frontier.data
-            speaker = 2 * t_code
-            for v, s in zip(nbrs, said.tolist()):
-                say[v, speaker + s] += 1
+            # The array step's writes, one neighbor at a time, through memoryviews.
+            color, on_frontier = self.color.data, self.on_frontier.data
+            for v in nbrs:
                 on_frontier[v] = color[v] < 0
         else:
-            # One flat index into say's buffer, 4 * v + 2 * speaker + said, formed
-            # in intp: 4 * v would wrap in a small neighbor dtype such as uint8.
-            flat = np.multiply(nbrs, 4, dtype=np.intp)
-            flat += said
-            flat += 2 * t_code
-            self.say.reshape(-1)[flat] += 1
             self.on_frontier[nbrs] = self.color[nbrs] < 0  # monitored neighbors are already off it
         self.reports[t] = report
         return self
 
     def _fold(self) -> None:
-        """Fold the reports ingested since the last fold into `_verified`
-        and `_triangles`, in monitor order.
+        """Fold the reports ingested since the last fold into `_say`,
+        `_verified` and `_triangles`, one at a time in monitor order, as
+        a fold after each ingest would.
 
         `_folded_color` is `color` as it stood after the first `_folded`
         reports. A claim between two monitored nodes is verified once:
-        by its speaker's report if the subject was folded before this
-        fold began, and otherwise by the subject's current `say` row,
-        which holds every claim about it by any monitored speaker. So a
-        fold after every ingest and one fold after many give the same
-        table.
+        by its speaker's report if the subject was folded first, and
+        otherwise by the subject's `_say` row when the subject's own
+        report is folded, which then holds every claim about it by the
+        speakers folded so far. So one fold after many ingests gives the
+        counts that a fold after every ingest gives.
         """
         pending = len(self.reports) - self._folded
         if not pending:
             return
         reports = list(islice(reversed(self.reports.values()), pending))[::-1]
-        lagged, verified = self._folded_color, self._verified
+        say, lagged, verified = self._say, self._folded_color, self._verified
         for report in reports:
-            subject = lagged[report.neighbors]
+            t, nbrs, said, color = report.target, report.neighbors, report.statements, report.color
+            count_claims(say, report)
+            subject = lagged[nbrs]
             seen = subject >= 0
-            verified[report.color] += np.bincount(2 * report.statements[seen] + subject[seen],
-                                                  minlength=4).reshape(2, 2)
-            verified[:, :, report.color] += self.say[report.target].reshape(2, 2)
-        for report in reports:
-            t, nbrs = report.target, report.neighbors
-            if report.color == RED:
+            verified[color] += np.bincount(2 * said[seen] + subject[seen], minlength=4).reshape(2, 2)
+            verified[:, :, color] += say[t].reshape(2, 2)
+            if color == RED:
                 # A red r monitored before t closes the red triangle (t, r, v)
                 # at every v that both t and r touch. All of the red neighbors'
                 # neighbors are located at once in t's ascending, unique nbrs;
                 # the exact matches, counted per position, are the new triangles.
-                reds = nbrs[lagged[nbrs] == RED].tolist()
+                reds = nbrs[subject == RED].tolist()
                 if reds:
                     touched = np.concatenate([self.reports[r].neighbors for r in reds])
                     at = nbrs.searchsorted(touched)
                     np.minimum(at, len(nbrs) - 1, out=at)  # past the end: no match, but a valid index
                     self._triangles[nbrs] += np.bincount(at[nbrs[at] == touched], minlength=len(nbrs))
-            lagged[t] = report.color
+            lagged[t] = color
         self._folded = len(self.reports)
 
     def trust(self) -> np.ndarray:

@@ -7,9 +7,9 @@ with it (useful for tracing); both arrays belong to the decision, so
 later ingests do not change them. The counting policies sum columns of
 the observer's claim-count table, and redlearn runs `predict_many` on the
 frontier's feature matrix. A pick changes nothing observable in the
-state: reading the features may fold pending reports into the verified
-table and the red triangles (see observer), which leaves their values as
-any reader would see them. Policies only ever return observed,
+state: reading the claim counts or the features may fold pending
+reports into the observer's counters (see observer), which leaves their
+values as any reader would see them. Policies only ever return observed,
 unmonitored nodes; monitors cannot be placed on nodes the crawl has not
 seen. Ties are broken uniformly at random, by one `rng.choice` over the
 tied ids in ascending order, so that low-information early steps do not
@@ -18,20 +18,25 @@ bias small networks toward low ids.
 A counting score changes only when a report names the node, so a run
 does not rescan the frontier at each step: `CountingScores` keeps every
 node's score and the ascending ids that share the top score, and folds
-in each report as it is ingested. Only nodes that reach the top score
-are touched one by one; the rest take one numpy write per report, and
-the top ids are rebuilt by one scan only when the last of them is
-monitored. A report whose speaker the strategy is silent on, since it
-weighs that speaker's claims 0 (every speaker for sr, a blue one for mrsr
-and mrn), raises no score: its update reads no counts and only puts the
-newly observed neighbors on the frontier at score 0. `pick` scores a
-state from scratch the same way, so a kept run and a fresh pick draw the
-same node from the same rng. A report of at most `oracle.SMALL_REPORT`
-claims is folded in one claim at a time, through memoryviews of the
-score and frontier arrays, and a larger one by array operations; both
-give the same scores and top ids. Most reports in a sparse social graph
-are that small, and for them the loop costs less than the array calls
-(see the oracle).
+in each report as it is ingested. It reads the state's claim counts
+once, when it is built; after that each claim about a frontier node adds
+its column's weight to that node's score, a newly observed node starting
+from 0, which is the sum a read of the counts would give, since each
+claim is counted once. So a run whose kept scores are built before its
+first report never reads the counts (see observer). Only nodes that
+reach the top score are touched one by one; the rest take one numpy
+write per report, and the top ids are rebuilt by one scan only when the
+last of them is monitored. A report whose speaker the strategy is silent
+on, since it weighs that speaker's claims 0 (every speaker for sr, a
+blue one for mrsr and mrn), raises no score: its update reads no claims
+and only puts the newly observed neighbors on the frontier at score 0.
+`pick` scores a state from scratch from the claim counts, so a kept run
+and a fresh pick draw the same node from the same rng. A report of at
+most `oracle.SMALL_REPORT` claims is folded in one claim at a time,
+through memoryviews of the score and frontier arrays, and a larger one
+by array operations; both give the same scores and top ids. Most reports
+in a sparse social graph are that small, and for them the loop costs
+less than the array calls (see the oracle).
 
   sr        uniform choice over the frontier (the floor every other
             policy should beat).
@@ -101,7 +106,8 @@ class CountingScores:
 
     Claim counts only grow, so a report can raise its neighbors' scores
     but lower none, and the top falls only when its last id is monitored.
-    `silent` holds the speaker color codes whose claims score nothing.
+    `silent` holds the speaker color codes whose claims score nothing,
+    and `gains[speaker]` holds the weight of each said code.
     """
 
     def __init__(self, strategy: str, state: ObserverState):
@@ -111,14 +117,11 @@ class CountingScores:
         self.silent = _SILENT_SPEAKERS[strategy]
         self.weights = np.zeros(4, dtype=np.int64)
         self.weights[_SCORE_COLUMNS[strategy]] = 1
+        self.gains = tuple(self.weights.reshape(2, 2))
         self.score = np.full(len(state.color), -1, dtype=np.int64)
         cands = state.frontier()
-        self.score[cands] = self._read(cands)
+        self.score[cands] = state.say.take(cands, axis=0) @ self.weights
         self._rebuild()
-
-    def _read(self, ids: np.ndarray) -> np.ndarray:
-        """The scores of `ids` from the state's claim counts: one sum of columns per row."""
-        return self.state.say.take(ids, axis=0) @ self.weights
 
     def _rebuild(self) -> None:
         self.top = int(self.score.max())
@@ -126,7 +129,8 @@ class CountingScores:
 
     def update(self, report: MonitorReport) -> None:
         """Fold in `report`, just ingested into the state: its target
-        leaves the frontier and its unmonitored neighbors are re-scored."""
+        leaves the frontier and each claim about a frontier neighbor adds
+        its column's weight to that neighbor's score."""
         score, top, top_ids = self.score, self.top, self.top_ids
         t = report.target
         if score[t] == top:
@@ -136,7 +140,8 @@ class CountingScores:
         if len(nbrs) <= SMALL_REPORT:
             self._update_small(nbrs.tolist(), report.statements.tolist(), 2 * report.color)
             return
-        ids = nbrs[self.state.on_frontier[nbrs]]
+        on = self.state.on_frontier[nbrs]
+        ids = nbrs[on]
         if report.color in self.silent:
             # No claim of it is scored: only the newly observed neighbors move, from -1 to 0.
             ids = ids[score.take(ids) < 0]
@@ -145,13 +150,15 @@ class CountingScores:
                 for v in ids.tolist():
                     insort(top_ids, v)
         elif len(ids):
-            new = self._read(ids)
+            old = score.take(ids)
+            new = np.maximum(old, 0)  # a newly observed neighbor starts from 0
+            new += self.gains[report.color].take(report.statements[on])
             best = int(new.max())
             if best > top:
                 self.top = best
                 self.top_ids = top_ids = ids[new == best].tolist()
             elif best == top:
-                for v in ids[(new == top) & (score.take(ids) != top)].tolist():
+                for v in ids[(new == top) & (old != top)].tolist():
                     insort(top_ids, v)
             score[ids] = new
         if not top_ids:

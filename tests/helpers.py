@@ -366,6 +366,14 @@ def brute_knowledge(start, reports):
     return observed, edges, monitored, statements
 
 
+def brute_say(n, monitored, statements):
+    """Each node's (n, 4) claim counts, columns 2 * speaker code + said code, by definition."""
+    counts = np.zeros((n, 4), dtype=np.int64)
+    for (speaker, subject), said in statements.items():
+        counts[subject, 2 * monitored[speaker].code + said.code] += 1
+    return counts
+
+
 def brute_verified(monitored, statements):
     """Count every statement whose subject's true color is known."""
     counts = {(sp, said, sub): 0 for sp in Color for said in Color for sub in Color}

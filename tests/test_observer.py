@@ -21,6 +21,7 @@ from redcrawl.strategies import CountingScores
 from helpers import (
     brute_features,
     brute_knowledge,
+    brute_say,
     brute_trust,
     brute_verified,
     force_path,
@@ -70,10 +71,7 @@ def check_uint8_neighbors_count_each_claim_once():
         state.ingest(MonitorReport(target, color, nbrs, said))
         kept.update(state.reports[target])
     _, _, monitored, statements = brute_knowledge(0, state.reports.values())
-    want = np.zeros((256, 4), dtype=np.int64)
-    for (speaker, subject), said in statements.items():
-        want[subject, 2 * monitored[speaker].code + said.code] += 1
-    assert np.array_equal(state.say, want)
+    assert np.array_equal(state.say, brute_say(256, monitored, statements))
     assert monitored == {0: Color.RED, 64: Color.BLUE, 200: Color.RED}
     assert state.candidates() == [1, 63, 65, 130, 255]
     fresh = CountingScores("rs", state)  # scored from the counts, not kept
@@ -400,8 +398,8 @@ class TestBruteForceEquivalence:
 class TestRedTriangles:
     def test_init_stores_only_the_reports_and_counters(self):
         assert set(vars(ObserverState(3, 10))) == {
-            "reports", "say", "color", "on_frontier",
-            "_verified", "_triangles", "_folded_color", "_folded"}
+            "reports", "color", "on_frontier",
+            "_say", "_verified", "_triangles", "_folded_color", "_folded"}
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_triangles_match_recount_on_a_red_chasing_crawl(self, seed):
@@ -453,8 +451,9 @@ class TestRedTriangles:
 
 
 class TestCountersFoldedOnRead:
-    """The verified table and the red triangles are folded in when read:
-    their values must not depend on how many ingests lie between reads."""
+    """The claim counts, the verified table and the red triangles are folded
+    in when read: their values must not depend on how many ingests lie
+    between reads."""
 
     @pytest.mark.parametrize("scenario", [LyingScenario.LS1, LyingScenario.LS2])
     def test_counters_match_recounts_after_runs_of_ingests(self, scenario):
@@ -482,6 +481,7 @@ class TestCountersFoldedOnRead:
                     burst.add(v)
                     state.ingest(rep)
                 _, _, monitored, statements = brute_knowledge(start, state.reports.values())
+                assert np.array_equal(state.say, brute_say(world.n, monitored, statements))
                 assert verified_dict(state.verified_counts) == brute_verified(monitored, statements)
                 assert np.array_equal(state.triangles, brute_triangles(state.reports, world.n))
             assert state.triangles.max() >= 3
@@ -498,6 +498,7 @@ class TestCountersFoldedOnRead:
         assert len(state.reports) == 50
         assert state._folded == 0  # a counting run never reads the counters
         _, _, monitored, statements = brute_knowledge(world.red_ids()[0], state.reports.values())
+        assert np.array_equal(state.say, brute_say(world.n, monitored, statements))
         assert verified_dict(state.verified_counts) == brute_verified(monitored, statements)
         want = brute_triangles(state.reports, world.n)
         assert np.array_equal(state.triangles, want)

@@ -220,7 +220,11 @@ class TestPlaceMonitor:
         by_hand = MonitorReport(0, RED, neighbors, said)
         # a hand-built report takes its arrays as they are and locks them
         assert by_hand.neighbors is neighbors and by_hand.statements is said
-        for report in (oracle.place_monitor(5), by_hand):
+        # an LS2 blue speaker calls every neighbor blue, in a read-only array too
+        quiet = Oracle(g, [0.3] * g.n, LyingScenario.LS2, random.Random(4))
+        blues = [v for v in range(g.n) if g.codes[v] == BLUE and len(g.adjacency[v]) > 1][:2]
+        ls2_blue = [quiet.place_monitor(v) for v in blues]
+        for report in (oracle.place_monitor(5), by_hand, *ls2_blue):
             assert len(report.neighbors) > 0
             with pytest.raises(ValueError, match="read-only"):
                 report.neighbors[0] = 1
@@ -228,6 +232,8 @@ class TestPlaceMonitor:
                 report.statements[0] = 1 - report.statements[0]
             with pytest.raises(ValueError, match="read-only"):
                 report.statements.fill(RED)
+        for report in ls2_blue:
+            assert report.statements.tolist() == [BLUE] * len(report.neighbors)
 
     @pytest.mark.parametrize("target", [17, 2, -1, 1.5, 1.0, "1", True, np.True_])
     def test_unknown_node_rejected(self, target):

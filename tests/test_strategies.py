@@ -426,18 +426,42 @@ class TestCountingScoresMatchScan:
         # the rebuild put 2, 3, 5 at the top; the second report, at top 0, added 4
         assert (kept.top, kept.top_ids) == (0, [3, 4, 5])
 
+    @pytest.mark.parametrize("path", ["array", "scalar"])
+    @pytest.mark.parametrize("strategy", ["rs", "mrsr"])
+    def test_ls1_reports_with_no_red_claim_on_each_path(self, strategy, path, monkeypatch):
+        # rs and mrsr sum only says-red columns, so under LS1 a report that calls
+        # no neighbor red raises no score, from a red or a blue speaker; it
+        # only puts its newly observed neighbors on the frontier at 0.
+        force_path(monkeypatch, path)
+        state = ObserverState(0, 10)
+        kept = CountingScores(strategy, state)
+        steps = [report(0, Color.RED, {1: Color.RED, 2: Color.BLUE, 3: Color.RED}),
+                 report(1, Color.RED, {0: Color.BLUE, 2: Color.BLUE, 4: Color.BLUE, 5: Color.BLUE}),
+                 report(3, Color.BLUE, {0: Color.BLUE, 2: Color.BLUE, 6: Color.BLUE}),
+                 report(2, Color.BLUE, {1: Color.BLUE, 3: Color.BLUE, 4: Color.RED, 7: Color.BLUE})]
+        for step in steps:
+            state.ingest(step)
+            kept.update(step)
+            assert_kept_equals_scan(kept, strategy, state)
+        # the reports with no red claim put 4, 5 and 6 on the frontier at 0; only rs scores blue 2's claim on 4
+        assert (kept.top, kept.top_ids) == ((1, [4]) if strategy == "rs" else (0, [4, 5, 6, 7]))
+
     @pytest.mark.parametrize("strategy", ["redlearn", "bfs"])
     def test_only_counting_strategies_are_kept(self, strategy, four_candidate_state):
         with pytest.raises(ValueError, match="not a counting strategy"):
             CountingScores(strategy, four_candidate_state)
 
     def test_state_is_not_changed(self, four_candidate_state):
-        before = {k: v.copy() for k, v in vars(four_candidate_state).items() if isinstance(v, np.ndarray)}
+        # The reads, not the buffers: reading `say` may fold pending reports into
+        # the private counters. They are read from a copy, so the state the kept
+        # scores are built on still holds its report unfolded.
+        reads = ("say", "verified_counts", "triangles", "color", "on_frontier")
+        untouched = copy.deepcopy(four_candidate_state)
         kept = CountingScores("mrn", four_candidate_state)
         kept.choose(random.Random(0))
         kept.decision(1)
-        for k, v in before.items():
-            assert np.array_equal(getattr(four_candidate_state, k), v), k
+        for name in reads:
+            assert np.array_equal(getattr(four_candidate_state, name), getattr(untouched, name)), name
 
     def test_decision_is_a_snapshot(self, four_candidate_state):
         kept = CountingScores("mrn", four_candidate_state)
