@@ -21,12 +21,7 @@ graph.BLUE (1) throughout the arrays, the verified table included; a
 report's color and statements arrive in the same codes, checked when a
 report is built by hand and guaranteed by the world for the oracle's
 own, so the counters are indexed with them as they are. Ingest marks
-the neighbors of a report of at most `oracle.SMALL_REPORT` claims one
-at a time, through memoryviews of the arrays made for that call, and
-those of a larger one with one array step: the same writes either way.
-Most reports in a sparse social graph are that small, and for them a
-loop costs less than the fixed cost of the array calls (see the
-oracle). The views are not kept, so a state still deep-copies.
+a report's neighbors with one array step.
 
 Three counters are folded on read: each node's four claim counts by
 (speaker color, said color), the verified table and each node's red
@@ -38,14 +33,12 @@ scores from the claims after that (see strategies); it never reads the
 other two, so it never folds. The learning strategy reads all three.
 The known red and blue neighbor counts derive from the claim counts,
 because every monitored neighbor makes exactly one claim about a node.
-A fold counts a report's claims by `count_claims`: those of a report of
-at most SMALL_REPORT claims one at a time, through a memoryview, and
-those of a larger one through one flat index, the same writes either
-way. A red target's new triangles
-are read from the record: the reports of the red neighbors monitored
-before it say which of the target's neighbors each also touches, found
-for all of them by one `searchsorted` into the target's ascending
-neighbor array. At a few hundred red neighbors per red, as in a dense
+A fold adds a report's claims to the claim counts through one flat
+index. A red target's new triangles are read from the record: the
+reports of the red neighbors monitored before it say which of the
+target's neighbors each also touches, found for all of them by one
+`searchsorted` into the target's ascending neighbor array. At a few
+hundred red neighbors per red, as in a dense
 homophily world, that search is most of the cost of a report. The
 verified table restates the others on purpose: it equals the monitored
 nodes' claim counts summed by their color, and is kept as a running
@@ -71,7 +64,7 @@ from itertools import islice
 import numpy as np
 
 from .graph import RED, Color, is_integer
-from .oracle import SMALL_REPORT, MonitorReport
+from .oracle import MonitorReport
 
 FEATURE_NAMES = (
     "red_neighbors",
@@ -88,28 +81,6 @@ FEATURE_NAMES = (
 # Column layout of the per-node claim counts: (speaker color, said color)
 # in the RED (0) / BLUE (1) codes, so a claim's column is 2 * speaker + said.
 RSR, RSB, BSR, BSB = 0, 1, 2, 3
-
-
-def count_claims(say: np.ndarray, report: MonitorReport) -> None:
-    """Add each claim of `report` to its subject's row of the (n, 4) claim
-    counts `say`, in column 2 * speaker + said.
-
-    A report of at most SMALL_REPORT claims is counted one claim at a
-    time, through a memoryview, and a larger one through one flat index:
-    the same writes either way.
-    """
-    nbrs, said, speaker = report.neighbors, report.statements, 2 * report.color
-    if len(nbrs) <= SMALL_REPORT:
-        counts = say.data
-        for v, s in zip(nbrs.tolist(), said.tolist()):
-            counts[v, speaker + s] += 1
-    else:
-        # One flat index into say's buffer, 4 * v + 2 * speaker + said, formed
-        # in intp: 4 * v would wrap in a small neighbor dtype such as uint8.
-        flat = np.multiply(nbrs, 4, dtype=np.intp)
-        flat += said
-        flat += speaker
-        say.reshape(-1)[flat] += 1
 
 
 class ObserverState:
@@ -179,7 +150,7 @@ class ObserverState:
         """Observed-but-unmonitored node ids, ascending (the legal monitor targets)."""
         return self.frontier().tolist()
 
-    def ingest(self, report: MonitorReport) -> "ObserverState":
+    def ingest(self, report: MonitorReport) -> None:
         """Record one monitor report.
 
         The target is recorded with its true color and its neighbors
@@ -188,9 +159,7 @@ class ObserverState:
         `_fold`). A report is well formed once built; ingest checks,
         before writing anything, only what needs the state: the target
         must be observed and unmonitored (a placement spends budget
-        once), and every neighbor must lie in [0, n). A report of at most
-        SMALL_REPORT claims is written by the loop, a larger one by one
-        array step (see the module docstring).
+        once), and every neighbor must lie in [0, n).
         """
         t = report.target
         n = len(self.color)
@@ -200,22 +169,12 @@ class ObserverState:
         if not (inside and self.on_frontier[t]):
             raise ValueError(f"node {t} has not been observed; monitors go on observed nodes")
         nbrs = report.neighbors
-        small = len(nbrs) <= SMALL_REPORT
-        if small:
-            nbrs = nbrs.tolist()
         if len(nbrs) and not (nbrs[0] >= 0 and nbrs[-1] < n):  # they ascend, so the ends bound them
             raise ValueError(f"report on node {t} names a neighbor outside [0, {n})")
         self.color[t] = report.color
         self.on_frontier[t] = False
-        if small:
-            # The array step's writes, one neighbor at a time, through memoryviews.
-            color, on_frontier = self.color.data, self.on_frontier.data
-            for v in nbrs:
-                on_frontier[v] = color[v] < 0
-        else:
-            self.on_frontier[nbrs] = self.color[nbrs] < 0  # monitored neighbors are already off it
+        self.on_frontier[nbrs] = self.color[nbrs] < 0  # monitored neighbors are already off it
         self.reports[t] = report
-        return self
 
     def _fold(self) -> None:
         """Fold the reports ingested since the last fold into `_say`,
@@ -237,7 +196,12 @@ class ObserverState:
         say, lagged, verified = self._say, self._folded_color, self._verified
         for report in reports:
             t, nbrs, said, color = report.target, report.neighbors, report.statements, report.color
-            count_claims(say, report)
+            # Each claim's flat index into say's buffer, 4 * v + 2 * color + said,
+            # formed in intp: 4 * v would wrap in a small neighbor dtype such as uint8.
+            flat = np.multiply(nbrs, 4, dtype=np.intp)
+            flat += said
+            flat += 2 * color
+            say.reshape(-1)[flat] += 1
             subject = lagged[nbrs]
             seen = subject >= 0
             verified[color] += np.bincount(2 * said[seen] + subject[seen], minlength=4).reshape(2, 2)

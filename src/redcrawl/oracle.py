@@ -29,14 +29,11 @@ both give the same codes and leave the stream in the same state. The
 paper's networks are sparse social graphs: 95% of the nodes of an
 n=26220 `structural_signal` world (the README's PokeC size) have at most
 16 neighbors, and at that size the array path's dozen numpy calls cost
-more than the claims. Ingest, the fold's claim count and the kept
-counting scores split at the same size, so a report takes one path
-through a whole step. The value is the smallest `choice` of four runs
-of `scripts/time_small_reports.py`, which times both paths at sizes
-1-64 for a counting step and for a redlearn step: four runs on 2 vCPU
-read 19, 19, 15 and 19. The rule compares whole steps: ingest's own
-loop beats its one array step only up to about 10 claims, and the
-oracle's and the kept scores' loops win well past 15.
+more than the claims. The kept counting scores split at the same size
+(see strategies). The value is the smallest `choice` of four runs of
+`scripts/time_small_reports.py`, which times both paths at sizes 1-64
+for a counting step (the oracle and the kept scores) and for a redlearn
+step (the oracle alone): four runs on 2 vCPU read 26, 29, 26 and 25.
 
 An LS2 blue speaker's claims need no draw, so its placement only
 advances the stream past them, by one `getrandbits` call that takes the
@@ -57,9 +54,9 @@ import numpy as np
 
 from .graph import BLUE, RED, WorldGraph, _uniforms, is_integer
 
-# A report of at most this many claims is drawn, ingested and scored by a
-# plain loop over its claims, a larger one by array operations (see above).
-SMALL_REPORT = 15
+# A report of at most this many claims is drawn and scored by a plain
+# loop over its claims, a larger one by array operations (see above).
+SMALL_REPORT = 25
 HONESTY_MEAN = 0.5
 HONESTY_SD = 0.125
 _TWOPI = 2.0 * math.pi  # `random.TWOPI`, the angle scale of `gauss`

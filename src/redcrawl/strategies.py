@@ -32,11 +32,10 @@ blue one for mrsr and mrn), raises no score: its update reads no claims
 and only puts the newly observed neighbors on the frontier at score 0.
 `pick` scores a state from scratch from the claim counts, so a kept run
 and a fresh pick draw the same node from the same rng. A report of at
-most `oracle.SMALL_REPORT` claims is folded in one claim at a time,
-through memoryviews of the score and frontier arrays, and a larger one
-by array operations; both give the same scores and top ids. Most reports
-in a sparse social graph are that small, and for them the loop costs
-less than the array calls (see the oracle).
+most `oracle.SMALL_REPORT` claims is folded in one claim at a time, and
+a larger one by array operations; both give the same scores and top
+ids. Most reports in a sparse social graph are that small, and for them
+the loop costs less than the array calls (see the oracle).
 
   sr        uniform choice over the frontier (the floor every other
             policy should beat).

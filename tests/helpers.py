@@ -30,7 +30,6 @@ from redcrawl import (
     TrainingSet,
     WorldGraph,
     classifier,
-    observer,
     oracle,
     strategies,
 )
@@ -81,14 +80,14 @@ def have_pokec(attribute: str) -> bool:
 
 
 # The modules that read oracle.SMALL_REPORT, each through its own import of it.
-SMALL_REPORT_READERS = (oracle, observer, strategies)
+SMALL_REPORT_READERS = (oracle, strategies)
 # The constant that sends every report down one path: none is at most -1
 # claims, and none is above a million.
 PATH_LIMITS = {"array": -1, "scalar": 10**6}
 
 
 def force_path(monkeypatch, path: str) -> None:
-    """Send every report, in the oracle, ingest and the kept scores, down `path`."""
+    """Send every report, in the oracle and the kept scores, down `path`."""
     for module in SMALL_REPORT_READERS:
         monkeypatch.setattr(module, "SMALL_REPORT", PATH_LIMITS[path])
 

@@ -23,6 +23,7 @@ from redcrawl import (
     generate_synthetic,
     load_graph,
     remove_red_red_edges,
+    run_single,
     save_graph,
 )
 from redcrawl.graph import (
@@ -67,6 +68,10 @@ CPU_SETTINGS = {
 # of many uniform blocks.
 PORTABLE_WORLDS = [(5000, 0.05, "no_homophily", 1), (500, 0.05, "structural_signal", 1),
                    (2000, 0.3, "homophily", 2), (26220, 0.05, "structural_signal", 1)]
+# Counting runs made under each setting on the n=500 structural_signal
+# world, from its first red with seed 1 and budget 100: (strategy, scenario).
+RUN_WORLD = PORTABLE_WORLDS[1]
+PORTABLE_RUNS = [(strategy, scenario) for strategy in ("sr", "rs", "mrsr", "mrn") for scenario in ("ls1", "ls2")]
 
 # sha256 of each world array's bytes, as the geometric skip generator
 # writes them: the benchmark's frontier world and its learn world.
@@ -553,12 +558,17 @@ class TestGenerateSynthetic:
     @pytest.mark.parametrize("setting", list(CPU_SETTINGS))
     def test_worlds_are_the_same_on_every_cpu_kernel(self, setting):
         # Each setting makes numpy, OpenBLAS or glibc pick other machine code
-        # paths in a child process; the worlds must keep every bit.
+        # paths in a child process; the worlds and the counting runs' traces
+        # must keep every bit.
         code = ("import hashlib, redcrawl\n"
                 f"for args in {PORTABLE_WORLDS!r}:\n"
                 "    g = redcrawl.generate_synthetic(*args)\n"
                 "    print(*(hashlib.sha256(getattr(g, k).tobytes()).hexdigest()"
-                " for k in ('codes', 'hierarchy', 'indptr', 'indices')))\n")
+                " for k in ('codes', 'hierarchy', 'indptr', 'indices')))\n"
+                f"g = redcrawl.generate_synthetic(*{RUN_WORLD!r})\n"
+                f"for strategy, scenario in {PORTABLE_RUNS!r}:\n"
+                "    t = redcrawl.run_single(g, strategy, redcrawl.LyingScenario(scenario), g.red_ids()[0], 1, 100)\n"
+                "    print(hashlib.sha256(t.nodes.tobytes()).hexdigest())\n")
         path = os.pathsep.join(filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH"))))
         env = {**os.environ, "PYTHONPATH": path, **CPU_SETTINGS[setting]}
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
@@ -566,6 +576,10 @@ class TestGenerateSynthetic:
         expected = [" ".join(hashlib.sha256(getattr(g, k).tobytes()).hexdigest()
                              for k in ("codes", "hierarchy", "indptr", "indices"))
                     for g in (generate_synthetic(*args) for args in PORTABLE_WORLDS)]
+        g = generate_synthetic(*RUN_WORLD)
+        expected += [hashlib.sha256(run_single(g, strategy, LyingScenario(scenario), g.red_ids()[0], 1, 100)
+                                    .nodes.tobytes()).hexdigest()
+                     for strategy, scenario in PORTABLE_RUNS]
         assert result.stdout.splitlines() == expected
 
     @pytest.mark.parametrize("args", list(WORLD_DIGESTS))

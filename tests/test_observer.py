@@ -156,11 +156,9 @@ class TestIngest:
         force_path(monkeypatch, path)
         check_uint8_neighbors_count_each_claim_once()
 
-    @pytest.mark.parametrize("path", ["array", "scalar"])
     @pytest.mark.parametrize("neighbors", [ids(-1, 2), ids(2, 4), np.array([2, 255], dtype=np.uint8)],
                              ids=["negative_neighbor", "neighbor_at_n", "uint8_neighbor_past_n"])
-    def test_neighbor_outside_rejected_before_any_write_on_each_path(self, neighbors, path, monkeypatch):
-        force_path(monkeypatch, path)
+    def test_neighbor_outside_rejected_before_any_write(self, neighbors):
         state = ObserverState(0, 4)
         state.ingest(report(0, Color.RED, {1: Color.RED, 2: Color.BLUE}))
         before = copy.deepcopy(state)

@@ -1,8 +1,9 @@
 """A report of at most `oracle.SMALL_REPORT` claims takes a scalar path through
-the oracle, ingest and the kept scores; a larger one takes the array path.
-Each crawl here runs three times, with the constant as it stands (both paths
-mixed) and with every report forced down one path, and every step must give
-the same claims, random stream, observer arrays and kept scores."""
+the oracle and the kept scores; a larger one takes the array path. The
+observer has one path for every report. Each crawl here runs three times,
+with the constant as it stands (both paths mixed) and with every report
+forced down one path, and every step must give the same claims, random
+stream, observer arrays and kept scores."""
 
 import random
 import sys
@@ -64,7 +65,7 @@ def test_every_reader_imports_the_one_constant():
 @pytest.mark.parametrize("strategy", ["sr", "rs", "mrsr", "mrn"])
 def test_both_paths_give_the_same_bytes_at_every_step(strategy, scenario, monkeypatch):
     world = threshold_world(1)
-    mixed = snapshots(world, strategy, scenario, steps=150)
+    mixed = snapshots(world, strategy, scenario, steps=180)
     # Red and blue speakers made reports one claim below, at and one above the constant.
     sizes = {(fields[1], len(fields[2])) for fields, *_ in mixed}
     edge = oracle.SMALL_REPORT
@@ -72,7 +73,7 @@ def test_both_paths_give_the_same_bytes_at_every_step(strategy, scenario, monkey
     for path in ("array", "scalar"):
         with monkeypatch.context() as m:
             force_path(m, path)
-            forced = snapshots(world, strategy, scenario, steps=150)
+            forced = snapshots(world, strategy, scenario, steps=180)
         assert len(forced) == len(mixed)
         for step, (got, want) in enumerate(zip(forced, mixed)):
             assert got == want, f"{path} path differs at step {step}"
