@@ -14,6 +14,7 @@ from redcrawl import (
     ObserverState,
     Oracle,
     generate_synthetic,
+    oracle,
     run_single,
 )
 from redcrawl.graph import BLUE, RED
@@ -166,6 +167,27 @@ class TestIngest:
             state.ingest(MonitorReport(1, RED, neighbors, codes(RED, BLUE)))
         assert same_arrays(state, before)
         assert list(state.reports) == [0]
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below_small_report", "at_small_report", "above_small_report"])
+    def test_neighbor_outside_rejected_at_every_report_size(self, offset):
+        # Reports one claim below, at and one above oracle.SMALL_REPORT all go
+        # through ingest's one path; an outside neighbor at either end of a
+        # long report is caught before any write.
+        size = oracle.SMALL_REPORT + offset
+        n = oracle.SMALL_REPORT + 4
+        inside = [v for v in range(n) if v != 1][:size - 1]
+        state = ObserverState(0, n)
+        state.ingest(report(0, Color.RED, {1: Color.RED, 2: Color.BLUE}))
+        before = copy.deepcopy(state)
+        for neighbors in ([-1, *inside], [*inside, n]):
+            with pytest.raises(ValueError, match=rf"names a neighbor outside \[0, {n}\)"):
+                state.ingest(MonitorReport(1, RED, ids(*neighbors), np.full(size, RED, dtype=np.int8)))
+            assert same_arrays(state, before)
+            assert list(state.reports) == [0]
+        # the same report with every neighbor inside goes in
+        state.ingest(MonitorReport(1, RED, ids(*inside, n - 1),
+                                   np.full(size, RED, dtype=np.int8)))
+        assert list(state.reports) == [0, 1]
 
     def test_verification_when_subject_monitored_later(self):
         state = ObserverState(0, 10)
