@@ -104,21 +104,53 @@ def is_integer(value) -> bool:
 
 
 class _NodeView:
-    """`view[v]` for an integer node id `v` in [0, n), read from the world's arrays; IndexError otherwise."""
+    """`view[v]` for an integer node id `v` in [0, n), read by the subclass's `_read`; IndexError otherwise.
 
-    __slots__ = ("_n", "_read")
+    The reader classes below hold memoryviews of the world's arrays, whose
+    items are Python ints, so a read needs no numpy scalar. A view does
+    not pickle; a world pickles by rebuilding its views (`WorldGraph.__reduce__`).
+    """
 
-    def __init__(self, n: int, read) -> None:
-        self._n = n
-        self._read = read
+    __slots__ = ("_n",)
 
     def __len__(self) -> int:
         return self._n
 
     def __getitem__(self, v: int):
-        if not (is_integer(v) and 0 <= v < self._n):
-            raise IndexError(f"node id {v} out of range [0, {self._n})")
-        return self._read(v)
+        if type(v) is int:  # the common case, ahead of is_integer's isinstance tests
+            if 0 <= v < self._n:
+                return self._read(v)
+        elif is_integer(v) and 0 <= v < self._n:
+            return self._read(v)
+        raise IndexError(f"node id {v} out of range [0, {self._n})")
+
+
+class _Neighbors(_NodeView):
+    """v's neighbors: an ascending read-only slice of the CSR."""
+
+    __slots__ = ("_indptr", "_indices")
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
+        self._n = len(indptr) - 1
+        self._indptr = memoryview(indptr)
+        self._indices = indices
+
+    def _read(self, v: int) -> np.ndarray:
+        indptr = self._indptr
+        return self._indices[indptr[v]:indptr[v + 1]]
+
+
+class _Colors(_NodeView):
+    """v's Color."""
+
+    __slots__ = ("_codes",)
+
+    def __init__(self, codes: np.ndarray) -> None:
+        self._n = len(codes)
+        self._codes = memoryview(codes)
+
+    def _read(self, v: int) -> Color:
+        return _COLOR_OF_CODE[self._codes[v]]
 
 
 _ARRAYS = ("codes", "hierarchy", "indptr", "indices")  # everything a world stores per node or edge
@@ -131,7 +163,8 @@ class WorldGraph:
     `hierarchy[v]` its rank score. The edges are a CSR: `v`'s neighbors
     are `indices[indptr[v]:indptr[v + 1]]`, in ascending order, which
     `adjacency[v]` returns. `colors[v]` reads a code back as a `Color`.
-    Both views raise IndexError for `v` outside [0, n).
+    Both views take an int or numpy integer id and raise IndexError for
+    a bool, a non-integer or an id outside [0, n).
 
     The constructor is the one way to build a world: color codes, rank
     scores and an array of undirected (u, v) edges, each pair given once
@@ -140,7 +173,9 @@ class WorldGraph:
     BLUE, a rank score that is not positive and finite, or a label that
     names more than one node, so every world is symmetric and simple by
     construction. All four arrays are read-only, so one world is shared
-    by every run without copies; transforms build a new world.
+    by every run without copies; transforms build a new world. A world
+    pickles as its arrays, name and labels, and unpickles through this
+    constructor, read-only again.
     """
 
     def __init__(self, codes, hierarchy, edges, name: str = "world", labels=None) -> None:
@@ -188,12 +223,14 @@ class WorldGraph:
         self.indices = keys
         for key in _ARRAYS:
             getattr(self, key).setflags(write=False)
-        codes = self.codes
-        # v's neighbors, an ascending read-only slice of the CSR, and v's Color.
-        self.adjacency = _NodeView(n, lambda v: keys[indptr[v]:indptr[v + 1]])
-        self.colors = _NodeView(n, lambda v: _COLOR_OF_CODE[codes[v]])
+        self.adjacency = _Neighbors(indptr, keys)
+        self.colors = _Colors(self.codes)
         self.name = name
         self.labels = labels
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, so the arrays come back read-only and the views anew.
+        return WorldGraph, (self.codes, self.hierarchy, np.column_stack(self._pairs()), self.name, self.labels)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WorldGraph):

@@ -14,9 +14,11 @@ count is read from the world's true colors where it is needed. Results
 land in two CSVs, a per-step trace (`run,strategy,step,node,
 true_color,cum_red`) and a budget-tier summary (`strategy,tier,
 mean_pct_red,std_pct_red,runs`). The same config always reproduces both
-files byte for byte. "Reds found" counts monitored nodes whose true
-color is red; stated colors are unreliable, so a red only counts once a
-monitor has confirmed it.
+files byte for byte. traces.csv holds the bytes `csv.writer` would
+write, though each trace's rows are formatted and written in one pass.
+"Reds found" counts monitored nodes whose true color is red; stated
+colors are unreliable, so a red only counts once a monitor has
+confirmed it.
 """
 
 from __future__ import annotations
@@ -341,6 +343,36 @@ def summarize(traces: list[RunTrace], tiers: list[float], world: WorldGraph) -> 
     return rows
 
 
+def _csv_field(label: str) -> str:
+    """`label` as `csv.writer` writes a field: quoted, its quotes doubled, if it holds `,` or `"`.
+
+    Labels of a world that `run_experiment` runs hold no whitespace (see
+    `load_graph`), so no line break or other quoted character can occur.
+    """
+    return '"' + label.replace('"', '""') + '"' if "," in label or '"' in label else label
+
+
+def _write_traces(fh, traces: list[RunTrace], world: WorldGraph) -> None:
+    """Write `traces` to the text file `fh` as traces.csv, the bytes `csv.writer` writes.
+
+    Each trace's rows are formatted and joined in one pass and written
+    at once. A label is quoted only where `csv.writer` would quote it
+    (`_csv_field`); a world whose labels need no quoting, as every
+    synthetic one, writes its labels as they are, with no per-node copy.
+    """
+    labels = world.labels
+    text = "".join(labels)  # one scan for a quoted character, not one per label
+    if "," in text or '"' in text:
+        labels = tuple(map(_csv_field, labels))
+    color_text = {code: Color.from_code(code).value for code in (RED, BLUE)}
+    fh.write(",".join(TRACE_HEADER) + "\r\n")
+    for t in traces:
+        codes = world.codes[t.nodes]
+        fmt = f"{t.run_id},{t.strategy},{{}},{{}},{{}},{{}}\r\n"
+        fh.write("".join(map(fmt.format, range(len(codes)), map(labels.__getitem__, t.nodes.tolist()),
+                             map(color_text.__getitem__, codes.tolist()), np.cumsum(codes == RED).tolist())))
+
+
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run every (strategy, run) cell of `config` and write the CSVs.
 
@@ -402,16 +434,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
         logger.info("strategy %s: %d runs done", strategy, config.runs)
 
     traces_path = out_dir / "traces.csv"
-    color_text = {code: Color.from_code(code).value for code in (RED, BLUE)}
     with open(traces_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for t in traces:
-            codes = world.codes[t.nodes]
-            cum_reds = np.cumsum(codes == RED).tolist()
-            writer.writerows([t.run_id, t.strategy, i, world.labels[node], color_text[code], cum_red]
-                             for i, (node, code, cum_red) in
-                             enumerate(zip(t.nodes.tolist(), codes.tolist(), cum_reds)))
+        _write_traces(fh, traces, world)
 
     rows = summarize(traces, config.budget_tiers, world)
     summary_path = out_dir / "summary.csv"

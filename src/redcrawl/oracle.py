@@ -33,7 +33,10 @@ more than the claims. The kept counting scores split at the same size
 (see strategies). The value is the smallest `choice` of four runs of
 `scripts/time_small_reports.py`, which times both paths at sizes 1-64
 for a counting step (the oracle and the kept scores) and for a redlearn
-step (the oracle alone): four runs on 2 vCPU read 26, 29, 26 and 25.
+step (the oracle alone): four runs on 2 vCPU read 29, 29, 29 and 36.
+The loop's fixed costs are paid once per run: the oracle looks up its
+stream's `random` and a memoryview of the world's ranks when it is built,
+and the world's neighbor view reads the CSR bounds as Python ints.
 
 An LS2 blue speaker's claims need no draw, so its placement only
 advances the stream past them, by one `getrandbits` call that takes the
@@ -56,7 +59,7 @@ from .graph import BLUE, RED, WorldGraph, _uniforms, is_integer
 
 # A report of at most this many claims is drawn and scored by a plain
 # loop over its claims, a larger one by array operations (see above).
-SMALL_REPORT = 25
+SMALL_REPORT = 29
 HONESTY_MEAN = 0.5
 HONESTY_SD = 0.125
 _TWOPI = 2.0 * math.pi  # `random.TWOPI`, the angle scale of `gauss`
@@ -171,7 +174,9 @@ class Oracle:
     subject order. An LS2 blue speaker skips its values unread, so the
     stream ends every placement in the state those calls leave.
     `issued` is the set of targets answered so far. One oracle per run;
-    distinct runs with distinct oracles can execute in parallel.
+    distinct runs with distinct oracles can execute in parallel. The
+    stream's bound `random` and a memoryview of the world's ranks are
+    taken once, when the oracle is built, so `rng` is not to be rebound.
     """
 
     world: WorldGraph
@@ -193,6 +198,8 @@ class Oracle:
             raise ValueError(problem)
         honesty.setflags(write=False)
         self.honesty = honesty
+        self._random = self.rng.random
+        self._rank = self.world.hierarchy.data
 
     def place_monitor(self, target: int) -> MonitorReport:
         """Answer a monitor placement on `target`.
@@ -218,7 +225,7 @@ class Oracle:
             said = np.full(len(neighbors), BLUE, dtype=np.int8)
         elif len(neighbors) <= SMALL_REPORT:
             said = world.codes[neighbors]
-            rand, rank = self.rng.random, world.hierarchy.data
+            rand, rank = self._random, self._rank
             dishonesty = 1.0 - self.honesty.item(target)
             rank_t = rank[target]
             for i, (v, code) in enumerate(zip(neighbors.tolist(), said.tolist())):

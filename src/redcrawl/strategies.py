@@ -106,7 +106,10 @@ class CountingScores:
     Claim counts only grow, so a report can raise its neighbors' scores
     but lower none, and the top falls only when its last id is monitored.
     `silent` holds the speaker color codes whose claims score nothing,
-    and `gains[speaker]` holds the weight of each said code.
+    `gains[speaker]` holds the weight of each said code and `weights`
+    the four column weights as a list. Memoryviews of `score` and of the
+    state's frontier mask are made once, when the scores are built, and
+    kept for the small-report loop.
     """
 
     def __init__(self, strategy: str, state: ObserverState):
@@ -114,12 +117,14 @@ class CountingScores:
             raise ValueError(f"{strategy!r} is not a counting strategy: expected one of {tuple(_SCORE_COLUMNS)}")
         self.state = state
         self.silent = _SILENT_SPEAKERS[strategy]
-        self.weights = np.zeros(4, dtype=np.int64)
-        self.weights[_SCORE_COLUMNS[strategy]] = 1
-        self.gains = tuple(self.weights.reshape(2, 2))
+        weights = np.zeros(4, dtype=np.int64)
+        weights[_SCORE_COLUMNS[strategy]] = 1
+        self.gains = tuple(weights.reshape(2, 2))
+        self.weights = weights.tolist()
         self.score = np.full(len(state.color), -1, dtype=np.int64)
         cands = state.frontier()
-        self.score[cands] = state.say.take(cands, axis=0) @ self.weights
+        self.score[cands] = state.say.take(cands, axis=0) @ weights
+        self._score, self._on_frontier = self.score.data, state.on_frontier.data
         self._rebuild()
 
     def _rebuild(self) -> None:
@@ -174,8 +179,7 @@ class CountingScores:
         that reaches it joins the list: the ids and order of the array
         path. The top ids are rebuilt, as there, only if none is left.
         """
-        score, on_frontier = self.score.data, self.state.on_frontier.data
-        weights = self.weights.tolist()
+        score, on_frontier, weights = self._score, self._on_frontier, self.weights
         top, top_ids = self.top, self.top_ids
         for v, s in zip(nbrs, said):
             if on_frontier[v]:

@@ -8,6 +8,7 @@ ObserverState.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import logging
 import os
@@ -231,6 +232,20 @@ def reference_read_edges(edge_file, label_to_id: dict[str, int]) -> np.ndarray:
 def reference_honesty(world: WorldGraph, rng: random.Random) -> np.ndarray:
     """`oracle.assign_honesty` as one `rng.gauss` call per node: the oracle for its bulk draw."""
     return np.clip([rng.gauss(HONESTY_MEAN, HONESTY_SD) for _ in range(world.n)], 0.0, 1.0)
+
+
+def reference_traces_csv(path, traces, world: WorldGraph) -> None:
+    """`harness`'s traces.csv as `csv.writer` writes it, row by row: the oracle for its one-pass writer."""
+    color_text = {code: Color.from_code(code).value for code in (RED, BLUE)}
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["run", "strategy", "step", "node", "true_color", "cum_red"])
+        for t in traces:
+            codes = world.codes[t.nodes]
+            cum_reds = np.cumsum(codes == RED).tolist()
+            writer.writerows([t.run_id, t.strategy, i, world.labels[node], color_text[code], cum_red]
+                             for i, (node, code, cum_red) in
+                             enumerate(zip(t.nodes.tolist(), codes.tolist(), cum_reds)))
 
 
 def reference_world_config(tmp_path, n: int, red_fraction: float, mode: str, seed: int) -> dict:

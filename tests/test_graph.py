@@ -4,6 +4,7 @@ import hashlib
 import logging
 import math
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -681,6 +682,27 @@ class TestConstruction:
             with pytest.raises(IndexError, match=f"node id {v} out of range"):
                 view(v)
         assert [c.value for c in g.colors] == ["blue", "blue", "red"]
+
+    def test_views_take_numpy_integer_ids(self):
+        g = make_world(3, [(0, 1), (1, 2)], red={2})
+        for v in (np.int64(1), np.int32(2), np.uint8(0)):
+            assert g.adjacency[v].tolist() == g.adjacency[int(v)].tolist()
+            assert g.colors[v] is g.colors[int(v)]
+
+    def test_world_pickles_through_its_constructor(self, tmp_path):
+        edge_path, node_path = write_graph_files(tmp_path, "a b\nb c\n",
+                                                 "id,color,hierarchy\na,red,2\nb,blue,1\nc,blue,3\n")
+        for g in (load_graph(edge_path, node_path), generate_synthetic(300, 0.1, "homophily", 4),
+                  make_world(4, [], red={0})):
+            copy = pickle.loads(pickle.dumps(g))
+            assert copy == g
+            assert (copy.name, copy.labels) == (g.name, g.labels)
+            for key in ("codes", "hierarchy", "indptr", "indices"):
+                assert not getattr(copy, key).flags.writeable, key
+            assert [copy.adjacency[v].tolist() for v in range(g.n)] == [g.adjacency[v].tolist() for v in range(g.n)]
+            assert list(copy.colors) == list(g.colors)
+            with pytest.raises(IndexError):
+                copy.adjacency[g.n]
 
     def test_repeated_label_rejected(self):
         with pytest.raises(ValueError, match="label 'a' names more than one node"):

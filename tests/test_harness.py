@@ -41,6 +41,7 @@ from helpers import (
     brute_verified,
     fit_settings,
     make_world,
+    reference_traces_csv,
     reference_world_config,
     scores_of,
 )
@@ -749,6 +750,37 @@ class TestRunExperiment:
         digests = tuple(hashlib.sha256(result[key].read_bytes()).hexdigest()
                         for key in ("traces_csv", "summary_csv"))
         assert digests == self.GOLDEN[scenario]
+
+    # Node ids that csv.writer quotes: a comma, a quote, both, and a quote at either end.
+    QUOTED_IDS = ["a,b", 'say"hi"', '"lead', 'trail"', 'x,"y"', ",", '"']
+
+    def test_trace_writer_quotes_loaded_ids_as_csv_writer_does(self, tmp_path):
+        ids = self.QUOTED_IDS + [f"n{i}" for i in range(9)]
+        rng = random.Random(2)
+        with open(tmp_path / "nodes.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["id", "color"])
+            writer.writerows([label, "red" if i % 3 == 0 else "blue"] for i, label in enumerate(ids))
+        # a ring, so every node is reached, plus chords
+        pairs = [(ids[i], ids[(i + 1) % len(ids)]) for i in range(len(ids))]
+        pairs += [tuple(rng.sample(ids, 2)) for _ in range(12)]
+        (tmp_path / "edges.txt").write_text("".join(f"{u} {v}\n" for u, v in pairs), encoding="utf-8")
+        config = self.small_config(tmp_path / "out", edges=str(tmp_path / "edges.txt"),
+                                   nodes=str(tmp_path / "nodes.csv"), synthetic_mode=None,
+                                   strategies=list(strategies.STRATEGY_NAMES), runs=2,
+                                   budget_fraction=1.0, budget_tiers=[0.5, 1.0])
+        result = run_experiment(config)
+        reference_traces_csv(tmp_path / "reference.csv", result["traces"], result["world"])
+        written = result["traces_csv"].read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        with open(result["traces_csv"], newline="", encoding="utf-8") as fh:
+            assert set(self.QUOTED_IDS) <= {row[3] for row in csv.reader(fh)}  # every such id was monitored
+
+    def test_trace_writer_matches_csv_writer_for_every_strategy(self, tmp_path):
+        config = self.small_config(tmp_path / "out", strategies=list(strategies.STRATEGY_NAMES), runs=3)
+        result = run_experiment(config)
+        reference_traces_csv(tmp_path / "reference.csv", result["traces"], result["world"])
+        assert result["traces_csv"].read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_budget_accounting(self, tmp_path):
         config = self.small_config(tmp_path / "out", runs=2)

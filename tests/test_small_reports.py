@@ -20,12 +20,34 @@ N = 200
 
 
 def threshold_world(seed: int) -> WorldGraph:
-    """G(N, p) with mean degree SMALL_REPORT, a third of it red, ranks spread over [1, 10]."""
+    """G(N, p) with mean degree SMALL_REPORT, a third of it red, ranks spread over [1, 10].
+
+    Then every red, and half as many blues, gets SMALL_REPORT - 1,
+    SMALL_REPORT and SMALL_REPORT + 1 neighbors in turn, by adding or
+    removing edges to the other blues only, so no node set earlier moves.
+    Reports of each size around the constant, from either color, are then
+    common, however a crawl orders its monitors.
+    """
     rng = random.Random(seed)
     p = oracle.SMALL_REPORT / (N - 1)
-    edges = [(u, v) for u in range(N) for v in range(u + 1, N) if rng.random() < p]
+    nbrs = [set() for _ in range(N)]
+    for u in range(N):
+        for v in range(u + 1, N):
+            if rng.random() < p:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+    reds = rng.sample(range(N), N // 3)
+    blues = [v for v in range(N) if v not in reds]
+    loose = set(blues[len(reds) // 2:])
+    for i, v in enumerate(reds + blues[:len(reds) // 2]):
+        want = oracle.SMALL_REPORT - 1 + i % 3
+        mates = nbrs[v] & loose if len(nbrs[v]) > want else loose - nbrs[v]
+        for u in rng.sample(sorted(mates), abs(len(nbrs[v]) - want)):
+            nbrs[v] ^= {u}
+            nbrs[u] ^= {v}
     codes = np.full(N, BLUE, dtype=np.int8)
-    codes[rng.sample(range(N), N // 3)] = RED
+    codes[reds] = RED
+    edges = [(u, v) for u in range(N) for v in sorted(nbrs[u]) if u < v]
     return WorldGraph(codes, [rng.uniform(1.0, 10.0) for _ in range(N)], edges)
 
 
@@ -65,7 +87,9 @@ def test_every_reader_imports_the_one_constant():
 @pytest.mark.parametrize("strategy", ["sr", "rs", "mrsr", "mrn"])
 def test_both_paths_give_the_same_bytes_at_every_step(strategy, scenario, monkeypatch):
     world = threshold_world(1)
-    mixed = snapshots(world, strategy, scenario, steps=180)
+    # 47 steps are the fewest that cover every case: rs under LS1 monitors reds
+    # first and makes its last needed blue report at step 47.
+    mixed = snapshots(world, strategy, scenario, steps=47)
     # Red and blue speakers made reports one claim below, at and one above the constant.
     sizes = {(fields[1], len(fields[2])) for fields, *_ in mixed}
     edge = oracle.SMALL_REPORT
@@ -73,7 +97,7 @@ def test_both_paths_give_the_same_bytes_at_every_step(strategy, scenario, monkey
     for path in ("array", "scalar"):
         with monkeypatch.context() as m:
             force_path(m, path)
-            forced = snapshots(world, strategy, scenario, steps=180)
+            forced = snapshots(world, strategy, scenario, steps=47)
         assert len(forced) == len(mixed)
         for step, (got, want) in enumerate(zip(forced, mixed)):
             assert got == want, f"{path} path differs at step {step}"
