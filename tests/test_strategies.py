@@ -334,6 +334,7 @@ def assert_kept_equals_scan(kept, strategy, state):
     assert kept.top == top
     assert kept.top_ids == cands[scores == top].tolist()
     assert all(type(v) is int for v in kept.top_ids)
+    assert kept.below_ids is None or kept.below_ids == cands[scores == top - 1].tolist()
 
 
 def crawl_against_scan(world, strategy, scenario, start, steps, seed=0):
@@ -409,6 +410,38 @@ class TestCountingScoresMatchScan:
             assert (speaker in _SILENT_SPEAKERS[strategy]) == (not SCAN_SCORES[strategy](say).any())
         kept = CountingScores(strategy, four_candidate_state)
         assert kept.silent is _SILENT_SPEAKERS[strategy]  # the module's table, not one per instance
+
+    @pytest.mark.parametrize("strategy", ["rs", "mrsr", "mrn"])
+    def test_a_fallen_top_takes_the_kept_level_below(self, strategy, monkeypatch):
+        # crawl_against_scan checks the kept level below the top at every step;
+        # here some tops fall to it instead of to a scan.
+        rebuild, kept_level = CountingScores._rebuild, []
+
+        def counted(kept):
+            kept_level.append(bool(kept.below_ids))
+            rebuild(kept)
+
+        monkeypatch.setattr(CountingScores, "_rebuild", counted)
+        world = generate_synthetic(150, 0.2, "no_homophily", 6)
+        crawl_against_scan(world, strategy, LyingScenario.LS1, world.red_ids()[1], steps=60, seed=11)
+        assert any(kept_level)
+
+    def test_monitoring_a_node_below_the_top_leaves_the_kept_level(self):
+        # rs counts says-red claims: 0 puts 1, 2, 3 at the top (1); 1's report
+        # raises 2 by one, so 3 is the kept level below. Monitoring 3, off the
+        # top, must take it out of that level before the top falls to it.
+        state = ObserverState(0, 10)
+        state.ingest(report(0, Color.RED, {1: Color.RED, 2: Color.RED, 3: Color.RED, 4: Color.BLUE}))
+        kept = CountingScores("rs", state)
+        for step in (report(1, Color.RED, {0: Color.RED, 2: Color.RED, 5: Color.BLUE}),
+                     report(3, Color.BLUE, {0: Color.RED, 6: Color.BLUE}),
+                     report(2, Color.RED, {0: Color.RED, 1: Color.RED, 7: Color.BLUE})):
+            state.ingest(step)
+            kept.update(step)
+            assert_kept_equals_scan(kept, "rs", state)
+            if step.target == 1:
+                assert (kept.top, kept.top_ids, kept.below_ids) == (2, [2], [3])
+        assert (kept.top, kept.top_ids) == (0, [4, 5, 6, 7])
 
     def test_silent_report_on_the_last_top_id_rebuilds(self):
         # mrsr weighs only red-says-red: 0 calls 1 red and 2, 3 blue, so 1 alone
