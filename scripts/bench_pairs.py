@@ -12,7 +12,8 @@ the metrics) are kept. With `--trace`, each side runs `--trace 1` instead
 and the per-layer metrics are kept.
 
 `--out` is a JSON file keyed by `<workload>_seed<N>` (`_traced` appended
-with `--trace`); an existing file keeps its other keys. For each
+with `--trace`); an existing file keeps its other keys, and an existing
+key keeps its runs, the new pairs numbered after them. For each
 end-to-end metric the summary gives both sides' median and quartiles, the
 pairs the change won, and whether the change's median is better than the
 parent's by more than the parent's interquartile range.
@@ -100,16 +101,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    runs = []
-    for pair in range(1, args.pairs + 1):
+    key = f"{args.workload}_seed{args.seed}" + ("_traced" if args.trace else "")
+    record = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
+    runs = record.get(key, {}).get("runs", [])
+    first = max((run["pair"] for run in runs), default=0) + 1
+    for pair in range(first, first + args.pairs):
         for side in ("parent", "change") if pair % 2 else ("change", "parent"):
             run = run_side(trees[side], args.workload, args.seed, args.seconds, args.trace)
             runs.append({"pair": pair, "side": side, **run})
             shown = run["result"].get("metrics", {}).get("monitors_per_s", {}).get("value")
             print(f"pair {pair} {side}: failed {run['result']['failed']}, monitors_per_s {shown}", flush=True)
 
-    key = f"{args.workload}_seed{args.seed}" + ("_traced" if args.trace else "")
-    record = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     record.setdefault("machine", {"python": platform.python_version(), "cpus": os.cpu_count()})
     record[key] = {
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed {args.seed} "

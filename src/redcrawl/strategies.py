@@ -30,10 +30,11 @@ below take their place if they are known: a top that a small report
 raises by one keeps the ids it leaves, and the small-report loop keeps
 them up to date. Only otherwise are the top ids rebuilt by one scan of
 every score: on the frontier benchmark's seed-1 batch, 6 of 568
-rebuilds scan, the four first builds included. A report whose speaker the strategy is silent
-on, since it weighs that speaker's claims 0 (every speaker for sr, a
-blue one for mrsr and mrn), raises no score: its update reads no claims
-and only puts the newly observed neighbors on the frontier at score 0.
+rebuilds scan, the four first builds included. A report whose speaker
+the strategy is silent on, since it weighs that speaker's claims 0
+(every speaker for sr, a blue one for mrsr and mrn), raises no score:
+its update reads no claims and only puts the newly observed neighbors
+on the frontier at score 0.
 `pick` scores a state from scratch from the claim counts, so a kept run
 and a fresh pick draw the same node from the same rng. A report of at
 most `oracle.SMALL_REPORT` claims is folded in one claim at a time, and
