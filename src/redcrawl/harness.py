@@ -224,22 +224,22 @@ def run_single(
     """Execute one seeded run of `strategy` and return its trace.
 
     Honesty is `honesty` if given (the array a run with this seed
-    draws), else drawn from the run seed; the start node takes the first
-    monitor, and then the loop of pick / answer / ingest continues until
-    the budget runs out or no candidate remains. A counting strategy
-    keeps its scores in a `CountingScores`, built once before the start's
-    ingest and updated from each report, the start's included, so no
-    step rescans the frontier and the run never folds the state's
-    counters. The learning strategy calls `pick` at every step and
-    refits once `retrain_every` placements have joined the observer's
-    record since its last fit, starting each fit from the model the last
-    one returned. `step_callback`, if given, is called as
-    `(state, decision)` after each pick and before the matching ingest,
-    which rejects a pick that is not a candidate; a counting run builds
-    that Decision from its kept scores only when a callback is set. A
-    learning run whose fits stopped before `grad_tol` logs their count.
-    The trace is read from that record when the loop ends: the monitored
-    node ids in monitor order.
+    draws), else drawn from the run seed. One loop places every monitor,
+    the start first, until the budget runs out or no candidate remains.
+    Each run keeps one `CountingScores`, built before the start's ingest
+    and updated from each report, so no step rescans the frontier and a
+    counting run, which draws from its own scores throughout, never
+    folds the state's counters. The learning strategy draws from kept
+    `mrn` scores until its first fitted model (labels only gain colors,
+    so no later fit falls back), then calls `pick` at every step. It fits
+    at its first step and again once `retrain_every` placements have
+    joined the observer's record since, each from the last fit's model.
+    `step_callback`, if given, is called as `(state, decision)` after
+    each pick and before the matching ingest, which rejects a pick that
+    is not a candidate; a draw from kept scores builds that Decision only
+    when a callback is set. A learning run whose fits stopped before
+    `grad_tol` logs their count. The trace is read from that record when
+    the loop ends: the monitored node ids in monitor order.
     """
     check_strategy(strategy)
     for name, value in (("budget", budget), ("retrain_every", retrain_every)):
@@ -255,21 +255,24 @@ def run_single(
 
     oracle = Oracle(world, honesty, scenario, lies_rng)
     # Built before the first report, so the kept scores take every report from
-    # its claims and the run never reads the state's claim counts.
-    counting = None if strategy == "redlearn" else CountingScores(strategy, state)
-    report = oracle.place_monitor(start)
-    state.ingest(report)
-    if counting is not None:
-        counting.update(report)
-
+    # its claims and a draw from them never reads the state's claim counts.
+    counting = CountingScores("mrn" if strategy == "redlearn" else strategy, state)
     model = None
-    fitted_at = fits = unconverged = 0
-    while len(state.reports) < budget:
-        if counting is None and (model is None or len(state.reports) - fitted_at >= retrain_every):
+    fits = unconverged = 0
+    chosen = start
+    while True:
+        report = oracle.place_monitor(chosen)
+        state.ingest(report)
+        if counting is not None:
+            counting.update(report)
+        if len(state.reports) >= budget:
+            break
+        if strategy == "redlearn" and (len(state.reports) - 1) % retrain_every == 0:
             model = fit(build_training_set(state, start=model))
-            fitted_at = len(state.reports)
             fits += 1
             unconverged += not model.converged
+            if not model.fallback:
+                counting = None
         try:
             if counting is None:
                 decision = pick(strategy, state, tiebreak_rng, model)
@@ -281,10 +284,6 @@ def run_single(
             break
         if step_callback is not None:
             step_callback(state, decision if counting is None else counting.decision(chosen))
-        report = oracle.place_monitor(chosen)
-        state.ingest(report)
-        if counting is not None:
-            counting.update(report)
 
     if unconverged:
         logger.warning("run %d (%s): %d of %d fits stopped before grad_tol", run_id, strategy, unconverged, fits)

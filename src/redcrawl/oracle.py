@@ -164,7 +164,7 @@ def assign_honesty(world: WorldGraph, rng: random.Random) -> np.ndarray:
     return np.clip(z, 0.0, 1.0, out=z)
 
 
-@dataclass
+@dataclass(eq=False)
 class Oracle:
     """Stateful answer source for one run.
 

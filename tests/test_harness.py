@@ -230,16 +230,25 @@ class TestRunSingle:
             assert np.array_equal(decision.scores, scores)
 
     def test_pick_of_monitored_node_raises(self, monkeypatch):
-        # A counting run draws from its kept scores; redlearn goes through pick.
+        # Counting runs and redlearn's fallback draw from the kept scores; a
+        # fitted model's picks go through pick. The star's reds are monitored
+        # first, and the first blue gives redlearn a fitted model.
         world = star_world()
         with monkeypatch.context() as m:
             m.setattr(strategies.CountingScores, "choose", lambda self, rng: 0)
-            with pytest.raises(ValueError, match="node 0 is already monitored"):
-                run_single(world, "mrn", LyingScenario.LS1, 0, seed=3, budget=5)
-        monkeypatch.setattr(harness, "pick", lambda strategy, state, rng, model=None:
-                            Decision(0, np.array([0]), np.array([0.0])))
+            for strategy in ("mrn", "redlearn"):
+                with pytest.raises(ValueError, match="node 0 is already monitored"):
+                    run_single(world, strategy, LyingScenario.LS1, 0, seed=3, budget=5)
+        fitted = []
+
+        def bad_pick(strategy, state, rng, model=None):
+            fitted.append(not model.fallback)
+            return Decision(0, np.array([0]), np.array([0.0]))
+
+        monkeypatch.setattr(harness, "pick", bad_pick)
         with pytest.raises(ValueError, match="node 0 is already monitored"):
-            run_single(world, "redlearn", LyingScenario.LS1, 0, seed=3, budget=5)
+            run_single(world, "redlearn", LyingScenario.LS1, 0, seed=3, budget=10)
+        assert fitted == [True]
 
     def test_start_must_be_red(self):
         world = make_world(3, [(0, 1), (1, 2)], red={0})

@@ -283,6 +283,14 @@ class TestPlaceMonitor:
         with pytest.raises(TypeError, match="issued"):
             Oracle(g, [0.5, 0.5], LyingScenario.LS1, random.Random(0), issued=set())
 
+    def test_oracles_compare_by_identity(self):
+        # field-by-field equality would compare the honesty arrays and raise
+        g = make_world(2, [(0, 1)])
+        a, b = (Oracle(g, [0.5, 0.5], LyingScenario.LS1, random.Random(0)) for _ in range(2))
+        assert a != b and not a == b
+        assert a == a
+        assert {a: "a", b: "b"}[b] == "b"
+
     @pytest.mark.parametrize("scenario", ["ls2", "LS2", None])
     def test_oracle_requires_a_lying_scenario(self, scenario):
         # the text "ls2" is not LyingScenario.LS2, and would silently take LS1's path

@@ -17,6 +17,7 @@ from redcrawl import (
     TrainedModel,
     assign_honesty,
     generate_synthetic,
+    harness,
     pick,
     predict_many,
 )
@@ -504,3 +505,64 @@ class TestCountingScoresMatchScan:
         kept.update(report_on_2)
         assert scores_of(decision) == {1: 1, 2: 1, 3: 1, 4: 1}
         assert scores_of(kept.decision(5)) == {1: 1, 3: 1, 4: 1, 5: 1}
+
+
+class TestRedlearnRunKeepsOneRanking:
+    # Reds cluster on this homophily world, so mrn monitors reds for many
+    # steps: the first 32 picks are fallback draws, the rest fitted picks.
+    @pytest.mark.parametrize("scenario", [LyingScenario.LS1, LyingScenario.LS2])
+    def test_fallback_draws_are_picks_then_fitted_picks_follow(self, scenario, monkeypatch):
+        built, models, steps, updates = [], [], [], []
+        real_fit, real_pick = harness.fit, harness.pick
+
+        class Recorded(CountingScores):
+            def __init__(self, strategy, state):
+                super().__init__(strategy, state)
+                built.append(strategy)
+
+            def update(self, report):
+                updates.append(report.target)
+                super().update(report)
+
+            def choose(self, rng):
+                # before the placement: the kept scores are a scan's and the draw is pick's
+                assert_kept_equals_scan(self, "mrn", self.state)
+                assert models[-1].fallback
+                ref_rng = random.Random()
+                ref_rng.setstate(rng.getstate())
+                want = pick("redlearn", self.state, ref_rng, models[-1])
+                chosen = super().choose(rng)
+                assert chosen == want.chosen and type(chosen) is int
+                assert rng.getstate() == ref_rng.getstate()
+                steps.append(("kept", want))
+                return chosen
+
+        def fitted_pick(strategy, state, rng, model=None):
+            assert strategy == "redlearn" and not model.fallback
+            decision = real_pick(strategy, state, rng, model)
+            steps.append(("pick", decision))
+            return decision
+
+        def audit(state, decision):
+            source, want = steps[-1]
+            if source == "kept":
+                assert decision.chosen == want.chosen
+                assert np.array_equal(decision.candidates, want.candidates)
+                assert np.array_equal(decision.scores, want.scores)
+                assert decision.scores.dtype == want.scores.dtype
+            else:
+                assert decision is want
+
+        monkeypatch.setattr(harness, "CountingScores", Recorded)
+        monkeypatch.setattr(harness, "fit", lambda data: models.append(real_fit(data)) or models[-1])
+        monkeypatch.setattr(harness, "pick", fitted_pick)
+        world = generate_synthetic(150, 0.2, "homophily", 6)
+        trace = harness.run_single(world, "redlearn", scenario, world.red_ids()[0], 17, budget=60,
+                                   retrain_every=4, step_callback=audit)
+        sources = [source for source, _ in steps]
+        assert [want.chosen for _, want in steps] == trace.nodes[1:].tolist()
+        assert built == ["mrn"]
+        assert sources == ["kept"] * 32 + ["pick"] * 27
+        # the kept scores took the start's report and each fallback draw's, then no more
+        assert updates == trace.nodes[:33].tolist()
+        assert sum(not m.fallback for m in models) > 1  # past the first fitted refit
